@@ -366,18 +366,8 @@ main(int argc, char** argv)
 
     if (!quiet) {
         BpOsdStats decoder;
-        for (const TaskResult& t : result.tasks) {
-            decoder.decodes += t.decoder.decodes;
-            decoder.trivialShots += t.decoder.trivialShots;
-            decoder.memoHits += t.decoder.memoHits;
-            decoder.bpIterations += t.decoder.bpIterations;
-            decoder.waveGroups += t.decoder.waveGroups;
-            decoder.waveLaneSlots += t.decoder.waveLaneSlots;
-            decoder.waveLanesFilled += t.decoder.waveLanesFilled;
-            decoder.stagedChunks += t.decoder.stagedChunks;
-            if (decoder.backend.empty())
-                decoder.backend = t.decoder.backend;
-        }
+        for (const TaskResult& t : result.tasks)
+            mergeStats(decoder, t.decoder);
         std::fprintf(stderr,
                      "[%s] %zu tasks, %zu shots, wall %.1fs, compile "
                      "cache %zu hit / %zu miss (%zu store, %zu B), "
@@ -426,27 +416,9 @@ main(int argc, char** argv)
                          streaming.flushesFinal);
         }
         if (!spec.spool.empty()) {
-            std::fprintf(stderr,
-                         "[spool] %zu shards published, %zu merged, "
-                         "%zu reclaimed, %zu records reused, "
-                         "%zu journal restores\n",
-                         result.spool.shardsPublished,
-                         result.spool.shardsMerged,
-                         result.spool.shardsReclaimed,
-                         result.spool.recordsReused,
-                         result.spool.journalRestores);
-            std::fprintf(stderr,
-                         "[spool] health: %zu workers healthy, %zu "
-                         "degraded, %zu lost; %zu takeovers, %zu "
-                         "transient retries, %zu quarantined, %zu "
-                         "poisoned\n",
-                         result.spool.workersHealthy,
-                         result.spool.workersDegraded,
-                         result.spool.workersLost,
-                         result.spool.coordinatorTakeovers,
-                         result.spool.transientRetries,
-                         result.spool.recordsQuarantined,
-                         result.spool.shardsPoisoned);
+            KvRecord line("[spool]");
+            line.putFields(SpoolStats::fields(), result.spool);
+            std::fprintf(stderr, "%s\n", line.line().c_str());
         }
     }
 

@@ -211,6 +211,24 @@ quarantineBlob(const std::string& store, const char* kind,
 
 } // namespace
 
+std::span<const StatField<CacheStats>>
+CacheStats::fields()
+{
+    using S = CacheStats;
+    static const StatField<S> kFields[] = {
+        {"compile_hits", &S::compileHits},
+        {"compile_misses", &S::compileMisses},
+        {"dem_hits", &S::demHits},
+        {"dem_misses", &S::demMisses},
+        {"compile_store_hits", &S::compileStoreHits},
+        {"dem_store_hits", &S::demStoreHits},
+        {"compile_bytes", &S::compileBytes},
+        {"dem_bytes", &S::demBytes},
+        {"quarantined", &S::quarantinedBlobs},
+    };
+    return kFields;
+}
+
 std::string
 serializeCompileResult(const CompileResult& result)
 {

@@ -40,9 +40,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 
+#include "common/stat_fields.h"
 #include "compiler/compile_result.h"
 #include "dem/dem.h"
 
@@ -68,6 +70,9 @@ struct CacheStats
      *  to <store>/quarantine/ before a local rebuild republished
      *  fresh bytes. */
     size_t quarantinedBlobs = 0;
+
+    /** The field table (stat_fields.h). */
+    static std::span<const StatField<CacheStats>> fields();
 };
 
 /**

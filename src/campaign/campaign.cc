@@ -175,6 +175,27 @@ resolveCampaignCode(const std::string& name)
     return catalog::byName(name);
 }
 
+std::span<const StatField<SpoolStats>>
+SpoolStats::fields()
+{
+    using S = SpoolStats;
+    static const StatField<S> kFields[] = {
+        {"shards_published", &S::shardsPublished},
+        {"shards_merged", &S::shardsMerged},
+        {"shards_reclaimed", &S::shardsReclaimed},
+        {"records_reused", &S::recordsReused},
+        {"shards_poisoned", &S::shardsPoisoned},
+        {"records_quarantined", &S::recordsQuarantined},
+        {"transient_retries", &S::transientRetries},
+        {"coordinator_takeovers", &S::coordinatorTakeovers},
+        {"journal_restores", &S::journalRestores},
+        {"workers_healthy", &S::workersHealthy},
+        {"workers_degraded", &S::workersDegraded},
+        {"workers_lost", &S::workersLost},
+    };
+    return kFields;
+}
+
 size_t
 CampaignResult::totalShots() const
 {
@@ -433,22 +454,7 @@ CampaignEngine::run(const CampaignSpec& spec,
         for (const auto& ctx : st.workers) {
             if (!ctx)
                 continue;
-            const BpOsdStats& s = ctx->decoder.stats();
-            r.decoder.decodes += s.decodes;
-            r.decoder.bpConverged += s.bpConverged;
-            r.decoder.osdInvocations += s.osdInvocations;
-            r.decoder.osdFailures += s.osdFailures;
-            r.decoder.trivialShots += s.trivialShots;
-            r.decoder.memoHits += s.memoHits;
-            r.decoder.bpIterations += s.bpIterations;
-            r.decoder.waveGroups += s.waveGroups;
-            r.decoder.waveLaneSlots += s.waveLaneSlots;
-            r.decoder.waveLanesFilled += s.waveLanesFilled;
-            r.decoder.osdBatchGroups += s.osdBatchGroups;
-            r.decoder.osdSharedPivots += s.osdSharedPivots;
-            r.decoder.stagedChunks += s.stagedChunks;
-            if (r.decoder.backend.empty())
-                r.decoder.backend = s.backend;
+            mergeStats(r.decoder, ctx->decoder.stats());
             if (ctx->stream) {
                 r.streamed = true;
                 r.stream.merge(ctx->stream->stats());
@@ -599,19 +605,11 @@ CampaignEngine::run(const CampaignSpec& spec,
         }
     }
 
+    // This run's share of the shared cache's lifetime counters.
     const CacheStats after = cache_.stats();
-    result.cache.compileHits = after.compileHits - before.compileHits;
-    result.cache.compileMisses =
-        after.compileMisses - before.compileMisses;
-    result.cache.demHits = after.demHits - before.demHits;
-    result.cache.demMisses = after.demMisses - before.demMisses;
-    result.cache.compileStoreHits =
-        after.compileStoreHits - before.compileStoreHits;
-    result.cache.demStoreHits =
-        after.demStoreHits - before.demStoreHits;
-    result.cache.compileBytes =
-        after.compileBytes - before.compileBytes;
-    result.cache.demBytes = after.demBytes - before.demBytes;
+    for (const StatField<CacheStats>& f : CacheStats::fields())
+        f.set(result.cache, std::get<size_t>(f.get(after)) -
+                                std::get<size_t>(f.get(before)));
     result.wallSeconds = elapsedSeconds(t0);
     return result;
 }

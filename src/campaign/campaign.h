@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "campaign/artifact_cache.h"
 #include "campaign/campaign_spec.h"
 #include "campaign/thread_pool.h"
+#include "common/stat_fields.h"
 #include "common/stats.h"
 #include "decoder/bposd_decoder.h"
 #include "decoder/stream_decoder.h"
@@ -117,6 +119,9 @@ struct SpoolStats
     size_t workersHealthy = 0;
     size_t workersDegraded = 0;
     size_t workersLost = 0;
+
+    /** The field table (stat_fields.h). */
+    static std::span<const StatField<SpoolStats>> fields();
 };
 
 /** Outcome of a whole campaign. */

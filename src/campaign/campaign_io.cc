@@ -1,5 +1,6 @@
 #include "campaign/campaign_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -7,10 +8,12 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
 
+#include "common/kv_record.h"
 #include "common/stats.h"
 #include "compiler/architecture.h"
 
@@ -65,6 +68,90 @@ csvField(const std::string& s)
     out += '"';
     return out;
 }
+
+std::string
+jsonValue(const FieldValue& v)
+{
+    if (const size_t* n = std::get_if<size_t>(&v))
+        return std::to_string(*n);
+    if (const double* d = std::get_if<double>(&v))
+        return num(*d);
+    if (const bool* b = std::get_if<bool>(&v))
+        return *b ? "true" : "false";
+    std::string out = "\"";
+    out += jsonEscape(std::get<std::string>(v));
+    out += '"';
+    return out;
+}
+
+std::string
+csvValue(const FieldValue& v)
+{
+    if (const bool* b = std::get_if<bool>(&v))
+        return *b ? "1" : "0";
+    if (const std::string* s = std::get_if<std::string>(&v))
+        return csvField(*s);
+    return jsonValue(v);
+}
+
+/** `{"name": value, ...}` over the field table of `s`. */
+template <typename S>
+std::string
+jsonFields(const S& s)
+{
+    std::string out;
+    for (const StatField<S>& f : S::fields()) {
+        out += out.empty() ? "{\"" : ", \"";
+        out += f.name;
+        out += "\": ";
+        out += jsonValue(f.get(s));
+    }
+    return out + "}";
+}
+
+/** CSV header cells of S's field table, each name prefixed. */
+template <typename S>
+std::string
+csvHeader(const std::string& prefix)
+{
+    std::string out;
+    for (const StatField<S>& f : S::fields()) {
+        if (!out.empty())
+            out += ',';
+        out += prefix + f.name;
+    }
+    return out;
+}
+
+/** CSV cells of `s`, in csvHeader<S>() order. */
+template <typename S>
+std::string
+csvCells(const S& s)
+{
+    std::string out;
+    for (const StatField<S>& f : S::fields()) {
+        if (!out.empty())
+            out += ',';
+        out += csvValue(f.get(s));
+    }
+    return out;
+}
+
+constexpr const char* kCheckpointMagic = "cyclone-campaign-checkpoint v2";
+
+/** The task fields a checkpoint carries besides its content hash, shot
+ *  counts and decoder/streaming stats. */
+const StatField<TaskResult> kCheckpointFields[] = {
+    {"rounds", &TaskResult::rounds},
+    {"round_latency_us", &TaskResult::roundLatencyUs},
+    {"dem_detectors", &TaskResult::demDetectors},
+    {"dem_mechanisms", &TaskResult::demMechanisms},
+    {"chunks", &TaskResult::chunks},
+    {"stopped_early", &TaskResult::stoppedEarly},
+    {"sample_seconds", &TaskResult::sampleSeconds, MergeRule::Sum,
+     FieldKind::Timing},
+    {"streamed", &TaskResult::streamed},
+};
 
 std::string
 trim(const std::string& s)
@@ -238,36 +325,8 @@ campaignResultToJson(const CampaignResult& result)
     out << "  \"seed\": " << result.seed << ",\n";
     out << "  \"wall_seconds\": " << num(result.wallSeconds) << ",\n";
     out << "  \"total_shots\": " << result.totalShots() << ",\n";
-    out << "  \"cache\": {\"compile_hits\": " << result.cache.compileHits
-        << ", \"compile_misses\": " << result.cache.compileMisses
-        << ", \"dem_hits\": " << result.cache.demHits
-        << ", \"dem_misses\": " << result.cache.demMisses
-        << ",\n            \"compile_store_hits\": "
-        << result.cache.compileStoreHits
-        << ", \"dem_store_hits\": " << result.cache.demStoreHits
-        << ", \"compile_bytes\": " << result.cache.compileBytes
-        << ", \"dem_bytes\": " << result.cache.demBytes
-        << ", \"quarantined\": " << result.cache.quarantinedBlobs
-        << "},\n";
-    out << "  \"spool\": {\"shards_published\": "
-        << result.spool.shardsPublished
-        << ", \"shards_merged\": " << result.spool.shardsMerged
-        << ", \"shards_reclaimed\": " << result.spool.shardsReclaimed
-        << ", \"records_reused\": " << result.spool.recordsReused
-        << ",\n            \"shards_poisoned\": "
-        << result.spool.shardsPoisoned
-        << ", \"records_quarantined\": "
-        << result.spool.recordsQuarantined
-        << ", \"transient_retries\": "
-        << result.spool.transientRetries
-        << ", \"coordinator_takeovers\": "
-        << result.spool.coordinatorTakeovers
-        << ", \"journal_restores\": " << result.spool.journalRestores
-        << ",\n            \"workers_healthy\": "
-        << result.spool.workersHealthy
-        << ", \"workers_degraded\": " << result.spool.workersDegraded
-        << ", \"workers_lost\": " << result.spool.workersLost
-        << "},\n";
+    out << "  \"cache\": " << jsonFields(result.cache) << ",\n";
+    out << "  \"spool\": " << jsonFields(result.spool) << ",\n";
     out << "  \"tasks\": [\n";
     for (size_t i = 0; i < result.tasks.size(); ++i) {
         const TaskResult& t = result.tasks[i];
@@ -290,49 +349,9 @@ campaignResultToJson(const CampaignResult& result)
             << ", \"from_checkpoint\": "
             << (t.fromCheckpoint ? "true" : "false")
             << ", \"sample_seconds\": " << num(t.sampleSeconds)
-            << ",\n     \"decoder\": {\"decodes\": " << t.decoder.decodes
-            << ", \"bp_converged\": " << t.decoder.bpConverged
-            << ", \"osd_invocations\": " << t.decoder.osdInvocations
-            << ", \"osd_failures\": " << t.decoder.osdFailures
-            << ", \"trivial_shots\": " << t.decoder.trivialShots
-            << ", \"memo_hits\": " << t.decoder.memoHits
-            << ", \"bp_iterations\": " << t.decoder.bpIterations
-            << ", \"wave_groups\": " << t.decoder.waveGroups
-            << ", \"wave_lane_slots\": " << t.decoder.waveLaneSlots
-            << ", \"wave_lanes_filled\": " << t.decoder.waveLanesFilled
-            << ", \"osd_batch_groups\": " << t.decoder.osdBatchGroups
-            << ", \"osd_shared_pivots\": " << t.decoder.osdSharedPivots
-            << ", \"staged_chunks\": " << t.decoder.stagedChunks
-            << ", \"backend\": \"" << jsonEscape(t.decoder.backend)
-            << "\",\n                 \"trivial_fraction\": "
-            << num(t.decoder.trivialFraction())
-            << ", \"memo_hit_rate\": " << num(t.decoder.memoHitRate())
-            << ", \"mean_bp_iterations\": "
-            << num(t.decoder.meanBpIterations())
-            << ", \"wave_lane_occupancy\": "
-            << num(t.decoder.waveLaneOccupancy()) << "}";
-        if (t.streamed) {
-            const StreamDecodeStats& s = t.stream;
-            out << ",\n     \"streaming\": {\"windows\": " << s.windows
-                << ", \"rounds_pushed\": " << s.roundsPushed
-                << ", \"truncated_rounds\": " << s.truncatedRounds
-                << ", \"deadline_us\": " << num(s.deadlineUs)
-                << ", \"deadline_misses\": " << s.deadlineMisses
-                << ", \"miss_fraction\": "
-                << num(s.deadlineMissFraction())
-                << ",\n                   \"latency_p50_us\": "
-                << num(s.p50Us) << ", \"latency_p99_us\": "
-                << num(s.p99Us) << ", \"latency_p999_us\": "
-                << num(s.p999Us) << ", \"latency_mean_us\": "
-                << num(s.meanLatencyUs()) << ", \"latency_max_us\": "
-                << num(s.latencyMaxUs)
-                << ",\n                   \"slab_slots\": "
-                << s.slabSlots << ", \"slab_filled\": " << s.slabFilled
-                << ", \"slab_occupancy\": " << num(s.slabOccupancy())
-                << ", \"flushes_full\": " << s.flushesFull
-                << ", \"flushes_deadline\": " << s.flushesDeadline
-                << ", \"flushes_final\": " << s.flushesFinal << "}";
-        }
+            << ",\n     \"decoder\": " << jsonFields(t.decoder);
+        if (t.streamed)
+            out << ",\n     \"streaming\": " << jsonFields(t.stream);
         if (t.compileMakespanUs > 0.0) {
             const double span = t.compileMakespanUs;
             const TimeBreakdown& b = t.compileBreakdown;
@@ -379,12 +398,10 @@ campaignResultToCsv(const CampaignResult& result)
     std::ostringstream out;
     out << "id,code,architecture,p,rounds,basis,round_latency_us,shots,"
            "failures,ler,wilson,per_round_ler,chunks,stopped_early,"
-           "from_checkpoint,sample_seconds,trivial_fraction,"
-           "memo_hit_rate,mean_bp_iterations,wave_lane_occupancy,"
-           "osd_batch_groups,osd_shared_pivots,staged_chunks,backend,"
-           "stream_windows,stream_p50_us,stream_p99_us,stream_p999_us,"
-           "stream_deadline_misses,stream_slab_occupancy,"
-           "util_gate,util_shuttle,"
+           "from_checkpoint,sample_seconds,"
+        << csvHeader<BpOsdStats>("") << ','
+        << csvHeader<StreamDecodeStats>("stream_")
+        << ",util_gate,util_shuttle,"
            "util_junction,util_swap,parallel_fraction,trap_roadblocks,"
            "junction_roadblocks,roadblock_wait_us,error\n";
     for (const TaskResult& t : result.tasks) {
@@ -402,19 +419,8 @@ campaignResultToCsv(const CampaignResult& result)
             << ',' << num(t.perRoundErrorRate) << ',' << t.chunks << ','
             << (t.stoppedEarly ? 1 : 0) << ','
             << (t.fromCheckpoint ? 1 : 0) << ',' << num(t.sampleSeconds)
-            << ',' << num(t.decoder.trivialFraction()) << ','
-            << num(t.decoder.memoHitRate()) << ','
-            << num(t.decoder.meanBpIterations()) << ','
-            << num(t.decoder.waveLaneOccupancy()) << ','
-            << t.decoder.osdBatchGroups << ','
-            << t.decoder.osdSharedPivots << ','
-            << t.decoder.stagedChunks << ','
-            << csvField(t.decoder.backend) << ','
-            << t.stream.windows << ',' << num(t.stream.p50Us) << ','
-            << num(t.stream.p99Us) << ',' << num(t.stream.p999Us)
-            << ',' << t.stream.deadlineMisses << ','
-            << num(t.stream.slabOccupancy()) << ','
-            << num(util(t.compileBreakdown.gateUs)) << ','
+            << ',' << csvCells(t.decoder) << ',' << csvCells(t.stream)
+            << ',' << num(util(t.compileBreakdown.gateUs)) << ','
             << num(util(t.compileBreakdown.shuttleUs)) << ','
             << num(util(t.compileBreakdown.junctionUs)) << ','
             << num(util(t.compileBreakdown.swapUs)) << ','
@@ -449,38 +455,19 @@ writeTextFile(const std::string& path, const std::string& content)
 bool
 saveCheckpoint(const CampaignResult& result, const std::string& path)
 {
-    std::ostringstream out;
-    out << "cyclone-campaign-checkpoint v1\n";
+    std::vector<KvRecord> records;
     for (const TaskResult& t : result.tasks) {
         if (!t.error.empty() || t.logicalErrorRate.trials == 0)
             continue;
-        char line[640];
-        std::snprintf(line, sizeof line,
-                      "task %016llx %zu %.17g %zu %zu %zu %zu %zu %d "
-                      "%zu %zu %zu %zu %.6f %zu %zu %zu %zu %zu %zu "
-                      "%zu %zu %zu %d %zu %zu %.6f %.6f %.6f %.6f "
-                      "%.6f %zu %zu\n",
-                      static_cast<unsigned long long>(t.contentHash),
-                      t.rounds, t.roundLatencyUs, t.demDetectors,
-                      t.demMechanisms, t.logicalErrorRate.trials,
-                      t.logicalErrorRate.successes, t.chunks,
-                      t.stoppedEarly ? 1 : 0, t.decoder.decodes,
-                      t.decoder.bpConverged, t.decoder.osdInvocations,
-                      t.decoder.osdFailures, t.sampleSeconds,
-                      t.decoder.trivialShots, t.decoder.memoHits,
-                      t.decoder.bpIterations, t.decoder.waveGroups,
-                      t.decoder.waveLaneSlots,
-                      t.decoder.waveLanesFilled,
-                      t.decoder.osdBatchGroups,
-                      t.decoder.osdSharedPivots,
-                      t.decoder.stagedChunks, t.streamed ? 1 : 0,
-                      t.stream.windows, t.stream.deadlineMisses,
-                      t.stream.latencySumUs, t.stream.latencyMaxUs,
-                      t.stream.p50Us, t.stream.p99Us, t.stream.p999Us,
-                      t.stream.slabSlots, t.stream.slabFilled);
-        out << line;
+        KvRecord& rec = records.emplace_back("task");
+        rec.putHex("content_hash", t.contentHash);
+        rec.put("shots", t.logicalErrorRate.trials);
+        rec.put("failures", t.logicalErrorRate.successes);
+        rec.putFields(kCheckpointFields, t);
+        rec.putFields(BpOsdStats::fields(), t.decoder, "decoder.");
+        rec.putFields(StreamDecodeStats::fields(), t.stream, "stream.");
     }
-    return writeTextFile(path, out.str());
+    return writeTextFile(path, formatRecords(kCheckpointMagic, records));
 }
 
 bool
@@ -489,107 +476,37 @@ loadCheckpoint(const std::string& path, CampaignCheckpoint& out)
     std::ifstream in(path);
     if (!in)
         return false;
-    std::string header;
-    if (!std::getline(in, header) ||
-        trim(header) != "cyclone-campaign-checkpoint v1")
+    std::ostringstream text;
+    text << in.rdbuf();
+    // The streaming latency histogram is not persisted: its summary
+    // scalars and percentiles are restored verbatim.
+    try {
+        for (const KvRecord& rec : parseRecords(
+                 text.str(), kCheckpointMagic, "campaign checkpoint")) {
+            if (rec.tag() != "task")
+                continue;
+            TaskResult t;
+            t.contentHash = rec.hex("content_hash");
+            const size_t shots = rec.count("shots");
+            const size_t failures = rec.count("failures");
+            rec.getFields(kCheckpointFields, t);
+            rec.getFields(BpOsdStats::fields(), t.decoder, "decoder.");
+            rec.getFields(StreamDecodeStats::fields(), t.stream,
+                          "stream.");
+            t.logicalErrorRate = estimateRate(failures, shots);
+            t.wilson = wilsonHalfWidth(failures, shots);
+            if (t.rounds > 0 && shots > 0) {
+                const double ler =
+                    std::min(t.logicalErrorRate.rate, 1.0 - 1e-12);
+                t.perRoundErrorRate =
+                    1.0 - std::pow(1.0 - ler,
+                                   1.0 / static_cast<double>(t.rounds));
+            }
+            t.fromCheckpoint = true;
+            out.tasks[t.contentHash] = t;
+        }
+    } catch (const std::exception&) {
         return false;
-    std::string line;
-    while (std::getline(in, line)) {
-        line = trim(line);
-        if (line.empty())
-            continue;
-        unsigned long long hash = 0;
-        size_t rounds = 0, detectors = 0, mechanisms = 0, shots = 0,
-               failures = 0, chunks = 0, decodes = 0, converged = 0,
-               osdInv = 0, osdFail = 0, trivial = 0, memoHits = 0,
-               bpIters = 0, waveGroups = 0, waveSlots = 0,
-               waveFilled = 0, osdGroups = 0, osdShared = 0,
-               stagedChunks = 0;
-        size_t streamWindows = 0, streamMisses = 0, slabSlots = 0,
-               slabFilled = 0;
-        double latency = 0.0, seconds = 0.0, streamSumUs = 0.0,
-               streamMaxUs = 0.0, p50 = 0.0, p99 = 0.0, p999 = 0.0;
-        int early = 0, streamed = 0;
-        const int got = std::sscanf(
-            line.c_str(),
-            "task %llx %zu %lg %zu %zu %zu %zu %zu %d %zu %zu %zu %zu "
-            "%lg %zu %zu %zu %zu %zu %zu %zu %zu %zu %d %zu %zu %lg "
-            "%lg %lg %lg %lg %zu %zu",
-            &hash, &rounds, &latency, &detectors, &mechanisms, &shots,
-            &failures, &chunks, &early, &decodes, &converged, &osdInv,
-            &osdFail, &seconds, &trivial, &memoHits, &bpIters,
-            &waveGroups, &waveSlots, &waveFilled, &osdGroups,
-            &osdShared, &stagedChunks, &streamed, &streamWindows,
-            &streamMisses, &streamSumUs, &streamMaxUs, &p50, &p99,
-            &p999, &slabSlots, &slabFilled);
-        // 14 fields = pre-batch-pipeline checkpoint (batch stats
-        // default to zero); 17 = pre-wave-kernel; 20 = pre-batched-
-        // OSD; 22 = pre-staging; 23 = pre-streaming; 33 = current
-        // format. The dispatched backend name is deliberately not
-        // checkpointed (it describes the host that ran the shots, not
-        // the results), and neither is the streaming latency
-        // histogram — only its summary scalars and percentiles ride
-        // along, restored verbatim.
-        if (got != 14 && got != 17 && got != 20 && got != 22 &&
-            got != 23 && got != 33)
-            return false;
-        // sscanf caps at 33 conversions, so a longer line (a future
-        // format) would otherwise be misread as the current one:
-        // reject any line whose token count exceeds what we parsed.
-        size_t tokens = 0;
-        bool inToken = false;
-        for (const char c : line) {
-            const bool ws = c == ' ' || c == '\t';
-            if (!ws && !inToken)
-                ++tokens;
-            inToken = !ws;
-        }
-        if (tokens != static_cast<size_t>(got) + 1)
-            return false;
-        TaskResult t;
-        t.contentHash = hash;
-        t.rounds = rounds;
-        t.roundLatencyUs = latency;
-        t.demDetectors = detectors;
-        t.demMechanisms = mechanisms;
-        t.logicalErrorRate = estimateRate(failures, shots);
-        t.wilson = wilsonHalfWidth(failures, shots);
-        if (rounds > 0 && shots > 0) {
-            const double ler =
-                t.logicalErrorRate.rate < 1.0 ? t.logicalErrorRate.rate
-                                              : 1.0 - 1e-12;
-            t.perRoundErrorRate =
-                1.0 - std::pow(1.0 - ler,
-                               1.0 / static_cast<double>(rounds));
-        }
-        t.chunks = chunks;
-        t.stoppedEarly = early != 0;
-        t.decoder.decodes = decodes;
-        t.decoder.bpConverged = converged;
-        t.decoder.osdInvocations = osdInv;
-        t.decoder.osdFailures = osdFail;
-        t.decoder.trivialShots = trivial;
-        t.decoder.memoHits = memoHits;
-        t.decoder.bpIterations = bpIters;
-        t.decoder.waveGroups = waveGroups;
-        t.decoder.waveLaneSlots = waveSlots;
-        t.decoder.waveLanesFilled = waveFilled;
-        t.decoder.osdBatchGroups = osdGroups;
-        t.decoder.osdSharedPivots = osdShared;
-        t.decoder.stagedChunks = stagedChunks;
-        t.streamed = streamed != 0;
-        t.stream.windows = streamWindows;
-        t.stream.deadlineMisses = streamMisses;
-        t.stream.latencySumUs = streamSumUs;
-        t.stream.latencyMaxUs = streamMaxUs;
-        t.stream.p50Us = p50;
-        t.stream.p99Us = p99;
-        t.stream.p999Us = p999;
-        t.stream.slabSlots = slabSlots;
-        t.stream.slabFilled = slabFilled;
-        t.sampleSeconds = seconds;
-        t.fromCheckpoint = true;
-        out.tasks[t.contentHash] = t;
     }
     return true;
 }

@@ -18,9 +18,12 @@
  *     max_shots = 20000
  *     target_rel_err = 0.1
  *
- * Checkpoints are line-based records of completed tasks keyed by
- * content hash, so a rerun of an edited spec re-executes exactly the
- * tasks whose definition changed.
+ * Checkpoints hold one key=value record (kv_record.h) per completed
+ * task, keyed by content hash, so a rerun of an edited spec
+ * re-executes exactly the tasks whose definition changed. The JSON
+ * `decoder`, `streaming`, `cache` and `spool` objects and the CSV
+ * decoder and `stream_*` columns are rendered from the stats structs'
+ * field tables (stat_fields.h).
  */
 
 #ifndef CYCLONE_CAMPAIGN_CAMPAIGN_IO_H
@@ -48,9 +51,10 @@ bool writeTextFile(const std::string& path, const std::string& content);
 bool saveCheckpoint(const CampaignResult& result, const std::string& path);
 
 /**
- * Load a checkpoint file. Returns false when the file is missing or
- * malformed (checkpoints are advisory: a bad one is ignored, not
- * fatal).
+ * Load a checkpoint file. Returns false when the file is missing,
+ * fails its CRC, or is malformed — including checkpoints of the older
+ * positional format, whose tasks simply run again (checkpoints are
+ * advisory caches: a bad one is ignored, not fatal).
  */
 bool loadCheckpoint(const std::string& path, CampaignCheckpoint& out);
 

@@ -29,34 +29,33 @@ namespace cyclone {
 
 namespace {
 
-constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v1";
-constexpr const char* kJournalMagic = "cyclone-coord-journal v1";
+constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v2";
+constexpr const char* kJournalMagic = "cyclone-coord-journal v2";
 constexpr const char* kHealthMagic = "cyclone-worker-health v1";
+
+// Record fields besides the content hash and the nested stats.
+const StatField<JournalEntry> kJournalFields[] = {
+    {"task", &JournalEntry::task},
+    {"shots", &JournalEntry::shots},
+    {"failures", &JournalEntry::failures},
+    {"chunks", &JournalEntry::chunks},
+    {"stopped_early", &JournalEntry::stoppedEarly},
+    {"sample_seconds", &JournalEntry::sampleSeconds, MergeRule::Sum,
+     FieldKind::Timing},
+};
+
+const StatField<WorkerReport> kWorkerReportFields[] = {
+    {"shards", &WorkerReport::shardsRun},
+    {"shots", &WorkerReport::shots},
+    {"failures", &WorkerReport::failures},
+    {"retries", &WorkerReport::transientRetries},
+    {"promotions", &WorkerReport::promotions},
+};
 
 void
 sleepSeconds(double s)
 {
     std::this_thread::sleep_for(std::chrono::duration<double>(s));
-}
-
-void
-addDecoderStats(BpOsdStats& into, const BpOsdStats& s)
-{
-    into.decodes += s.decodes;
-    into.bpConverged += s.bpConverged;
-    into.osdInvocations += s.osdInvocations;
-    into.osdFailures += s.osdFailures;
-    into.trivialShots += s.trivialShots;
-    into.memoHits += s.memoHits;
-    into.bpIterations += s.bpIterations;
-    into.waveGroups += s.waveGroups;
-    into.waveLaneSlots += s.waveLaneSlots;
-    into.waveLanesFilled += s.waveLanesFilled;
-    into.osdBatchGroups += s.osdBatchGroups;
-    into.osdSharedPivots += s.osdSharedPivots;
-    into.stagedChunks += s.stagedChunks;
-    if (into.backend.empty())
-        into.backend = s.backend;
 }
 
 /** Install the spec's fault plan unless the environment already
@@ -190,7 +189,7 @@ executeShardChunks(Spool& spool, const std::string& id,
     rec.seconds = seconds;
     for (const auto& ctx : ctxs)
         if (ctx)
-            addDecoderStats(rec.decoder, ctx->decoder.stats());
+            mergeStats(rec.decoder, ctx->decoder.stats());
     spool.completeShard(id, rec);
     return rec;
 }
@@ -238,97 +237,28 @@ chunkShotsAt(const StoppingRule& rule, size_t index)
 std::string
 formatCoordJournal(const std::vector<JournalEntry>& entries)
 {
-    std::ostringstream out;
-    out << kJournalMagic << "\n";
-    char buf[64];
+    std::vector<KvRecord> records;
     for (const JournalEntry& e : entries) {
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      static_cast<unsigned long long>(e.contentHash));
-        out << "task " << e.task << " " << buf << " " << e.shots
-            << " " << e.failures << " " << e.chunks << " "
-            << (e.stoppedEarly ? 1 : 0) << " ";
-        std::snprintf(buf, sizeof buf, "%.17g", e.sampleSeconds);
-        out << buf << "\n";
-        const BpOsdStats& s = e.decoder;
-        out << "decoder " << s.decodes << " " << s.bpConverged << " "
-            << s.osdInvocations << " " << s.osdFailures << " "
-            << s.trivialShots << " " << s.memoHits << " "
-            << s.bpIterations << " " << s.waveGroups << " "
-            << s.waveLaneSlots << " " << s.waveLanesFilled << " "
-            << s.osdBatchGroups << " " << s.osdSharedPivots << " "
-            << s.stagedChunks << "\n";
-        if (!s.backend.empty())
-            out << "backend " << s.backend << "\n";
-        out << "end\n";
+        KvRecord& rec = records.emplace_back("task");
+        rec.putHex("content_hash", e.contentHash);
+        rec.putFields(kJournalFields, e);
+        rec.putFields(BpOsdStats::fields(), e.decoder, "decoder.");
     }
-    return withCrcLine(out.str());
+    return formatRecords(kJournalMagic, records);
 }
 
 std::vector<JournalEntry>
 parseCoordJournal(const std::string& text)
 {
-    const std::string payload =
-        checkCrcLine(text, "coordinator journal");
-    std::istringstream in(payload);
-    std::string line;
-    if (!std::getline(in, line) || line != kJournalMagic)
-        throw std::runtime_error(
-            "not a coordinator journal (bad magic line)");
     std::vector<JournalEntry> entries;
-    std::optional<JournalEntry> current;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string key;
-        if (!(ls >> key))
+    for (const KvRecord& rec :
+         parseRecords(text, kJournalMagic, "coordinator journal")) {
+        if (rec.tag() != "task")
             continue;
-        if (key == "task") {
-            std::string hash;
-            unsigned long long task = 0, shots = 0, failures = 0,
-                               chunks = 0;
-            int early = 0;
-            double seconds = 0.0;
-            if (!(ls >> task >> hash >> shots >> failures >> chunks >>
-                  early >> seconds))
-                throw std::runtime_error(
-                    "coordinator journal: malformed task line");
-            current.emplace();
-            current->task = static_cast<size_t>(task);
-            current->contentHash =
-                std::stoull(hash, nullptr, 16);
-            current->shots = static_cast<size_t>(shots);
-            current->failures = static_cast<size_t>(failures);
-            current->chunks = static_cast<size_t>(chunks);
-            current->stoppedEarly = early != 0;
-            current->sampleSeconds = seconds;
-        } else if (key == "decoder" && current) {
-            uint64_t v[13] = {};
-            for (auto& x : v)
-                if (!(ls >> x))
-                    throw std::runtime_error(
-                        "coordinator journal: malformed decoder "
-                        "line");
-            BpOsdStats& s = current->decoder;
-            s.decodes = v[0];
-            s.bpConverged = v[1];
-            s.osdInvocations = v[2];
-            s.osdFailures = v[3];
-            s.trivialShots = v[4];
-            s.memoHits = v[5];
-            s.bpIterations = v[6];
-            s.waveGroups = v[7];
-            s.waveLaneSlots = v[8];
-            s.waveLanesFilled = v[9];
-            s.osdBatchGroups = v[10];
-            s.osdSharedPivots = v[11];
-            s.stagedChunks = v[12];
-        } else if (key == "backend" && current) {
-            std::string backend;
-            if (ls >> backend)
-                current->decoder.backend = backend;
-        } else if (key == "end" && current) {
-            entries.push_back(*current);
-            current.reset();
-        }
+        JournalEntry& e = entries.emplace_back();
+        rec.getFields(kJournalFields, e);
+        e.contentHash = rec.hex("content_hash");
+        rec.getFields(BpOsdStats::fields(), e.decoder, "decoder.");
     }
     return entries;
 }
@@ -632,7 +562,7 @@ runDistributedCampaign(const CampaignSpec& spec,
                 ShardRecord rec;
                 try {
                     rec = spool.readRecord(id);
-                } catch (const CorruptSpoolError&) {
+                } catch (const CorruptRecordError&) {
                     // Torn or rotted record: quarantine it and make
                     // sure the shard is executable again — revive
                     // its done/ tombstone, or republish from our
@@ -659,7 +589,7 @@ runDistributedCampaign(const CampaignSpec& spec,
                 st.sampler->absorb(
                     ChunkOutcome{rec.shots, rec.failures});
                 st.sampleSeconds += rec.seconds;
-                addDecoderStats(result.tasks[i].decoder, rec.decoder);
+                mergeStats(result.tasks[i].decoder, rec.decoder);
                 ++result.spool.shardsMerged;
                 st.inflight.erase(id);
                 st.outstanding.erase(st.outstanding.begin() +
@@ -802,66 +732,22 @@ runDistributedCampaign(const CampaignSpec& spec,
 std::string
 formatWorkerStats(const WorkerReport& r)
 {
-    std::ostringstream out;
-    out << kWorkerStatsMagic << "\n"
-        << "shards " << r.shardsRun << "\n"
-        << "shots " << r.shots << "\n"
-        << "failures " << r.failures << "\n"
-        << "retries " << r.transientRetries << "\n"
-        << "promotions " << r.promotions << "\n"
-        << "compile_hits " << r.cache.compileHits << "\n"
-        << "compile_misses " << r.cache.compileMisses << "\n"
-        << "compile_store_hits " << r.cache.compileStoreHits << "\n"
-        << "compile_bytes " << r.cache.compileBytes << "\n"
-        << "dem_hits " << r.cache.demHits << "\n"
-        << "dem_misses " << r.cache.demMisses << "\n"
-        << "dem_store_hits " << r.cache.demStoreHits << "\n"
-        << "dem_bytes " << r.cache.demBytes << "\n"
-        << "quarantined " << r.cache.quarantinedBlobs << "\n";
-    return out.str();
+    KvRecord rec("worker");
+    rec.putFields(kWorkerReportFields, r);
+    rec.putFields(CacheStats::fields(), r.cache, "cache.");
+    return formatRecords(kWorkerStatsMagic, {rec});
 }
 
 WorkerReport
 parseWorkerStats(const std::string& text)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != kWorkerStatsMagic)
-        throw std::runtime_error(
-            "not a worker stats file (bad magic line)");
     WorkerReport r;
-    std::string key;
-    unsigned long long value = 0;
-    while (in >> key >> value) {
-        const size_t v = static_cast<size_t>(value);
-        if (key == "shards")
-            r.shardsRun = v;
-        else if (key == "shots")
-            r.shots = v;
-        else if (key == "failures")
-            r.failures = v;
-        else if (key == "retries")
-            r.transientRetries = v;
-        else if (key == "promotions")
-            r.promotions = v;
-        else if (key == "compile_hits")
-            r.cache.compileHits = v;
-        else if (key == "compile_misses")
-            r.cache.compileMisses = v;
-        else if (key == "compile_store_hits")
-            r.cache.compileStoreHits = v;
-        else if (key == "compile_bytes")
-            r.cache.compileBytes = v;
-        else if (key == "dem_hits")
-            r.cache.demHits = v;
-        else if (key == "dem_misses")
-            r.cache.demMisses = v;
-        else if (key == "dem_store_hits")
-            r.cache.demStoreHits = v;
-        else if (key == "dem_bytes")
-            r.cache.demBytes = v;
-        else if (key == "quarantined")
-            r.cache.quarantinedBlobs = v;
+    for (const KvRecord& rec :
+         parseRecords(text, kWorkerStatsMagic, "worker stats file")) {
+        if (rec.tag() != "worker")
+            continue;
+        rec.getFields(kWorkerReportFields, r);
+        rec.getFields(CacheStats::fields(), r.cache, "cache.");
     }
     return r;
 }

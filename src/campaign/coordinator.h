@@ -80,10 +80,11 @@ struct JournalEntry
     BpOsdStats decoder;
 };
 
-/** Text round-trip of the coordinator merge journal (CRC-protected,
- *  rewritten whole via tmp+rename after every finalize). */
+/** Text round-trip of the coordinator merge journal: one key=value
+ *  record (kv_record.h) per entry, CRC-protected, rewritten whole via
+ *  tmp+rename after every finalize. */
 std::string formatCoordJournal(const std::vector<JournalEntry>& entries);
-/** Throws CorruptSpoolError on a bad checksum, std::runtime_error on
+/** Throws CorruptRecordError on a bad checksum, std::runtime_error on
  *  malformed fields. */
 std::vector<JournalEntry> parseCoordJournal(const std::string& text);
 
@@ -174,9 +175,11 @@ struct WorkerReport
     CacheStats cache;
 };
 
-/** Text round-trip of a worker stats file (stats-<id>.txt). */
+/** Text round-trip of a worker stats file (stats-<id>.txt): one
+ *  CRC-protected key=value record. */
 std::string formatWorkerStats(const WorkerReport& report);
-/** Throws std::runtime_error on malformed input. */
+/** Throws CorruptRecordError on a bad checksum, std::runtime_error on
+ *  malformed input. */
 WorkerReport parseWorkerStats(const std::string& text);
 
 /**

@@ -16,20 +16,53 @@
 
 #include "campaign/content_hash.h"
 #include "campaign/fault_plan.h"
-#include "common/crc32.h"
 
 namespace cyclone {
 
 namespace {
 
-constexpr const char* kDescriptorMagic = "cyclone-shard v2";
-constexpr const char* kRecordMagic = "cyclone-shard-result v2";
-constexpr const char* kManifestMagic = "cyclone-spool v1";
+constexpr const char* kDescriptorMagic = "cyclone-shard v3";
+constexpr const char* kRecordMagic = "cyclone-shard-result v3";
+constexpr const char* kManifestMagic = "cyclone-spool v2";
 constexpr const char* kLeaseFile = "coord.lease";
 constexpr const char* kJournalFile = "journal.txt";
 
-/** Decoder counters on a record line, in fixed order. */
-constexpr size_t kDecoderFields = 13;
+// Record fields besides the 64-bit hashes and seeds, which are
+// written in hex.
+const StatField<ShardDescriptor> kDescriptorFields[] = {
+    {"task", &ShardDescriptor::task},
+    {"shard", &ShardDescriptor::shard},
+    {"first_chunk", &ShardDescriptor::firstChunk},
+    {"num_chunks", &ShardDescriptor::numChunks},
+    {"chunk_shots", &ShardDescriptor::chunkShots},
+};
+
+const StatField<ShardRecord> kRecordFields[] = {
+    {"task", &ShardRecord::task},
+    {"shard", &ShardRecord::shard},
+    {"shots", &ShardRecord::shots},
+    {"failures", &ShardRecord::failures},
+    {"seconds", &ShardRecord::seconds, MergeRule::Sum, FieldKind::Timing},
+};
+
+const StatField<SpoolManifest> kManifestFields[] = {
+    {"name", &SpoolManifest::name},
+    {"lease_seconds", &SpoolManifest::leaseSeconds},
+    {"retry_attempts", &SpoolManifest::retryAttempts},
+    {"retry_base_ms", &SpoolManifest::retryBaseMs},
+};
+
+/** The first record tagged `tag` of a parsed document. */
+KvRecord
+recordTagged(std::vector<KvRecord> records, const char* tag,
+             const char* what)
+{
+    for (KvRecord& rec : records)
+        if (rec.tag() == tag)
+            return std::move(rec);
+    throw std::runtime_error(std::string(what) + ": missing " + tag +
+                             " record");
+}
 
 /** Errno values worth retrying: the transient I/O family (flaky
  *  disks, NFS hiccups, brief out-of-space). */
@@ -95,50 +128,6 @@ fileExists(const std::string& path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-std::vector<std::string>
-tokenize(const std::string& line)
-{
-    std::vector<std::string> tokens;
-    std::istringstream in(line);
-    std::string tok;
-    while (in >> tok)
-        tokens.push_back(tok);
-    return tokens;
-}
-
-uint64_t
-parseU64(const std::string& tok, const char* what)
-{
-    try {
-        return std::stoull(tok, nullptr, 10);
-    } catch (...) {
-        throw std::runtime_error(std::string("bad ") + what +
-                                 " field: " + tok);
-    }
-}
-
-uint64_t
-parseHex(const std::string& tok, const char* what)
-{
-    try {
-        return std::stoull(tok, nullptr, 16);
-    } catch (...) {
-        throw std::runtime_error(std::string("bad ") + what +
-                                 " field: " + tok);
-    }
-}
-
-double
-parseDouble(const std::string& tok, const char* what)
-{
-    try {
-        return std::stod(tok);
-    } catch (...) {
-        throw std::runtime_error(std::string("bad ") + what +
-                                 " field: " + tok);
-    }
-}
-
 std::string
 hex(uint64_t v)
 {
@@ -146,34 +135,6 @@ hex(uint64_t v)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
-}
-
-std::string
-dbl(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-/** First line must equal `magic`; returns the remaining lines. */
-std::vector<std::string>
-splitChecked(const std::string& text, const char* magic,
-             const char* what)
-{
-    std::vector<std::string> lines;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        lines.push_back(line);
-    }
-    if (lines.empty() || lines.front() != magic)
-        throw std::runtime_error(std::string("not a ") + what +
-                                 " file (bad magic line)");
-    lines.erase(lines.begin());
-    return lines;
 }
 
 double
@@ -196,208 +157,71 @@ shardId(size_t task, size_t shard)
 }
 
 std::string
-withCrcLine(std::string text)
-{
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%08x", crc32(text));
-    text += "crc ";
-    text += buf;
-    text += "\n";
-    return text;
-}
-
-std::string
-checkCrcLine(const std::string& text, const char* what)
-{
-    size_t pos = text.rfind("\ncrc ");
-    if (pos != std::string::npos) {
-        pos += 1;
-    } else if (text.rfind("crc ", 0) == 0) {
-        pos = 0;
-    } else {
-        throw CorruptSpoolError(std::string(what) +
-                                ": missing crc line (truncated?)");
-    }
-    const auto tok = tokenize(text.substr(pos));
-    uint32_t want = 0;
-    bool parsed = tok.size() == 2;
-    if (parsed) {
-        try {
-            want = static_cast<uint32_t>(
-                std::stoul(tok[1], nullptr, 16));
-        } catch (...) {
-            parsed = false;
-        }
-    }
-    if (!parsed)
-        throw CorruptSpoolError(std::string(what) +
-                                ": malformed crc line");
-    const std::string payload = text.substr(0, pos);
-    if (crc32(payload) != want)
-        throw CorruptSpoolError(std::string(what) +
-                                ": checksum mismatch");
-    return payload;
-}
-
-std::string
 formatShardDescriptor(const ShardDescriptor& d)
 {
-    std::ostringstream out;
-    out << kDescriptorMagic << "\n"
-        << "shard " << d.task << " " << d.shard << " " << d.firstChunk
-        << " " << d.numChunks << " " << d.chunkShots << " "
-        << hex(d.contentHash) << " " << hex(d.taskSeed) << "\n";
-    return withCrcLine(out.str());
+    KvRecord rec("shard");
+    rec.putHex("content_hash", d.contentHash);
+    rec.putHex("task_seed", d.taskSeed);
+    rec.putFields(kDescriptorFields, d);
+    return formatRecords(kDescriptorMagic, {rec});
 }
 
 ShardDescriptor
 parseShardDescriptor(const std::string& text)
 {
-    const std::string payload = checkCrcLine(text, "shard descriptor");
-    const auto lines =
-        splitChecked(payload, kDescriptorMagic, "shard descriptor");
-    for (const std::string& line : lines) {
-        const auto tok = tokenize(line);
-        if (tok.empty())
-            continue;
-        if (tok[0] != "shard")
-            continue;
-        if (tok.size() != 8)
-            throw std::runtime_error(
-                "shard descriptor: expected 7 fields, got " +
-                std::to_string(tok.size() - 1));
-        ShardDescriptor d;
-        d.task = parseU64(tok[1], "task");
-        d.shard = parseU64(tok[2], "shard");
-        d.firstChunk = parseU64(tok[3], "firstChunk");
-        d.numChunks = parseU64(tok[4], "numChunks");
-        d.chunkShots = parseU64(tok[5], "chunkShots");
-        d.contentHash = parseHex(tok[6], "contentHash");
-        d.taskSeed = parseHex(tok[7], "taskSeed");
-        return d;
-    }
-    throw std::runtime_error("shard descriptor: missing shard line");
+    const char* what = "shard descriptor";
+    const KvRecord rec = recordTagged(
+        parseRecords(text, kDescriptorMagic, what), "shard", what);
+    ShardDescriptor d;
+    rec.getFields(kDescriptorFields, d);
+    d.contentHash = rec.hex("content_hash");
+    d.taskSeed = rec.hex("task_seed");
+    return d;
 }
 
 std::string
 formatShardRecord(const ShardRecord& r)
 {
-    std::ostringstream out;
-    out << kRecordMagic << "\n"
-        << "shard " << r.task << " " << r.shard << " "
-        << hex(r.contentHash) << " " << r.shots << " " << r.failures
-        << " " << dbl(r.seconds) << "\n";
-    const BpOsdStats& s = r.decoder;
-    out << "decoder " << s.decodes << " " << s.bpConverged << " "
-        << s.osdInvocations << " " << s.osdFailures << " "
-        << s.trivialShots << " " << s.memoHits << " " << s.bpIterations
-        << " " << s.waveGroups << " " << s.waveLaneSlots << " "
-        << s.waveLanesFilled << " " << s.osdBatchGroups << " "
-        << s.osdSharedPivots << " " << s.stagedChunks << "\n";
-    if (!s.backend.empty())
-        out << "backend " << s.backend << "\n";
-    return withCrcLine(out.str());
+    KvRecord rec("shard");
+    rec.putHex("content_hash", r.contentHash);
+    rec.putFields(kRecordFields, r);
+    rec.putFields(BpOsdStats::fields(), r.decoder, "decoder.");
+    return formatRecords(kRecordMagic, {rec});
 }
 
 ShardRecord
 parseShardRecord(const std::string& text)
 {
-    const std::string payload = checkCrcLine(text, "shard record");
-    const auto lines =
-        splitChecked(payload, kRecordMagic, "shard record");
+    const char* what = "shard record";
+    const KvRecord rec = recordTagged(
+        parseRecords(text, kRecordMagic, what), "shard", what);
     ShardRecord r;
-    bool haveShard = false;
-    for (const std::string& line : lines) {
-        const auto tok = tokenize(line);
-        if (tok.empty())
-            continue;
-        if (tok[0] == "shard") {
-            if (tok.size() != 7)
-                throw std::runtime_error(
-                    "shard record: expected 6 shard fields, got " +
-                    std::to_string(tok.size() - 1));
-            r.task = parseU64(tok[1], "task");
-            r.shard = parseU64(tok[2], "shard");
-            r.contentHash = parseHex(tok[3], "contentHash");
-            r.shots = parseU64(tok[4], "shots");
-            r.failures = parseU64(tok[5], "failures");
-            r.seconds = parseDouble(tok[6], "seconds");
-            haveShard = true;
-        } else if (tok[0] == "decoder") {
-            // Field-counted like the checkpoint format: accept short
-            // (old) decoder lines zero-filled, reject long (future)
-            // ones so new counters force a deliberate version bump.
-            const size_t n = tok.size() - 1;
-            if (n < 4 || n > kDecoderFields)
-                throw std::runtime_error(
-                    "shard record: unsupported decoder field count " +
-                    std::to_string(n));
-            uint64_t v[kDecoderFields] = {};
-            for (size_t i = 0; i < n; ++i)
-                v[i] = parseU64(tok[i + 1], "decoder");
-            BpOsdStats& s = r.decoder;
-            s.decodes = v[0];
-            s.bpConverged = v[1];
-            s.osdInvocations = v[2];
-            s.osdFailures = v[3];
-            s.trivialShots = v[4];
-            s.memoHits = v[5];
-            s.bpIterations = v[6];
-            s.waveGroups = v[7];
-            s.waveLaneSlots = v[8];
-            s.waveLanesFilled = v[9];
-            s.osdBatchGroups = v[10];
-            s.osdSharedPivots = v[11];
-            s.stagedChunks = v[12];
-        } else if (tok[0] == "backend") {
-            if (tok.size() >= 2)
-                r.decoder.backend = tok[1];
-        }
-    }
-    if (!haveShard)
-        throw std::runtime_error("shard record: missing shard line");
+    rec.getFields(kRecordFields, r);
+    r.contentHash = rec.hex("content_hash");
+    rec.getFields(BpOsdStats::fields(), r.decoder, "decoder.");
     return r;
 }
 
 std::string
 formatManifest(const SpoolManifest& m)
 {
-    std::ostringstream out;
-    out << kManifestMagic << "\n"
-        << "name " << m.name << "\n"
-        << "seed " << hex(m.seed) << "\n"
-        << "spec " << hex(m.specHash) << "\n"
-        << "lease " << dbl(m.leaseSeconds) << "\n"
-        << "retry_attempts " << m.retryAttempts << "\n"
-        << "retry_base_ms " << dbl(m.retryBaseMs) << "\n";
-    return out.str();
+    KvRecord rec("manifest");
+    rec.putHex("spec_hash", m.specHash);
+    rec.putHex("seed", m.seed);
+    rec.putFields(kManifestFields, m);
+    return formatRecords(kManifestMagic, {rec});
 }
 
 SpoolManifest
 parseManifest(const std::string& text)
 {
-    const auto lines =
-        splitChecked(text, kManifestMagic, "spool manifest");
+    const char* what = "spool manifest";
+    const KvRecord rec = recordTagged(
+        parseRecords(text, kManifestMagic, what), "manifest", what);
     SpoolManifest m;
-    for (const std::string& line : lines) {
-        const auto tok = tokenize(line);
-        if (tok.empty())
-            continue;
-        if (tok[0] == "name") {
-            const size_t at = line.find(' ');
-            m.name = at == std::string::npos ? "" : line.substr(at + 1);
-        } else if (tok[0] == "seed" && tok.size() == 2) {
-            m.seed = parseHex(tok[1], "seed");
-        } else if (tok[0] == "spec" && tok.size() == 2) {
-            m.specHash = parseHex(tok[1], "spec");
-        } else if (tok[0] == "lease" && tok.size() == 2) {
-            m.leaseSeconds = parseDouble(tok[1], "lease");
-        } else if (tok[0] == "retry_attempts" && tok.size() == 2) {
-            m.retryAttempts = parseU64(tok[1], "retry_attempts");
-        } else if (tok[0] == "retry_base_ms" && tok.size() == 2) {
-            m.retryBaseMs = parseDouble(tok[1], "retry_base_ms");
-        }
-    }
+    rec.getFields(kManifestFields, m);
+    m.seed = rec.hex("seed");
+    m.specHash = rec.hex("spec_hash");
     return m;
 }
 
@@ -737,10 +561,10 @@ Spool::readRecord(const std::string& id) const
     const std::string text = readFile("results/" + id + ".rec");
     try {
         return parseShardRecord(text);
-    } catch (const CorruptSpoolError&) {
+    } catch (const CorruptRecordError&) {
         throw;
     } catch (const std::exception& ex) {
-        throw CorruptSpoolError("record " + id + ": " + ex.what());
+        throw CorruptRecordError("record " + id + ": " + ex.what());
     }
 }
 

@@ -47,10 +47,12 @@
  * shards, and journaled tasks restore without re-merging — the
  * takeover run produces bit-identical results.
  *
- * Self-healing: shard records, descriptors and the journal carry a
- * trailing CRC-32 line. A file that fails its checksum (torn write,
- * bit rot) is moved to `quarantine/` and its shard re-published
- * instead of poisoning the merge. A shard whose claim is reclaimed
+ * Self-healing: the manifest, shard descriptors and records, the
+ * journal and worker stats files are key=value record documents
+ * (kv_record.h) with a trailing CRC-32 line. A file that fails its
+ * checksum (torn write, bit rot) is moved to `quarantine/` and its
+ * shard re-published instead of poisoning the merge. A shard whose
+ * claim is reclaimed
  * `max_claim_reclaims` times (it keeps killing workers) is itself
  * quarantined and its task finalized with an error rather than
  * livelocking the fleet.
@@ -78,17 +80,10 @@
 #include <vector>
 
 #include "campaign/retry_policy.h"
+#include "common/kv_record.h"
 #include "decoder/bposd_decoder.h"
 
 namespace cyclone {
-
-/** A spool file whose contents failed validation (bad checksum or
- *  malformed text) — quarantine material, distinct from transient
- *  I/O failures. */
-struct CorruptSpoolError : public std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
 
 /** One claimable unit of work: a contiguous chunk range of a task. */
 struct ShardDescriptor
@@ -139,41 +134,28 @@ struct SpoolManifest
 /** Stable shard id, e.g. "t0003-s00017". */
 std::string shardId(size_t task, size_t shard);
 
-/**
- * Append a trailing "crc xxxxxxxx" line (CRC-32 of everything before
- * it) to a text document. checkCrcLine() verifies and strips it.
- */
-std::string withCrcLine(std::string text);
-
-/**
- * Verify and strip the trailing crc line of `text`, returning the
- * payload. Throws CorruptSpoolError (tagged with `what`) if the line
- * is absent, malformed, or does not match the payload.
- */
-std::string checkCrcLine(const std::string& text, const char* what);
-
-/** Text round-trip of a shard descriptor (one record per file,
- *  CRC-protected). */
+/** Text round-trip of a shard descriptor: one key=value record
+ *  (kv_record.h) per file, CRC-protected. */
 std::string formatShardDescriptor(const ShardDescriptor& d);
-/** Throws CorruptSpoolError on a bad checksum, std::runtime_error on
+/** Throws CorruptRecordError on a bad checksum, std::runtime_error on
  *  malformed fields. */
 ShardDescriptor parseShardDescriptor(const std::string& text);
 
 /**
- * Text round-trip of a shard record (CRC-protected). The decoder
- * line is field-counted like the checkpoint format: loaders accept
- * records with fewer decoder fields (zero-filling the rest) so old
- * records stay readable, and reject records with more, so a new
- * field is a deliberate format bump rather than silent truncation.
+ * Text round-trip of a shard record: one CRC-protected key=value
+ * record carrying the decoder counters under "decoder.". Missing
+ * counters read as zero and unknown ones are skipped, so records
+ * stay readable across counter additions.
  */
 std::string formatShardRecord(const ShardRecord& r);
-/** Throws CorruptSpoolError on a bad checksum, std::runtime_error on
+/** Throws CorruptRecordError on a bad checksum, std::runtime_error on
  *  malformed fields. */
 ShardRecord parseShardRecord(const std::string& text);
 
-/** Text round-trip of the spool manifest. */
+/** Text round-trip of the spool manifest (CRC-protected). */
 std::string formatManifest(const SpoolManifest& m);
-/** Throws std::runtime_error on malformed input. */
+/** Throws CorruptRecordError on a bad checksum, std::runtime_error on
+ *  malformed input. */
 SpoolManifest parseManifest(const std::string& text);
 
 /**
@@ -312,7 +294,7 @@ class Spool
     /** True if results/<id>.rec exists. */
     bool hasRecord(const std::string& id) const;
 
-    /** Load results/<id>.rec; throws CorruptSpoolError if its
+    /** Load results/<id>.rec; throws CorruptRecordError if its
      *  checksum or format is bad, std::runtime_error if absent. */
     ShardRecord readRecord(const std::string& id) const;
 

@@ -43,6 +43,33 @@ BpOsdStats::waveLaneOccupancy() const
             static_cast<double>(waveLaneSlots);
 }
 
+std::span<const StatField<BpOsdStats>>
+BpOsdStats::fields()
+{
+    using S = BpOsdStats;
+    static const StatField<S> kFields[] = {
+        {"decodes", &S::decodes},
+        {"bp_converged", &S::bpConverged},
+        {"osd_invocations", &S::osdInvocations},
+        {"osd_failures", &S::osdFailures},
+        {"trivial_shots", &S::trivialShots},
+        {"memo_hits", &S::memoHits},
+        {"bp_iterations", &S::bpIterations},
+        {"wave_groups", &S::waveGroups},
+        {"wave_lane_slots", &S::waveLaneSlots},
+        {"wave_lanes_filled", &S::waveLanesFilled},
+        {"osd_batch_groups", &S::osdBatchGroups},
+        {"osd_shared_pivots", &S::osdSharedPivots},
+        {"staged_chunks", &S::stagedChunks},
+        {"backend", &S::backend, MergeRule::First},
+        {"trivial_fraction", &S::trivialFraction},
+        {"memo_hit_rate", &S::memoHitRate},
+        {"mean_bp_iterations", &S::meanBpIterations},
+        {"wave_lane_occupancy", &S::waveLaneOccupancy},
+    };
+    return kFields;
+}
+
 BpOsdDecoder::BpOsdDecoder(const DetectorErrorModel& dem, BpOptions options)
     : dem_(dem), graph_(std::make_shared<const BpGraph>(dem)),
       options_(options),

@@ -41,10 +41,12 @@
 #define CYCLONE_DECODER_BPOSD_DECODER_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "decoder/bp_decoder.h"
 #include "decoder/bp_wave_decoder.h"
 #include "decoder/decoder.h"
@@ -103,8 +105,7 @@ struct BpOsdStats
     size_t stagedChunks = 0;
 
     /** SIMD-ladder backend the decoder dispatched to ("scalar",
-     *  "generic", "avx2", "avx512"; empty for results loaded from a
-     *  checkpoint, whose host backend is unknown). */
+     *  "generic", "avx2", "avx512"). */
     std::string backend;
 
     /** Fraction of decodes resolved by the zero-syndrome fast path. */
@@ -118,6 +119,10 @@ struct BpOsdStats
 
     /** Mean filled fraction of wave-kernel lanes (0 when unused). */
     double waveLaneOccupancy() const;
+
+    /** The field table (stat_fields.h): every counter above, the
+     *  backend, then the derived ratios. */
+    static std::span<const StatField<BpOsdStats>> fields();
 };
 
 /** BP + OSD-0 decoder over a detector error model. */

@@ -65,22 +65,43 @@ LatencyHistogram::quantileUs(double q) const
                               static_cast<double>(kBinsPerOctave));
 }
 
+std::span<const StatField<StreamDecodeStats>>
+StreamDecodeStats::fields()
+{
+    // Everything the wall clock decides is timing: latencies, misses,
+    // and — under the deadline policy — when slabs flush and how full.
+    // Percentiles are recomputed from the merged histogram, so merging
+    // merely carries the first one along.
+    using S = StreamDecodeStats;
+    constexpr MergeRule kSum = MergeRule::Sum;
+    constexpr FieldKind kTiming = FieldKind::Timing;
+    static const StatField<S> kFields[] = {
+        {"windows", &S::windows},
+        {"rounds_pushed", &S::roundsPushed},
+        {"truncated_rounds", &S::truncatedRounds},
+        {"deadline_us", &S::deadlineUs, MergeRule::First},
+        {"deadline_misses", &S::deadlineMisses, kSum, kTiming},
+        {"miss_fraction", &S::deadlineMissFraction, kSum, kTiming},
+        {"latency_sum_us", &S::latencySumUs, kSum, kTiming},
+        {"latency_max_us", &S::latencyMaxUs, MergeRule::Max, kTiming},
+        {"latency_p50_us", &S::p50Us, MergeRule::First, kTiming},
+        {"latency_p99_us", &S::p99Us, MergeRule::First, kTiming},
+        {"latency_p999_us", &S::p999Us, MergeRule::First, kTiming},
+        {"latency_mean_us", &S::meanLatencyUs, kSum, kTiming},
+        {"slab_slots", &S::slabSlots, kSum, kTiming},
+        {"slab_filled", &S::slabFilled, kSum, kTiming},
+        {"slab_occupancy", &S::slabOccupancy, kSum, kTiming},
+        {"flushes_full", &S::flushesFull, kSum, kTiming},
+        {"flushes_deadline", &S::flushesDeadline, kSum, kTiming},
+        {"flushes_final", &S::flushesFinal, kSum, kTiming},
+    };
+    return kFields;
+}
+
 void
 StreamDecodeStats::merge(const StreamDecodeStats& other)
 {
-    windows += other.windows;
-    roundsPushed += other.roundsPushed;
-    truncatedRounds += other.truncatedRounds;
-    flushesFull += other.flushesFull;
-    flushesDeadline += other.flushesDeadline;
-    flushesFinal += other.flushesFinal;
-    slabSlots += other.slabSlots;
-    slabFilled += other.slabFilled;
-    deadlineMisses += other.deadlineMisses;
-    if (deadlineUs == 0.0)
-        deadlineUs = other.deadlineUs;
-    latencySumUs += other.latencySumUs;
-    latencyMaxUs = std::max(latencyMaxUs, other.latencyMaxUs);
+    mergeStats(*this, other);
     latency.merge(other.latency);
 }
 

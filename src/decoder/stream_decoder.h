@@ -46,9 +46,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.h"
+#include "common/stat_fields.h"
 #include "decoder/bposd_decoder.h"
 #include "dem/shot_batch.h"
 
@@ -158,6 +160,10 @@ struct StreamDecodeStats
                 static_cast<double>(windows)
             : 0.0;
     }
+
+    /** The field table (stat_fields.h) of every scalar above; merge()
+     *  adds the histogram, which has no scalar form. */
+    static std::span<const StatField<StreamDecodeStats>> fields();
 };
 
 /** Configuration of a StreamDecoder. */

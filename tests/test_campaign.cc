@@ -9,11 +9,14 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "campaign/campaign.h"
 #include "campaign/campaign_io.h"
 #include "campaign/thread_pool.h"
+#include "common/kv_record.h"
 #include "qec/classical_code.h"
 #include "qec/hgp_code.h"
 
@@ -101,19 +104,13 @@ TEST(Campaign, DeterministicAcrossThreadCounts)
                   four.tasks[i].logicalErrorRate.successes)
             << "task " << i;
         EXPECT_EQ(one.tasks[i].chunks, four.tasks[i].chunks);
-        // Decoder totals are sums over chunks, so they match too —
-        // including the batch-pipeline counters (the memo is scoped
-        // per chunk, never per worker).
-        EXPECT_EQ(one.tasks[i].decoder.decodes,
-                  four.tasks[i].decoder.decodes);
-        EXPECT_EQ(one.tasks[i].decoder.bpConverged,
-                  four.tasks[i].decoder.bpConverged);
-        EXPECT_EQ(one.tasks[i].decoder.trivialShots,
-                  four.tasks[i].decoder.trivialShots);
-        EXPECT_EQ(one.tasks[i].decoder.memoHits,
-                  four.tasks[i].decoder.memoHits);
-        EXPECT_EQ(one.tasks[i].decoder.bpIterations,
-                  four.tasks[i].decoder.bpIterations);
+        // Decoder totals are sums over chunks, so every counter
+        // matches too — including the batch-pipeline ones (the memo
+        // is scoped per chunk, never per worker).
+        EXPECT_EQ(deterministicMismatch(one.tasks[i].decoder,
+                                        four.tasks[i].decoder),
+                  "")
+            << "task " << i;
     }
 }
 
@@ -162,16 +159,10 @@ TEST(Campaign, StagedPoolingIsDeterministicAndBitExact)
         EXPECT_EQ(one.tasks[i].logicalErrorRate.successes,
                   four.tasks[i].logicalErrorRate.successes)
             << "task " << i;
-        EXPECT_EQ(one.tasks[i].decoder.decodes,
-                  four.tasks[i].decoder.decodes);
-        EXPECT_EQ(one.tasks[i].decoder.memoHits,
-                  four.tasks[i].decoder.memoHits);
-        EXPECT_EQ(one.tasks[i].decoder.bpIterations,
-                  four.tasks[i].decoder.bpIterations);
-        EXPECT_EQ(one.tasks[i].decoder.stagedChunks,
-                  four.tasks[i].decoder.stagedChunks);
-        EXPECT_EQ(one.tasks[i].decoder.backend,
-                  four.tasks[i].decoder.backend);
+        EXPECT_EQ(deterministicMismatch(one.tasks[i].decoder,
+                                        four.tasks[i].decoder),
+                  "")
+            << "task " << i;
         EXPECT_FALSE(one.tasks[i].decoder.backend.empty());
     }
 }
@@ -323,14 +314,13 @@ TEST(Campaign, CheckpointRoundtrip)
                   first.tasks[i].logicalErrorRate.successes);
         EXPECT_EQ(resumed.tasks[i].logicalErrorRate.trials,
                   first.tasks[i].logicalErrorRate.trials);
-        EXPECT_EQ(resumed.tasks[i].decoder.decodes,
-                  first.tasks[i].decoder.decodes);
-        EXPECT_EQ(resumed.tasks[i].decoder.trivialShots,
-                  first.tasks[i].decoder.trivialShots);
-        EXPECT_EQ(resumed.tasks[i].decoder.memoHits,
-                  first.tasks[i].decoder.memoHits);
-        EXPECT_EQ(resumed.tasks[i].decoder.bpIterations,
-                  first.tasks[i].decoder.bpIterations);
+        // Every decoder field rides the checkpoint, the backend that
+        // decoded the shots included.
+        EXPECT_EQ(deterministicMismatch(resumed.tasks[i].decoder,
+                                        first.tasks[i].decoder),
+                  "");
+        EXPECT_EQ(resumed.tasks[i].sampleSeconds,
+                  first.tasks[i].sampleSeconds);
     }
     // Nothing re-sampled, so the caches never got touched.
     EXPECT_EQ(resumed.cache.demMisses, 0u);
@@ -351,136 +341,104 @@ TEST(Campaign, CheckpointRoundtrip)
     const CampaignResult reused = runCampaign(restaged, &checkpoint);
     EXPECT_TRUE(reused.tasks[0].fromCheckpoint);
     EXPECT_TRUE(reused.tasks[1].fromCheckpoint);
-    // Backend names describe the host that ran the shots; results
-    // replayed from a checkpoint do not claim one.
-    EXPECT_TRUE(reused.tasks[0].decoder.backend.empty());
 
     std::remove(path.c_str());
 }
 
 /**
- * One parameterized matrix over every checkpoint format generation:
- * 14 fields (pre-batch-pipeline), 17 (pre-wave-kernel), 20
- * (pre-batched-OSD), 22 (pre-staging), 23 (pre-streaming) and 33
- * (current). Fields absent from an old format must load as zero; any
- * other field count must be rejected.
+ * Checkpoints are self-describing key=value records: a record written
+ * before a counter existed loads it as zero, a key written by a newer
+ * build is skipped, and every field a record carries restores exactly.
+ * A file that fails its CRC, or one in the legacy positional format,
+ * is rejected — its tasks simply run again.
  */
-class CheckpointFormat : public ::testing::TestWithParam<int>
+TEST(Campaign, CheckpointRecordsAreSelfDescribing)
 {
-};
-
-TEST_P(CheckpointFormat, LoadsEveryFormatGeneration)
-{
-    const int fields = GetParam();
-    // The full 33-field line, split so each generation is a prefix.
-    const char* tokens[33] = {
-        "00000000deadbeef", // content hash
-        "6",                // rounds
-        "12.5",             // round latency us
-        "10",               // dem detectors
-        "20",               // dem mechanisms
-        "1000",             // shots
-        "7",                // failures
-        "4",                // chunks
-        "1",                // stopped early
-        "1000",             // decodes
-        "950",              // bp converged
-        "50",               // osd invocations
-        "2",                // osd failures
-        "1.25",             // sample seconds
-        "300",              // trivial shots
-        "100",              // memo hits
-        "4000",             // bp iterations
-        "11",               // wave groups
-        "88",               // wave lane slots
-        "70",               // wave lanes filled
-        "9",                // osd batch groups
-        "1234",             // osd shared pivots
-        "5",                // staged chunks
-        "1",                // streamed flag
-        "1000",             // stream windows
-        "3",                // stream deadline misses
-        "2500.5",           // stream latency sum us
-        "42.25",            // stream latency max us
-        "8.5",              // stream p50 us
-        "30.0",             // stream p99 us
-        "41.0",             // stream p999 us
-        "1024",             // stream slab slots
-        "1000",             // stream slab filled
-    };
-    std::string text = "cyclone-campaign-checkpoint v1\ntask";
-    // Counts beyond the current format (the rejection cases) append
-    // filler tokens past the known 33.
-    for (int f = 0; f < fields; ++f)
-        text += std::string(" ") + (f < 33 ? tokens[f] : "0");
-    text += "\n";
-
     const std::string path = "test_checkpoint_format.tmp";
-    ASSERT_TRUE(writeTextFile(path, text));
-    CampaignCheckpoint checkpoint;
-    const bool loaded = loadCheckpoint(path, checkpoint);
-    std::remove(path.c_str());
+    const char* magic = "cyclone-campaign-checkpoint v2";
+    auto load = [&](const std::string& text, CampaignCheckpoint& out) {
+        EXPECT_TRUE(writeTextFile(path, text));
+        const bool loaded = loadCheckpoint(path, out);
+        std::remove(path.c_str());
+        return loaded;
+    };
+    auto saved = [&](const TaskResult& t) {
+        CampaignResult result;
+        result.tasks.push_back(t);
+        EXPECT_TRUE(saveCheckpoint(result, path));
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::remove(path.c_str());
+        return text.str();
+    };
 
-    if (fields != 14 && fields != 17 && fields != 20 && fields != 22 &&
-        fields != 23 && fields != 33) {
-        EXPECT_FALSE(loaded) << "fields=" << fields;
-        return;
-    }
-    ASSERT_TRUE(loaded) << "fields=" << fields;
+    KvRecord rec("task");
+    rec.putHex("content_hash", 0xdeadbeef);
+    rec.put("shots", size_t{1000});
+    rec.put("failures", size_t{7});
+    rec.put("rounds", size_t{6});
+    rec.put("round_latency_us", 12.5);
+    rec.put("stopped_early", true);
+    rec.put("sample_seconds", 1.25);
+    rec.put("decoder.decodes", size_t{1000});
+    rec.put("decoder.osd_failures", size_t{2});
+    rec.put("decoder.backend", std::string("avx512"));
+    rec.put("decoder.counter_from_a_newer_build", size_t{9});
+    rec.put("streamed", true);
+    rec.put("stream.windows", size_t{1000});
+    rec.put("stream.latency_p99_us", 30.0);
+    const std::string text = formatRecords(magic, {rec});
+
+    CampaignCheckpoint checkpoint;
+    ASSERT_TRUE(load(text, checkpoint));
     ASSERT_EQ(checkpoint.tasks.size(), 1u);
-    const TaskResult& t = checkpoint.tasks.begin()->second;
-    EXPECT_EQ(t.contentHash, 0xdeadbeefULL);
-    EXPECT_EQ(t.rounds, 6u);
-    EXPECT_DOUBLE_EQ(t.roundLatencyUs, 12.5);
-    EXPECT_EQ(t.demDetectors, 10u);
-    EXPECT_EQ(t.demMechanisms, 20u);
+    const TaskResult& t = checkpoint.tasks.at(0xdeadbeef);
+    EXPECT_TRUE(t.fromCheckpoint);
     EXPECT_EQ(t.logicalErrorRate.trials, 1000u);
     EXPECT_EQ(t.logicalErrorRate.successes, 7u);
-    EXPECT_EQ(t.chunks, 4u);
+    EXPECT_GT(t.wilson, 0.0);
+    EXPECT_GT(t.perRoundErrorRate, 0.0);
+    EXPECT_EQ(t.rounds, 6u);
+    EXPECT_DOUBLE_EQ(t.roundLatencyUs, 12.5);
     EXPECT_TRUE(t.stoppedEarly);
-    EXPECT_TRUE(t.fromCheckpoint);
-    EXPECT_EQ(t.decoder.decodes, 1000u);
-    EXPECT_EQ(t.decoder.bpConverged, 950u);
-    EXPECT_EQ(t.decoder.osdInvocations, 50u);
-    EXPECT_EQ(t.decoder.osdFailures, 2u);
     EXPECT_DOUBLE_EQ(t.sampleSeconds, 1.25);
-
-    const bool hasBatch = fields >= 17;
-    EXPECT_EQ(t.decoder.trivialShots, hasBatch ? 300u : 0u);
-    EXPECT_EQ(t.decoder.memoHits, hasBatch ? 100u : 0u);
-    EXPECT_EQ(t.decoder.bpIterations, hasBatch ? 4000u : 0u);
-    const bool hasWave = fields >= 20;
-    EXPECT_EQ(t.decoder.waveGroups, hasWave ? 11u : 0u);
-    EXPECT_EQ(t.decoder.waveLaneSlots, hasWave ? 88u : 0u);
-    EXPECT_EQ(t.decoder.waveLanesFilled, hasWave ? 70u : 0u);
-    const bool hasOsdBatch = fields >= 22;
-    EXPECT_EQ(t.decoder.osdBatchGroups, hasOsdBatch ? 9u : 0u);
-    EXPECT_EQ(t.decoder.osdSharedPivots, hasOsdBatch ? 1234u : 0u);
-    const bool hasStaging = fields >= 23;
-    EXPECT_EQ(t.decoder.stagedChunks, hasStaging ? 5u : 0u);
-    const bool hasStreaming = fields >= 33;
-    EXPECT_EQ(t.streamed, hasStreaming);
-    EXPECT_EQ(t.stream.windows, hasStreaming ? 1000u : 0u);
-    EXPECT_EQ(t.stream.deadlineMisses, hasStreaming ? 3u : 0u);
-    EXPECT_DOUBLE_EQ(t.stream.latencySumUs,
-                     hasStreaming ? 2500.5 : 0.0);
-    EXPECT_DOUBLE_EQ(t.stream.latencyMaxUs,
-                     hasStreaming ? 42.25 : 0.0);
+    EXPECT_EQ(t.decoder.decodes, 1000u);
+    EXPECT_EQ(t.decoder.osdFailures, 2u);
+    EXPECT_EQ(t.decoder.backend, "avx512");
+    EXPECT_TRUE(t.streamed);
+    EXPECT_EQ(t.stream.windows, 1000u);
     // Percentiles restore verbatim: the histogram behind them is not
     // checkpointed.
-    EXPECT_DOUBLE_EQ(t.stream.p50Us, hasStreaming ? 8.5 : 0.0);
-    EXPECT_DOUBLE_EQ(t.stream.p99Us, hasStreaming ? 30.0 : 0.0);
-    EXPECT_DOUBLE_EQ(t.stream.p999Us, hasStreaming ? 41.0 : 0.0);
-    EXPECT_EQ(t.stream.slabSlots, hasStreaming ? 1024u : 0u);
-    EXPECT_EQ(t.stream.slabFilled, hasStreaming ? 1000u : 0u);
-    // The backend string is deliberately never checkpointed.
-    EXPECT_TRUE(t.decoder.backend.empty());
-}
+    EXPECT_DOUBLE_EQ(t.stream.p99Us, 30.0);
+    // Absent keys read as zero.
+    EXPECT_EQ(t.demDetectors, 0u);
+    EXPECT_EQ(t.chunks, 0u);
+    EXPECT_EQ(t.decoder.bpIterations, 0u);
+    EXPECT_EQ(t.stream.slabSlots, 0u);
 
-INSTANTIATE_TEST_SUITE_P(FormatGenerations, CheckpointFormat,
-                         ::testing::Values(14, 17, 20, 22, 23, 33,
-                                           // rejected counts
-                                           13, 15, 21, 24, 32, 34));
+    // What a checkpoint restores, it writes back byte for byte.
+    const std::string once = saved(t);
+    CampaignCheckpoint reloaded;
+    ASSERT_TRUE(load(once, reloaded));
+    EXPECT_EQ(saved(reloaded.tasks.at(0xdeadbeef)), once);
+
+    // A flipped byte or a truncated file fails the CRC.
+    std::string flipped = text;
+    flipped[flipped.find("shots=1000") + 6] = '2';
+    EXPECT_FALSE(load(flipped, checkpoint));
+    EXPECT_FALSE(load(text.substr(0, text.size() / 2), checkpoint));
+    // A malformed value inside an intact document is rejected too.
+    KvRecord bad("task");
+    bad.putHex("content_hash", 1);
+    bad.put("shots", std::string("many"));
+    EXPECT_FALSE(load(formatRecords(magic, {bad}), checkpoint));
+    // The legacy positional format is not read: its tasks re-run.
+    EXPECT_FALSE(load("cyclone-campaign-checkpoint v1\n"
+                      "task 00000000deadbeef 6 12.5 10 20 1000 7 4 1 "
+                      "1000 950 50 2 1.25\n",
+                      checkpoint));
+}
 
 TEST(Campaign, SpecParsingExpandsSweeps)
 {
@@ -964,9 +922,9 @@ TEST(Campaign, StreamingStatsReachJsonAndCsv)
     EXPECT_NE(json.find("\"flushes_full\""), std::string::npos);
 
     const std::string csv = campaignResultToCsv(result);
-    EXPECT_NE(csv.find("stream_windows,stream_p50_us"),
-              std::string::npos);
-    EXPECT_NE(csv.find("stream_slab_occupancy"), std::string::npos);
+    EXPECT_NE(csv.find(",stream_windows,"), std::string::npos);
+    EXPECT_NE(csv.find(",stream_latency_p99_us,"), std::string::npos);
+    EXPECT_NE(csv.find(",stream_slab_occupancy,"), std::string::npos);
 
     // An offline task emits no streaming JSON object.
     CampaignSpec plain = spec;
