@@ -21,6 +21,13 @@
  * machine-readable BENCH_decoder.json (override the path with
  * CYCLONE_BENCH_JSON) so CI can track the perf trajectory across PRs
  * and fail if the wave path ever drops below the scalar one.
+ *
+ * Two more rows decode the DEM a campaign builds for bb72 under the
+ * Cyclone architecture at p = 1e-3 (compiled round latency, idle
+ * noise) through the wave pipeline, once with spec-default BpOptions
+ * (product-sum) and once with min-sum: the decoder users get by
+ * default against the one the other rows measure, as the in-binary
+ * ratio default_over_minsum.
  */
 
 #include <cstdio>
@@ -73,6 +80,22 @@ bb72Dem(double p)
     return *cache.back().dem;
 }
 
+/** The DEM a campaign builds for bb72/Cyclone at p = 1e-3. */
+const DetectorErrorModel&
+campaignDem()
+{
+    static const std::shared_ptr<const DetectorErrorModel> dem = [] {
+        const CampaignSpec spec = parseCampaignSpec(
+            "name = bench\n[task]\ncode = bb72\narch = cyclone\n"
+            "p = 1e-3\n");
+        std::vector<ResolvedTask> tasks = resolveTaskIdentities(spec);
+        ArtifactCache cache;
+        buildTaskArtifacts(tasks[0], cache);
+        return tasks[0].dem;
+    }();
+    return *dem;
+}
+
 BpOptions
 benchBp(size_t wave_lanes)
 {
@@ -115,12 +138,12 @@ BM_DecodeScalar(benchmark::State& state, double p)
     attachDecoderCounters(state, decoder.stats());
 }
 
-/** Batched pipeline; wave_lanes == 1 is the scalar-core batch path. */
+/** Sample and decode one fresh kChunkShots chunk per iteration —
+ *  exactly a campaign worker's per-chunk work. */
 void
-BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
+decodeChunks(benchmark::State& state, const DetectorErrorModel& dem,
+             BpOsdDecoder& decoder, uint64_t seed)
 {
-    const DetectorErrorModel& dem = bb72Dem(p);
-    BpOsdDecoder decoder(dem, benchBp(wave_lanes));
     ShotBatch batch;
     std::vector<uint64_t> predicted;
     uint64_t chunk = 0;
@@ -128,12 +151,30 @@ BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
         ChunkPlan plan;
         plan.index = chunk;
         plan.shots = kChunkShots;
-        plan.seed = chunkSeed(0xbe7c4ULL, chunk++);
+        plan.seed = chunkSeed(seed, chunk++);
         const ChunkOutcome outcome =
             runChunk(dem, plan, decoder, batch, predicted);
         benchmark::DoNotOptimize(outcome.failures);
     }
     attachDecoderCounters(state, decoder.stats());
+}
+
+/** Batched pipeline; wave_lanes == 1 is the scalar-core batch path. */
+void
+BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
+{
+    const DetectorErrorModel& dem = bb72Dem(p);
+    BpOsdDecoder decoder(dem, benchBp(wave_lanes));
+    decodeChunks(state, dem, decoder, 0xbe7c4ULL);
+}
+
+/** The wave pipeline on the campaign-built DEM with options `bp`. */
+void
+BM_DecodeCampaignDem(benchmark::State& state, const BpOptions& bp)
+{
+    const DetectorErrorModel& dem = campaignDem();
+    BpOsdDecoder decoder(dem, bp);
+    decodeChunks(state, dem, decoder, 0xdefa17ULL);
 }
 
 /** The wave pipeline forced onto one rung of the SIMD ladder. */
@@ -145,19 +186,7 @@ BM_DecodeBatchForcedBackend(benchmark::State& state, double p,
     ::setenv(kWaveBackendEnv, backend->name, 1);
     BpOsdDecoder decoder(dem, benchBp(0));
     ::unsetenv(kWaveBackendEnv);
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
-    uint64_t chunk = 0;
-    for (auto _ : state) {
-        ChunkPlan plan;
-        plan.index = chunk;
-        plan.shots = kChunkShots;
-        plan.seed = chunkSeed(0xbe7c4ULL, chunk++);
-        const ChunkOutcome outcome =
-            runChunk(dem, plan, decoder, batch, predicted);
-        benchmark::DoNotOptimize(outcome.failures);
-    }
-    attachDecoderCounters(state, decoder.stats());
+    decodeChunks(state, dem, decoder, 0xbe7c4ULL);
     state.counters["wave_lanes"] =
         static_cast<double>(decoder.waveLaneWidth());
 }
@@ -368,7 +397,8 @@ struct RowSpec
 {
     std::string name;
     std::string path; ///< "scalar", "batch", "wave", "wave_<backend>",
-                      ///< "chunk64", "staged", "osd_*".
+                      ///< "chunk64", "staged", "osd_*", "default",
+                      ///< "minsum".
     double p;
 };
 
@@ -438,7 +468,8 @@ writeBenchJson(const CaptureReporter& reporter)
     out << "{\n";
     out << "  \"bench\": \"bench_decoder\",\n";
     out << "  \"code\": \"bb72\",\n";
-    out << "  \"bp_variant\": \"min-sum\",\n";
+    out << "  \"bp_variant\": \"min-sum; decode_default rows: spec "
+           "default (product-sum)\",\n";
     out << "  \"chunk_shots\": " << kChunkShots << ",\n";
     out << "  \"wave_lane_width\": "
         << BpWaveDecoder::resolveLaneWidth(0) << ",\n";
@@ -560,6 +591,22 @@ writeBenchJson(const CaptureReporter& reporter)
             }
         }
     }
+    // The spec-default decoder against min-sum on the campaign-built
+    // DEM: how far the default rule trails the fast one.
+    {
+        const std::string def = "decode_default/bb72_cyclone_p0.001";
+        const std::string ms = "decode_minsum/bb72_cyclone_p0.001";
+        const double d = reporter.value(def, "shots_per_sec");
+        const double m = reporter.value(ms, "shots_per_sec");
+        if (d > 0.0 && m > 0.0) {
+            char buf[96];
+            std::snprintf(buf, sizeof buf,
+                          "%s\n    \"default_over_minsum\": %.4g",
+                          first_p ? "" : ",", d / m);
+            out << buf;
+            first_p = false;
+        }
+    }
     // Cross-chunk staging against per-chunk decoding of the same
     // 64-shot chunks, with the lane occupancy each achieves.
     {
@@ -665,6 +712,26 @@ registerRows()
             pool.c_str(),
             [](benchmark::State& state) {
                 BM_DecodeStaged(state, 1e-3);
+            })
+            ->Unit(benchmark::kMillisecond);
+    }
+
+    // Spec-default options and min-sum on the campaign-built DEM.
+    {
+        const std::string def = "decode_default/bb72_cyclone_p0.001";
+        const std::string ms = "decode_minsum/bb72_cyclone_p0.001";
+        rowSpecs().push_back({def, "default", 1e-3});
+        rowSpecs().push_back({ms, "minsum", 1e-3});
+        benchmark::RegisterBenchmark(
+            def.c_str(),
+            [](benchmark::State& state) {
+                BM_DecodeCampaignDem(state, BpOptions{});
+            })
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ms.c_str(),
+            [](benchmark::State& state) {
+                BM_DecodeCampaignDem(state, benchBp(0));
             })
             ->Unit(benchmark::kMillisecond);
     }

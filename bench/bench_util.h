@@ -7,7 +7,7 @@
  * exposed as benchmark counters. Monte-Carlo depth is tuned for a
  * complete run in minutes; set CYCLONE_SHOTS to override the per-point
  * shot count and CYCLONE_FULL=1 to enable the full code list and
- * denser sweeps used for EXPERIMENTS.md.
+ * denser sweeps.
  */
 
 #ifndef CYCLONE_BENCH_BENCH_UTIL_H
@@ -72,9 +72,10 @@ runPoint(const CssCode& code, const SyndromeSchedule& schedule,
     exp.roundLatencyUs = latency_us;
     exp.shots = n_shots;
     exp.seed = seed;
-    // Min-sum BP is ~5x faster than product-sum and, with the OSD
-    // order-lambda sweep, decodes the catalog's qLDPC codes with the
-    // same single-fault accuracy (see tests + EXPERIMENTS.md).
+    // Min-sum BP: cheaper per edge than the product-sum default
+    // (default_over_minsum in BENCH_decoder.json), and in paired
+    // comparisons on the same shots neither rule left fewer failures
+    // at every point (README.md, "Product-sum and min-sum").
     exp.bp.variant = BpOptions::Variant::MinSum;
     return runZMemoryExperiment(code, schedule, exp);
 }

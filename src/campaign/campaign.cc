@@ -142,6 +142,12 @@ taskContentHash(const ResolvedTask& rt)
     h.absorb(t.latencyScale).absorb(t.physicalError);
     h.absorb(uint64_t{rt.rounds}).absorb(uint64_t{t.xBasis ? 1u : 0u});
     h.absorb(uint64_t{static_cast<unsigned>(t.bp.variant)});
+    // Product-sum results moved at the ulp level when its tanh/log
+    // left libm (bp_math.inl): the tag re-keys those tasks once, so
+    // checkpoints and spool records of the libm era re-run instead of
+    // mixing in. Min-sum keys are unchanged.
+    if (t.bp.variant == BpOptions::Variant::ProductSum)
+        h.absorb(std::string("bp_math"));
     h.absorb(uint64_t{t.bp.maxIterations});
     h.absorb(t.bp.minSumScale).absorb(t.bp.clamp);
     h.absorb(uint64_t{t.stop.chunkShots});

@@ -1,11 +1,40 @@
+// The product-sum math must round exactly like the wave kernels':
+// no multiply-add contraction in this TU (see bp_math.inl).
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "decoder/bp_decoder.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
+#include "decoder/bp_math.h"
 
 namespace cyclone {
+namespace {
+
+#define CYCLONE_WAVE_KERNEL
+#include "decoder/bp_math.inl"
+#undef CYCLONE_WAVE_KERNEL
+
+} // namespace
+
+float
+bpTanh(float y)
+{
+    return tanhNonNegative<float, int32_t>(y);
+}
+
+float
+bpLog(float x)
+{
+    return logAtLeastOne<float, int32_t>(x);
+}
 
 BpDecoder::BpDecoder(const DetectorErrorModel& dem, BpOptions options)
     : BpDecoder(std::make_shared<const BpGraph>(dem), options)
@@ -117,7 +146,7 @@ BpDecoder::checkToVarUpdate(const BitVec& syndrome)
                 const float m = msgScratch_[s - begin];
                 if (m < 0.0f)
                     sign_product = -sign_product;
-                const float t = std::tanh(std::fabs(m) * 0.5f);
+                const float t = bpTanh(std::fabs(m) * 0.5f);
                 tanhScratch_[s - begin] = t;
                 if (t < 1e-12f) {
                     ++zero_count;
@@ -139,7 +168,7 @@ BpDecoder::checkToVarUpdate(const BitVec& syndrome)
                     }
                     // One float ulp below 1: keeps the log finite.
                     t_other = std::min(t_other, 1.0f - 6.0e-8f);
-                    out = std::log((1.0f + t_other) / (1.0f - t_other));
+                    out = bpLog((1.0f + t_other) / (1.0f - t_other));
                 }
                 const float sign =
                     sign_product * (m < 0.0f ? -1.0f : 1.0f);

@@ -3,9 +3,10 @@
  * Belief propagation over a detector error model.
  *
  * Checks are detectors, variables are error mechanisms. Supports
- * normalized min-sum (default; the variant used throughout the BP+OSD
- * literature) and product-sum updates. Decoding stops as soon as the
- * hard decision reproduces the syndrome.
+ * product-sum (default) and normalized min-sum updates. Product-sum's
+ * tanh and log come from bp_math.inl, not libm, so both variants give
+ * the same floats on every host. Decoding stops as soon as the hard
+ * decision reproduces the syndrome.
  *
  * Message and posterior storage is flat structure-of-arrays float:
  * single precision halves the working set of the edge loops (the BP
@@ -40,9 +41,10 @@ struct BpOptions
     enum class Variant { MinSum, ProductSum };
 
     /**
-     * Product-sum is the default: on the degenerate detector graphs
-     * of qLDPC codes its posteriors feed OSD noticeably better coset
-     * choices than min-sum (verified by the single-fault tests).
+     * Product-sum is the default. Neither rule dominates: in paired
+     * comparisons on the same shots (README.md, "Product-sum and
+     * min-sum") product-sum left fewer failures at one of six
+     * bb72/hgp225 points, min-sum at three, and two were unresolved.
      */
     Variant variant = Variant::ProductSum;
     size_t maxIterations = 32;

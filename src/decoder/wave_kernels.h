@@ -30,6 +30,7 @@
 #include <cstdint>
 
 #include "decoder/bp_graph.h"
+#include "decoder/bp_math.h"
 
 namespace cyclone {
 

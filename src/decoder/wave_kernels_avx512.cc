@@ -8,11 +8,18 @@
  * build enables the x86 AVX-512 kernels.
  */
 
+// The product-sum math must round exactly like the scalar decoder's:
+// no multiply-add contraction in this TU (see bp_math.inl).
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "decoder/wave_kernels.h"
 
 #ifdef CYCLONE_WAVE_KERNEL_AVX512
 
-#include <cmath>
 #include <cstdint>
 
 #include <immintrin.h>
@@ -28,8 +35,9 @@
 
 // avx512f covers the 512-bit float/int arithmetic and mask blends;
 // avx512bw the byte/word mask ops GCC picks for 16-lane integer
-// selects. Deliberately no FMA contraction — same as the AVX2 rung —
-// so every lane stays float-identical to the scalar decoder.
+// selects. avx512f also brings 512-bit FMA, so only the pragma at the
+// top keeps multiply-adds unfused and the lanes float-identical to the
+// scalar decoder.
 #define CYCLONE_WAVE_KERNEL __attribute__((target("avx512f,avx512bw")))
 #include "decoder/wave_kernels.inl"
 

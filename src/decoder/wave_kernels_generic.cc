@@ -9,11 +9,18 @@
  * decoder_backend.cc).
  */
 
+// The product-sum math must round exactly like the scalar decoder's:
+// no multiply-add contraction in this TU (see bp_math.inl).
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "decoder/wave_kernels.h"
 
 #ifndef CYCLONE_WAVE_KERNEL_AVX2
 
-#include <cmath>
 #include <cstdint>
 
 #if defined(__GNUC__) && !defined(__clang__)

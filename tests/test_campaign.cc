@@ -719,6 +719,22 @@ TEST(Campaign, ShardChunksIsAPerfKnobNotAnIdentity)
     EXPECT_EQ(ha, hb);
 }
 
+TEST(Campaign, ContentHashGoldenPerBpVariant)
+{
+    // The hash keys checkpoints and spool records. Product-sum tasks
+    // were re-keyed once when the variant's tanh/log left libm (its
+    // results moved at the ulp level); the min-sum key is the one
+    // libm-era builds computed.
+    CampaignSpec spec;
+    spec.seed = 5;
+    spec.tasks.push_back(surfaceTask(0.02, 100));
+    spec.tasks.push_back(surfaceTask(0.02, 100));
+    spec.tasks[1].bp.variant = BpOptions::Variant::MinSum;
+    const std::vector<ResolvedTask> rt = resolveTaskIdentities(spec);
+    EXPECT_EQ(rt[0].contentHash, 0xa27af10d94877c74ull);
+    EXPECT_EQ(rt[1].contentHash, 0xa12dcbfe6cbb096cull);
+}
+
 TEST(Campaign, SpecRejectsUnknownKeysWithLineNumbers)
 {
     // New campaign/task keys must never be silently ignored: a typo'd

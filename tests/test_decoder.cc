@@ -3,11 +3,16 @@
  * Tests for BP, OSD and the combined BP+OSD decoder.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 
 #include <gtest/gtest.h>
 
+#include "campaign/content_hash.h"
 #include "circuit/memory_circuit.h"
+#include "decoder/bp_math.h"
 #include "decoder/bposd_decoder.h"
 #include "decoder/exhaustive_decoder.h"
 #include "dem/dem_builder.h"
@@ -98,6 +103,115 @@ TEST(BpDecoder, ProductSumVariantAlsoDecodes)
     syndrome.set(5, true);
     ASSERT_TRUE(bp.decode(syndrome));
     EXPECT_TRUE(bp.hardDecision().get(5));
+}
+
+/** Distance in floats between two non-negative finite floats. */
+uint32_t
+ulpDistance(float a, float b)
+{
+    const uint32_t x = std::bit_cast<uint32_t>(a);
+    const uint32_t y = std::bit_cast<uint32_t>(b);
+    return x > y ? x - y : y - x;
+}
+
+/** Checks approx within 1 ulp of the correctly rounded float of the
+ *  double-precision `ref` on every `stride`-th float of [lo, hi] and
+ *  on the listed points and their neighbours. */
+template <typename Approx, typename Ref>
+void
+expectWithinOneUlp(Approx approx, Ref ref, float lo, float hi,
+                   uint32_t stride, std::initializer_list<float> points)
+{
+    uint32_t worst = 0;
+    float worst_x = lo;
+    auto probe = [&](float x) {
+        const float want =
+            static_cast<float>(ref(static_cast<double>(x)));
+        const uint32_t d = ulpDistance(approx(x), want);
+        if (d > worst) {
+            worst = d;
+            worst_x = x;
+        }
+    };
+    for (uint32_t b = std::bit_cast<uint32_t>(lo);
+         b <= std::bit_cast<uint32_t>(hi); b += stride)
+        probe(std::bit_cast<float>(b));
+    for (float x : points) {
+        probe(std::nextafter(x, 0.0f));
+        probe(x);
+        probe(std::nextafter(x, 3.0e38f));
+    }
+    EXPECT_LE(worst, 1u) << "at x = " << worst_x;
+}
+
+TEST(BpMath, TanhAndLogWithinOneUlp)
+{
+    // The product-sum check pass's domains: tanh of |m| / 2 with |m|
+    // up to the message clamp, log of (1 + t) / (1 - t) up to the
+    // ratio 2^25 its 1 - 6e-8 limit produces.
+    const float limit = 1.0f - 6.0e-8f;
+    const float max_ratio = (1.0f + limit) / (1.0f - limit);
+    EXPECT_EQ(max_ratio, 33554432.0f);
+    expectWithinOneUlp(bpTanh, [](double y) { return std::tanh(y); },
+                       0.0f, 30.0f, 257,
+                       {1e-12f, 1e-6f, 0.625f, 9.01f, 25.0f});
+    // Every float just past the polynomial/exp switch, where the exp
+    // branch's rounding errors are largest relative to the result.
+    expectWithinOneUlp(bpTanh, [](double y) { return std::tanh(y); },
+                       0.625f, 0.7f, 1, {});
+    expectWithinOneUlp(bpLog, [](double x) { return std::log(x); },
+                       1.0f, max_ratio, 61,
+                       {1.0f, 1.41421356f, 2.0f, max_ratio});
+
+    EXPECT_EQ(bpTanh(0.0f), 0.0f);
+    EXPECT_EQ(bpLog(1.0f), 0.0f);
+    // tanh(y) rounds to y this small, so the check pass's 1e-12 zero
+    // test on t cuts exactly where it would on y.
+    for (float y : {std::nextafter(1e-12f, 0.0f), 1e-12f,
+                    std::nextafter(1e-12f, 1.0f)})
+        EXPECT_EQ(bpTanh(y), y);
+    // Saturation: below 1 under ~9.01, and exactly 1 for every float
+    // from kBpTanhSaturated (the wave kernels' skip threshold) to 30;
+    // past 30 the exponent cap makes every result the same.
+    EXPECT_LT(bpTanh(9.0f), 1.0f);
+    size_t unsaturated = 0;
+    for (uint32_t b = std::bit_cast<uint32_t>(kBpTanhSaturated);
+         b <= std::bit_cast<uint32_t>(30.0f); ++b)
+        unsaturated += bpTanh(std::bit_cast<float>(b)) != 1.0f;
+    EXPECT_EQ(unsaturated, 0u);
+    EXPECT_EQ(bpTanh(3.0e38f), 1.0f);
+}
+
+TEST(BpDecoder, ProductSumGoldenDigest)
+{
+    // Posteriors and iteration counts of a fixed syndrome set, hashed
+    // bit-for-bit: any drift in the product-sum math (a libm creeping
+    // back in, multiply-add contraction, a reordered operation) fails
+    // here on every host, not just where the wave rungs are compared.
+    const auto dem = surface13Dem(0.01);
+    BpDecoder bp(dem);
+    Rng rng(57);
+    const DemShots shots = sampleDem(dem, 64, rng);
+    HashStream h;
+    for (const BitVec& syndrome : shots.syndromes) {
+        h.absorb(uint64_t{bp.decode(syndrome)});
+        h.absorb(uint64_t{bp.lastIterations()});
+        for (float llr : bp.posteriorLlr())
+            h.absorb(uint64_t{std::bit_cast<uint32_t>(llr)});
+    }
+    EXPECT_EQ(h.digest(), 0xeab797c82055dd83ull);
+}
+
+TEST(BpGraph, PriorGoldenDigest)
+{
+    // BpGraph takes one double-precision std::log per mechanism; pin
+    // the float priors it produces so a host libm that rounds them
+    // differently is caught.
+    const BpGraph graph(surface13Dem(0.003));
+    HashStream h;
+    for (float prior : graph.prior)
+        h.absorb(uint64_t{std::bit_cast<uint32_t>(prior)});
+    EXPECT_EQ(h.digest(), 0xd6caac7a02691caaull);
 }
 
 TEST(OsdDecoder, SolvesEverySingleMechanismSyndrome)
