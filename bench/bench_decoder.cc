@@ -28,6 +28,11 @@
  * (product-sum) and once with min-sum: the decoder users get by
  * default against the one the other rows measure, as the in-binary
  * ratio default_over_minsum.
+ *
+ * The OSD stage is also timed alone, scalar reference against the
+ * batched stage, on bb72 at p = 1e-3 and on the DEM a campaign builds
+ * for hgp225 under Cyclone at p = 1e-3, where nearly every shot
+ * reaches OSD (in-binary ratio hgp225_osd_batch_over_scalar).
  */
 
 #include <cstdio>
@@ -80,19 +85,24 @@ bb72Dem(double p)
     return *cache.back().dem;
 }
 
-/** The DEM a campaign builds for bb72/Cyclone at p = 1e-3. */
+/** The DEM a campaign builds for `code` under Cyclone at p = 1e-3. */
 const DetectorErrorModel&
-campaignDem()
+campaignDem(const std::string& code)
 {
-    static const std::shared_ptr<const DetectorErrorModel> dem = [] {
+    static std::mutex mutex;
+    static std::map<std::string, std::shared_ptr<const DetectorErrorModel>>
+        cache;
+    std::lock_guard<std::mutex> lock(mutex);
+    std::shared_ptr<const DetectorErrorModel>& dem = cache[code];
+    if (dem == nullptr) {
         const CampaignSpec spec = parseCampaignSpec(
-            "name = bench\n[task]\ncode = bb72\narch = cyclone\n"
-            "p = 1e-3\n");
+            "name = bench\n[task]\ncode = " + code +
+            "\narch = cyclone\np = 1e-3\n");
         std::vector<ResolvedTask> tasks = resolveTaskIdentities(spec);
-        ArtifactCache cache;
-        buildTaskArtifacts(tasks[0], cache);
-        return tasks[0].dem;
-    }();
+        ArtifactCache artifacts;
+        buildTaskArtifacts(tasks[0], artifacts);
+        dem = tasks[0].dem;
+    }
     return *dem;
 }
 
@@ -172,7 +182,7 @@ BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
 void
 BM_DecodeCampaignDem(benchmark::State& state, const BpOptions& bp)
 {
-    const DetectorErrorModel& dem = campaignDem();
+    const DetectorErrorModel& dem = campaignDem("bb72");
     BpOsdDecoder decoder(dem, bp);
     decodeChunks(state, dem, decoder, 0xdefa17ULL);
 }
@@ -292,31 +302,40 @@ BM_DecodeStaged(benchmark::State& state, double p)
 /** Non-converged (syndrome, posterior) workload for the OSD rows. */
 struct OsdWorkload
 {
+    const DetectorErrorModel* dem = nullptr;
     std::vector<BitVec> syndromes;
     std::vector<std::vector<float>> posteriors;
     /** Fraction of sampled shots whose BP run did not converge. */
     double nonConvergedFrac = 0.0;
 };
 
-/** Lazily collected once: the shots of several deterministic chunks
- *  that reach the OSD stage at p, with their BP posteriors. */
+/** Lazily collected once per DEM ("bb72_p0.001" or
+ *  "hgp225_cyclone_p0.001"): the shots of whole deterministic chunks
+ *  that reach the OSD stage, with their min-sum BP posteriors. */
 const OsdWorkload&
-osdWorkload(double p)
+osdWorkload(const std::string& dem_name)
 {
     static std::mutex mutex;
-    static std::map<double, OsdWorkload> cache;
+    static std::map<std::string, OsdWorkload> cache;
     std::lock_guard<std::mutex> lock(mutex);
-    OsdWorkload& work = cache[p];
-    if (!work.syndromes.empty())
+    OsdWorkload& work = cache[dem_name];
+    if (work.dem != nullptr)
         return work;
-    const DetectorErrorModel& dem = bb72Dem(p);
+    // About a third of bb72's shots reach OSD; on hgp225 nearly all
+    // do, at 30-40 ms each through the scalar path, so one 64-shot
+    // chunk is the whole workload.
+    const bool hgp = dem_name == "hgp225_cyclone_p0.001";
+    work.dem = hgp ? &campaignDem("hgp225") : &bb72Dem(1e-3);
+    const DetectorErrorModel& dem = *work.dem;
+    const size_t chunk_shots = hgp ? 64 : kChunkShots;
+    const size_t target = hgp ? 32 : 192;
     BpDecoder bp(dem, benchBp(1));
     DemShots shots;
     size_t total = 0;
     uint64_t chunk = 0;
-    while (work.syndromes.size() < 192 && chunk < 32) {
+    while (work.syndromes.size() < target && chunk < 32) {
         Rng rng(chunkSeed(0x05dbe7cULL, chunk++));
-        sampleDemInto(dem, kChunkShots, rng, shots);
+        sampleDemInto(dem, chunk_shots, rng, shots);
         for (const BitVec& syndrome : shots.syndromes) {
             ++total;
             if (syndrome.isZero())
@@ -336,11 +355,10 @@ osdWorkload(double p)
 
 /** The OSD stage alone, via the scalar per-shot reference path. */
 void
-BM_OsdScalar(benchmark::State& state, double p)
+BM_OsdScalar(benchmark::State& state, const std::string& dem_name)
 {
-    const DetectorErrorModel& dem = bb72Dem(p);
-    const OsdWorkload& work = osdWorkload(p);
-    OsdDecoder osd(dem);
+    const OsdWorkload& work = osdWorkload(dem_name);
+    OsdDecoder osd(*work.dem);
     std::vector<uint8_t> errors;
     size_t solves = 0;
     for (auto _ : state) {
@@ -359,11 +377,10 @@ BM_OsdScalar(benchmark::State& state, double p)
 /** The OSD stage alone, via solveBatch in 64-shot slabs — the same
  *  work the wave pipeline's batched OSD stage performs. */
 void
-BM_OsdBatch(benchmark::State& state, double p)
+BM_OsdBatch(benchmark::State& state, const std::string& dem_name)
 {
-    const DetectorErrorModel& dem = bb72Dem(p);
-    const OsdWorkload& work = osdWorkload(p);
-    OsdDecoder osd(dem);
+    const OsdWorkload& work = osdWorkload(dem_name);
+    OsdDecoder osd(*work.dem);
     OsdBatchResult result;
     std::vector<OsdShotRequest> requests;
     size_t solves = 0;
@@ -607,6 +624,24 @@ writeBenchJson(const CaptureReporter& reporter)
             first_p = false;
         }
     }
+    // The batched OSD stage against the scalar reference on the
+    // campaign-built hgp225 DEM, where the elimination's dependent
+    // tail runs to tens of thousands of candidates per shot.
+    {
+        const double os = reporter.value(
+            "decode_wave_osd_scalar/hgp225_cyclone_p0.001",
+            "syndromes_per_sec");
+        const double ob = reporter.value(
+            "decode_wave_osd/hgp225_cyclone_p0.001", "syndromes_per_sec");
+        if (os > 0.0 && ob > 0.0) {
+            char buf[96];
+            std::snprintf(buf, sizeof buf,
+                          "%s\n    \"hgp225_osd_batch_over_scalar\": %.4g",
+                          first_p ? "" : ",", ob / os);
+            out << buf;
+            first_p = false;
+        }
+    }
     // Cross-chunk staging against per-chunk decoding of the same
     // 64-shot chunks, with the lane occupancy each achieves.
     {
@@ -736,23 +771,30 @@ registerRows()
             ->Unit(benchmark::kMillisecond);
     }
 
-    // The OSD stage in isolation, at the operating point where it is
-    // a quarter of wave-path decode time. Tracks the batched stage's
-    // speedup over the scalar reference and, combined with the wave
-    // row, the OSD share of the decode path.
-    const double p = 1e-3;
-    const std::string osd_scalar = "decode_wave_osd_scalar/bb72_p0.001";
-    const std::string osd_batch = "decode_wave_osd/bb72_p0.001";
-    rowSpecs().push_back({osd_scalar, "osd_scalar", p});
-    rowSpecs().push_back({osd_batch, "osd_batch", p});
-    benchmark::RegisterBenchmark(
-        osd_scalar.c_str(),
-        [p](benchmark::State& state) { BM_OsdScalar(state, p); })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        osd_batch.c_str(),
-        [p](benchmark::State& state) { BM_OsdBatch(state, p); })
-        ->Unit(benchmark::kMillisecond);
+    // The OSD stage in isolation, tracking the batched stage's
+    // speedup over the scalar reference: on bb72 at the operating
+    // point (combined with the wave row, also the OSD share of the
+    // decode path), and on the campaign-built hgp225 DEM, where
+    // nearly every shot reaches OSD.
+    for (const std::string dem_name :
+         {"bb72_p0.001", "hgp225_cyclone_p0.001"}) {
+        const std::string osd_scalar = "decode_wave_osd_scalar/" + dem_name;
+        const std::string osd_batch = "decode_wave_osd/" + dem_name;
+        rowSpecs().push_back({osd_scalar, "osd_scalar", 1e-3});
+        rowSpecs().push_back({osd_batch, "osd_batch", 1e-3});
+        benchmark::RegisterBenchmark(
+            osd_scalar.c_str(),
+            [dem_name](benchmark::State& state) {
+                BM_OsdScalar(state, dem_name);
+            })
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            osd_batch.c_str(),
+            [dem_name](benchmark::State& state) {
+                BM_OsdBatch(state, dem_name);
+            })
+            ->Unit(benchmark::kMillisecond);
+    }
 }
 
 } // namespace

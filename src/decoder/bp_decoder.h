@@ -66,18 +66,6 @@ struct BpOptions
      * from campaign content hashes.
      */
     size_t waveLanes = 0;
-
-    /**
-     * Batch the OSD stage of the wave pipeline: non-converged lanes
-     * are collected across wave groups and handed to
-     * OsdDecoder::solveBatch (shared eliminations + bit-sliced
-     * multi-RHS back-substitution) instead of one scalar solve per
-     * lane. Purely a performance knob — the batched stage is
-     * bit-identical to per-shot OSD (enforced by
-     * tests/test_decoder_fuzz.cc), so it is excluded from campaign
-     * content hashes just like waveLanes.
-     */
-    bool osdBatch = true;
 };
 
 /** Belief-propagation decoder core. */

@@ -200,33 +200,6 @@ BpOsdDecoder::flushOsdBatch()
     osdPending_.clear();
 }
 
-BpOsdDecoder::DecodeOutcome
-BpOsdDecoder::waveLaneOutcome(size_t lane, const BitVec& syndrome)
-{
-    // Mirror of decodeCore over one wave lane: the lane's posterior
-    // and hard decision are float/bit-identical to what the scalar
-    // core would have produced for this syndrome, so the OSD fallback
-    // sees exactly the same inputs.
-    DecodeOutcome outcome;
-    outcome.converged = wave_->laneConverged(lane);
-    outcome.iterations = wave_->laneIterations(lane);
-
-    if (outcome.converged) {
-        wave_->laneHardDecision(lane, hardScratch_);
-        outcome.observables = observablesOf(hardScratch_);
-        return outcome;
-    }
-    wave_->lanePosterior(lane, posteriorScratch_);
-    if (osd_.decode(syndrome, posteriorScratch_, errorScratch_)) {
-        outcome.observables = observablesOf(errorScratch_);
-    } else {
-        outcome.osdFailed = true;
-        wave_->laneHardDecision(lane, hardScratch_);
-        outcome.observables = observablesOf(hardScratch_);
-    }
-    return outcome;
-}
-
 void
 BpOsdDecoder::applyOutcomeStats(const DecodeOutcome& outcome)
 {
@@ -395,14 +368,18 @@ BpOsdDecoder::flushStaged()
             stats_.waveLanesFilled += count;
             for (size_t i = 0; i < count; ++i) {
                 const uint32_t memoIdx = laneOrder_[group + i];
-                MemoEntry& entry = memoEntries_[memoIdx];
-                if (options_.osdBatch && !wave_->laneConverged(i)) {
-                    // Defer OSD: stage this lane for the batched
-                    // solve instead of a scalar solve per lane.
+                if (!wave_->laneConverged(i)) {
+                    // Defer OSD: stage this lane for the batched solve.
                     bufferWaveLaneForOsd(i, memoIdx);
                     continue;
                 }
-                entry.outcome = waveLaneOutcome(i, entry.syndrome);
+                // The lane's hard decision is bit-identical to the
+                // scalar core's for this syndrome.
+                DecodeOutcome& outcome = memoEntries_[memoIdx].outcome;
+                outcome.converged = true;
+                outcome.iterations = wave_->laneIterations(i);
+                wave_->laneHardDecision(i, hardScratch_);
+                outcome.observables = observablesOf(hardScratch_);
             }
         }
         flushOsdBatch();

@@ -235,7 +235,6 @@ class BpOsdDecoder : public Decoder
     };
 
     DecodeOutcome decodeCore(const BitVec& syndrome);
-    DecodeOutcome waveLaneOutcome(size_t lane, const BitVec& syndrome);
     void bufferWaveLaneForOsd(size_t lane, uint32_t memoIdx);
     void flushOsdBatch();
     void applyOutcomeStats(const DecodeOutcome& outcome);

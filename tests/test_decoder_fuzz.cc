@@ -11,7 +11,12 @@
  * columns, zero-weight detectors) and random shot sets (error-pattern
  * shots plus adversarial raw syndromes that may leave the DEM column
  * span), then asserts exact prediction and statistics equality across
- * all four decode paths for both BP variants.
+ * every decode path (scalar-core batch, the wave pipeline on every
+ * supported rung, the staged pool) for both BP variants. Wider random
+ * DEMs (65-464 detectors) run the batched OSD stage head to head
+ * against per-shot OSD at reject quotas from 0 to 60, which is what
+ * reaches the aug-free hit-list rebuild and the multi-word dual-basis
+ * filter.
  *
  * CI runs a fixed seed set; set CYCLONE_FUZZ_ITERS to a larger count
  * for deeper local runs (each iteration is one random DEM + shot set
@@ -19,6 +24,7 @@
  */
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -77,15 +83,20 @@ fuzzIterations()
     return 24;
 }
 
-/** Random small DEM: ragged degrees, duplicate columns, detectors no
- *  mechanism touches, undetectable mechanisms. */
+/** Random DEM: ragged degrees, duplicate columns, detectors no
+ *  mechanism touches, undetectable mechanisms. Small by default; wide
+ *  DEMs have 65-464 detectors (more than one word per row of the
+ *  dual-basis filter) and 1-5x as many mechanisms. */
 DetectorErrorModel
-randomDem(Rng& rng)
+randomDem(Rng& rng, bool wide = false)
 {
     DetectorErrorModel dem;
-    dem.numDetectors = rng.below(25);       // 0..24, zero included
-    dem.numObservables = 1 + rng.below(3);  // 1..3
-    const size_t mechs = 1 + rng.below(48); // 1..48
+    dem.numDetectors = wide ? 65 + rng.below(400) // 65..464
+                            : rng.below(25);      // 0..24, zero included
+    dem.numObservables = 1 + rng.below(3);        // 1..3
+    const size_t mechs = wide
+        ? dem.numDetectors + rng.below(4 * dem.numDetectors + 1)
+        : 1 + rng.below(48); // 1..48
     for (size_t m = 0; m < mechs; ++m) {
         DemMechanism mech;
         mech.probability = 0.01 + 0.34 * (rng.below(1000) / 1000.0);
@@ -153,7 +164,7 @@ expectReplayedStatsEqual(const BpOsdStats& got, const BpOsdStats& want,
     EXPECT_EQ(got.bpIterations, want.bpIterations) << label;
 }
 
-TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
+TEST(DecoderFuzz, AllPathsBitExactOnRandomDems)
 {
     const size_t iters = fuzzIterations();
     for (size_t iter = 0; iter < iters; ++iter) {
@@ -190,18 +201,15 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
             {
                 const char* name;
                 size_t waveLanes;
-                bool osdBatch;
             };
             const PathSpec paths[] = {
-                {"batch", 1, false},
-                {"wave", 0, false},
-                {"wave+batched-osd", 0, true},
+                {"batch", 1},
+                {"wave", 0},
             };
             size_t batchMemoHits = 0;
             for (const PathSpec& path : paths) {
                 BpOptions pathBp = bp;
                 pathBp.waveLanes = path.waveLanes;
-                pathBp.osdBatch = path.osdBatch;
                 BpOsdDecoder decoder(dem, pathBp);
                 std::vector<uint64_t> got;
                 decoder.decodeBatch(batch, got);
@@ -230,7 +238,6 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
                 EnvGuard guard(kWaveBackendEnv, b->name);
                 BpOptions pathBp = bp;
                 pathBp.waveLanes = 0;
-                pathBp.osdBatch = true;
                 BpOsdDecoder decoder(dem, pathBp);
                 ASSERT_STREQ(decoder.backendName(), b->name) << label;
                 std::vector<uint64_t> got;
@@ -252,7 +259,6 @@ TEST(DecoderFuzz, AllFourPathsBitExactOnRandomDems)
             {
                 BpOptions pathBp = bp;
                 pathBp.waveLanes = 0;
-                pathBp.osdBatch = true;
                 BpOsdDecoder staged(dem, pathBp);
                 staged.beginStaged();
                 staged.stageBatch(batch);
@@ -358,56 +364,91 @@ TEST(DecoderFuzz, StreamedWindowsBitExactOffline)
     }
 }
 
+/**
+ * solveBatch head-to-head against per-shot decode() at reject quota
+ * `order`, on the starved-BP posteriors of up to 90 random shots (so
+ * above the 64-per-word RHS chunk size); `stats` gets the batch
+ * counters.
+ */
+void
+expectSolveBatchMatchesScalar(const DetectorErrorModel& dem,
+                              size_t order, Rng& rng,
+                              const std::string& label,
+                              OsdBatchStats& stats)
+{
+    const size_t shots = 1 + rng.below(90);
+    const ShotBatch batch = randomShots(dem, shots, rng);
+
+    BpOptions bp;
+    bp.maxIterations = 1 + rng.below(6);
+    BpDecoder bpDecoder(dem, bp);
+
+    std::vector<BitVec> syndromes;
+    std::vector<std::vector<float>> posteriors;
+    for (size_t s = 0; s < shots; ++s) {
+        const BitVec syndrome = batch.syndromeOf(s);
+        bpDecoder.decode(syndrome);
+        syndromes.push_back(syndrome);
+        posteriors.push_back(bpDecoder.posteriorLlr());
+    }
+
+    std::vector<OsdShotRequest> requests(shots);
+    for (size_t s = 0; s < shots; ++s) {
+        requests[s].syndrome = &syndromes[s];
+        requests[s].posteriorLlr = posteriors[s].data();
+    }
+    OsdDecoder batchOsd(dem, order);
+    OsdBatchResult result;
+    batchOsd.solveBatch(requests.data(), shots, result);
+
+    OsdDecoder scalarOsd(dem, order);
+    std::vector<uint8_t> errors;
+    for (size_t s = 0; s < shots; ++s) {
+        const bool ok =
+            scalarOsd.decode(syndromes[s], posteriors[s], errors);
+        ASSERT_EQ(result.ok[s] != 0, ok) << label << " s=" << s;
+        if (!ok)
+            continue;
+        std::vector<uint8_t> batchErrors(dem.mechanisms.size(), 0);
+        for (size_t f = result.flipOffsets[s];
+             f < result.flipOffsets[s + 1]; ++f)
+            batchErrors[result.flips[f]] = 1;
+        ASSERT_EQ(batchErrors, errors) << label << " s=" << s;
+    }
+    stats = result.stats;
+}
+
 TEST(DecoderFuzz, DirectSolveBatchMatchesScalarOsd)
 {
-    // solveBatch head-to-head against decode() on BP posteriors,
-    // including shot counts above the 64-per-word RHS chunk size.
+    // Small DEMs at the default quota never fill the 60-reject quota,
+    // so they never leave the aug-tracking reduction. Each iteration
+    // also runs a wide DEM at a small quota, which reaches the
+    // hit-list rebuild and switches the dual-basis filter on with
+    // more than 64 rows uncovered: at quota 0 from the first
+    // candidate, at 60 only late in the elimination.
+    static const size_t kOrders[] = {0, 1, 2, 4, 8, 60};
     const size_t iters = fuzzIterations();
+    size_t wideDualBases = 0;
     for (size_t iter = 0; iter < iters; ++iter) {
-        Rng rng(0xd07b47c8ULL + iter);
-        const DetectorErrorModel dem = randomDem(rng);
-        const size_t shots = 1 + rng.below(90);
-        const ShotBatch batch = randomShots(dem, shots, rng);
-
-        BpOptions bp;
-        bp.maxIterations = 1 + rng.below(6);
-        BpDecoder bpDecoder(dem, bp);
-
-        std::vector<BitVec> syndromes;
-        std::vector<std::vector<float>> posteriors;
-        for (size_t s = 0; s < shots; ++s) {
-            const BitVec syndrome = batch.syndromeOf(s);
-            bpDecoder.decode(syndrome);
-            syndromes.push_back(syndrome);
-            posteriors.push_back(bpDecoder.posteriorLlr());
+        OsdBatchStats stats;
+        {
+            Rng rng(0xd07b47c8ULL + iter);
+            const DetectorErrorModel dem = randomDem(rng);
+            ASSERT_NO_FATAL_FAILURE(expectSolveBatchMatchesScalar(
+                dem, 60, rng, "iter=" + std::to_string(iter), stats));
         }
-
-        std::vector<OsdShotRequest> requests(shots);
-        for (size_t s = 0; s < shots; ++s) {
-            requests[s].syndrome = &syndromes[s];
-            requests[s].posteriorLlr = posteriors[s].data();
-        }
-        OsdDecoder batchOsd(dem);
-        OsdBatchResult result;
-        batchOsd.solveBatch(requests.data(), shots, result);
-
-        OsdDecoder scalarOsd(dem);
-        std::vector<uint8_t> errors;
-        for (size_t s = 0; s < shots; ++s) {
-            const bool ok =
-                scalarOsd.decode(syndromes[s], posteriors[s], errors);
-            ASSERT_EQ(result.ok[s] != 0, ok) << "iter=" << iter
-                                             << " s=" << s;
-            if (!ok)
-                continue;
-            std::vector<uint8_t> batchErrors(dem.mechanisms.size(), 0);
-            for (size_t f = result.flipOffsets[s];
-                 f < result.flipOffsets[s + 1]; ++f)
-                batchErrors[result.flips[f]] = 1;
-            ASSERT_EQ(batchErrors, errors) << "iter=" << iter
-                                           << " s=" << s;
-        }
+        Rng rng(0x51de0000ULL + iter);
+        const DetectorErrorModel dem = randomDem(rng, true);
+        const size_t order = kOrders[iter % std::size(kOrders)];
+        const std::string label = "wide iter=" + std::to_string(iter) +
+            " order=" + std::to_string(order) +
+            " det=" + std::to_string(dem.numDetectors) +
+            " mechs=" + std::to_string(dem.mechanisms.size());
+        ASSERT_NO_FATAL_FAILURE(
+            expectSolveBatchMatchesScalar(dem, order, rng, label, stats));
+        wideDualBases += stats.wideDualBases;
     }
+    EXPECT_GT(wideDualBases, 0u);
 }
 
 // --------------------------------------------------------------------

@@ -303,27 +303,20 @@ TEST(DecodeBatch, MemoHitsReplayOsdStatsExactly)
     ASSERT_GT(want.osdInvocations, 0u);
     ASSERT_GT(want.osdFailures, 0u);
 
-    for (const bool osdBatchEnabled : {false, true}) {
-        BpOptions batchBp = bp;
-        batchBp.osdBatch = osdBatchEnabled;
-        BpOsdDecoder decoder(dem, batchBp);
-        std::vector<uint64_t> got;
-        decoder.decodeBatch(batch, got);
-        for (size_t s = 0; s < shots; ++s)
-            ASSERT_EQ(got[s], expected[s])
-                << "osdBatch=" << osdBatchEnabled << " s=" << s;
+    BpOsdDecoder decoder(dem, bp);
+    std::vector<uint64_t> got;
+    decoder.decodeBatch(batch, got);
+    for (size_t s = 0; s < shots; ++s)
+        ASSERT_EQ(got[s], expected[s]) << "s=" << s;
 
-        const BpOsdStats& stats = decoder.stats();
-        ASSERT_GT(stats.memoHits, 0u) << "osdBatch=" << osdBatchEnabled;
-        EXPECT_EQ(stats.decodes, want.decodes);
-        EXPECT_EQ(stats.bpConverged, want.bpConverged);
-        EXPECT_EQ(stats.osdInvocations, want.osdInvocations)
-            << "osdBatch=" << osdBatchEnabled;
-        EXPECT_EQ(stats.osdFailures, want.osdFailures)
-            << "osdBatch=" << osdBatchEnabled;
-        EXPECT_EQ(stats.trivialShots, want.trivialShots);
-        EXPECT_EQ(stats.bpIterations, want.bpIterations);
-    }
+    const BpOsdStats& stats = decoder.stats();
+    ASSERT_GT(stats.memoHits, 0u);
+    EXPECT_EQ(stats.decodes, want.decodes);
+    EXPECT_EQ(stats.bpConverged, want.bpConverged);
+    EXPECT_EQ(stats.osdInvocations, want.osdInvocations);
+    EXPECT_EQ(stats.osdFailures, want.osdFailures);
+    EXPECT_EQ(stats.trivialShots, want.trivialShots);
+    EXPECT_EQ(stats.bpIterations, want.bpIterations);
 }
 
 TEST(DecodeBatch, ZeroDetectorDemDecodesToZero)
