@@ -19,8 +19,10 @@ float bpLog(float x);
 
 /**
  * bpTanh(y) is exactly 1.0f for every y >= this (tests/test_decoder.cc
- * checks every float), so a wave row whose lanes all lie there skips
- * the evaluation — most rows, once BP messages grow.
+ * checks every float). A product-sum wave row whose kept lanes (active:
+ * neither converged nor idle) all lie there skips the tanh, and its
+ * outgoing message is the check's one saturated-edge message — most
+ * rows, once BP messages grow (see checkToVarUpdateWave).
  */
 inline constexpr float kBpTanhSaturated = 9.1f;
 

@@ -20,11 +20,17 @@
  *
  * Bit-exactness invariant: lanes never interact arithmetically. Each
  * lane performs the same float operations, in the same order, as
- * BpDecoder::decode on that lane's syndrome — on every rung. A lane
+ * BpDecoder::decode on that lane's syndrome — on every rung — or, on
+ * a product-sum row that saturates in every active lane, operations
+ * that provably give the same floats (the tanh and the per-edge
+ * division and log are skipped; see checkToVarUpdateWave). A lane
  * that converges is frozen — the check pass stops overwriting its
  * messages (a masked blend), and because its messages no longer move,
  * the unconditional posterior/hard recompute of later iterations
- * reproduces its values bit-for-bit. Per-lane convergence iterations
+ * reproduces its values bit-for-bit. Frozen lanes and idle lanes past
+ * the group count do not count when a row skip is decided, so they no
+ * longer block one: what they compute there is discarded or never
+ * read. Per-lane convergence iterations
  * also match the scalar decoder: verification is evaluated every
  * iteration here, and when the scalar decoder skips verification (no
  * decision bit moved) the skipped result provably equals the reused

@@ -326,6 +326,31 @@ TEST(WaveDecoder, ForcedScalarDisablesWavePath)
     EXPECT_EQ(decoder.stats().backend, "scalar");
 }
 
+/** expectWaveMatchesScalar on every supported kernel backend, at every
+ *  lane width it serves. */
+void
+expectEveryBackendMatchesScalar(const DetectorErrorModel& dem,
+                                const std::vector<BitVec>& syndromes,
+                                BpOptions::Variant variant,
+                                const char* tag)
+{
+    for (const DecoderBackend* b : decoderBackendRegistry()) {
+        if (b->kernels == nullptr || !b->supported())
+            continue;
+        for (size_t lanes : {size_t{4}, size_t{8}, size_t{16}}) {
+            if (b->kernels(lanes) == nullptr)
+                continue;
+            BpOptions options;
+            options.variant = variant;
+            options.waveLanes = lanes;
+            const std::string label = std::string(tag) + " " + b->name +
+                "-L" + std::to_string(lanes);
+            expectWaveMatchesScalar(dem, options, syndromes,
+                                    label.c_str(), b);
+        }
+    }
+}
+
 TEST(WaveDecoder, BackendMatrixBitExactAgainstScalar)
 {
     SKIP_WITHOUT_WAVE_SUPPORT();
@@ -335,24 +360,24 @@ TEST(WaveDecoder, BackendMatrixBitExactAgainstScalar)
     // L=16 in one run; narrower hosts cover what they can.
     const auto dem = surface13Dem(0.01);
     const auto syndromes = sampledSyndromes(dem, 48, 0xbead);
-    for (const DecoderBackend* b : decoderBackendRegistry()) {
-        if (b->kernels == nullptr || !b->supported())
-            continue;
-        for (size_t lanes : {size_t{4}, size_t{8}, size_t{16}}) {
-            if (b->kernels(lanes) == nullptr)
-                continue;
-            for (const auto variant : {BpOptions::Variant::MinSum,
-                                       BpOptions::Variant::ProductSum}) {
-                BpOptions options;
-                options.variant = variant;
-                options.waveLanes = lanes;
-                const std::string label = std::string(b->name) + "-L" +
-                    std::to_string(lanes);
-                expectWaveMatchesScalar(dem, options, syndromes,
-                                        label.c_str(), b);
-            }
-        }
-    }
+    for (const auto variant : {BpOptions::Variant::MinSum,
+                               BpOptions::Variant::ProductSum})
+        expectEveryBackendMatchesScalar(dem, syndromes, variant,
+                                        "surface13");
+
+    // A zero tanh on a check next to saturated rows: a p = 0.5
+    // mechanism has a prior of exactly 0, so its first incoming
+    // message is 0 and its tanh falls below 1e-12, while a p = 1e-9
+    // mechanism's prior (~20.7) saturates its rows from the first
+    // pass. The product-sum pass shares one message among a check's
+    // saturated rows; here it must be the zeroed one.
+    auto chain = repetitionDem(24, 1e-9);
+    for (size_t i = 0; i < chain.mechanisms.size(); i += 3)
+        chain.mechanisms[i].probability = 0.5;
+    expectEveryBackendMatchesScalar(chain,
+                                    sampledSyndromes(chain, 48, 0x2e70),
+                                    BpOptions::Variant::ProductSum,
+                                    "zero-tanh chain");
 }
 
 TEST(WaveDecoder, BitExactAgainstScalarAcrossLaneWidthsAndVariants)
