@@ -46,7 +46,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -91,6 +93,28 @@ usage(const char* prog)
                  prog, prog, prog);
 }
 
+/**
+ * The value of numeric flag `flag`, parsed as the spec parser parses
+ * its keys (counts take digits only, nothing may trail a number), and
+ * within `ok` when given. A bad value exits 2 naming the flag.
+ */
+template <typename Parse>
+auto
+numericFlag(const char* flag, const char* text, Parse parse,
+            bool (*ok)(double) = nullptr, const char* rule = "")
+{
+    try {
+        const auto v = parse(text);
+        if (ok == nullptr || ok(static_cast<double>(v)))
+            return v;
+        std::fprintf(stderr, "error: %s: %s, got '%s'\n", flag, rule,
+                     text);
+    } catch (const std::invalid_argument& ex) {
+        std::fprintf(stderr, "error: %s: %s\n", flag, ex.what());
+    }
+    std::exit(2);
+}
+
 std::string
 readWholeFile(const std::string& path)
 {
@@ -113,21 +137,18 @@ main(int argc, char** argv)
     std::string checkpoint_path;
     std::string spool_dir;
     std::string worker_id;
-    size_t threads_override = 0;
-    bool has_threads_override = false;
-    size_t workers_override = 0;
-    bool has_workers_override = false;
-    double lease_override = 0.0;
+    std::optional<size_t> threads_override;
+    std::optional<size_t> workers_override;
+    std::optional<double> lease_override;
     size_t worker_shards = 0;
     bool worker_mode = false;
     bool die_after_claim = false;
     bool promote = false;
     bool takeover = false;
     bool self_execute = false;
-    size_t max_claim_reclaims = 0;
-    bool has_max_claim_reclaims = false;
-    size_t retry_attempts = 0;
-    double retry_base_ms = -1.0;
+    std::optional<size_t> max_claim_reclaims;
+    std::optional<size_t> retry_attempts;
+    std::optional<double> retry_base_ms;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -139,10 +160,12 @@ main(int argc, char** argv)
             }
             return argv[++i];
         };
+        auto count = [&] {
+            const char* flag = argv[i];
+            return numericFlag(flag, next(), parseCount);
+        };
         if (arg == "--threads") {
-            threads_override =
-                static_cast<size_t>(std::atoll(next()));
-            has_threads_override = true;
+            threads_override = count();
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--csv") {
@@ -152,17 +175,17 @@ main(int argc, char** argv)
         } else if (arg == "--spool") {
             spool_dir = next();
         } else if (arg == "--workers") {
-            workers_override =
-                static_cast<size_t>(std::atoll(next()));
-            has_workers_override = true;
+            workers_override = count();
         } else if (arg == "--lease") {
-            lease_override = std::atof(next());
+            lease_override = numericFlag(
+                "--lease", next(), parseReal,
+                [](double v) { return v > 0.0; }, "must be > 0");
         } else if (arg == "--worker") {
             worker_mode = true;
         } else if (arg == "--worker-id") {
             worker_id = next();
         } else if (arg == "--worker-shards") {
-            worker_shards = static_cast<size_t>(std::atoll(next()));
+            worker_shards = count();
         } else if (arg == "--die-after-claim") {
             // Undocumented test hook: claim one shard, then exit
             // without completing it (exercises lease reclaim).
@@ -174,13 +197,15 @@ main(int argc, char** argv)
         } else if (arg == "--self-execute") {
             self_execute = true;
         } else if (arg == "--max-claim-reclaims") {
-            max_claim_reclaims =
-                static_cast<size_t>(std::atoll(next()));
-            has_max_claim_reclaims = true;
+            max_claim_reclaims = count();
         } else if (arg == "--retry-attempts") {
-            retry_attempts = static_cast<size_t>(std::atoll(next()));
+            retry_attempts = numericFlag(
+                "--retry-attempts", next(), parseCount,
+                [](double v) { return v >= 1.0; }, "must be >= 1");
         } else if (arg == "--retry-base-ms") {
-            retry_base_ms = std::atof(next());
+            retry_base_ms = numericFlag(
+                "--retry-base-ms", next(), parseReal,
+                [](double v) { return v >= 0.0; }, "must be >= 0");
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -203,7 +228,7 @@ main(int argc, char** argv)
         }
         WorkerOptions opts;
         opts.spool = spool_dir;
-        opts.threads = threads_override;
+        opts.threads = threads_override.value_or(0);
         opts.workerId = worker_id;
         opts.maxShards = worker_shards;
         opts.dieAfterClaim = die_after_claim;
@@ -261,20 +286,15 @@ main(int argc, char** argv)
     // CLI overrides touch only campaign-level scheduling fields, so
     // workers re-parsing the published spec text still resolve the
     // same task identities and content hashes.
-    if (has_threads_override)
-        spec.threads = threads_override;
+    spec.threads = threads_override.value_or(spec.threads);
     if (!spool_dir.empty())
         spec.spool = spool_dir;
-    if (has_workers_override)
-        spec.workers = workers_override;
-    if (lease_override > 0.0)
-        spec.leaseSeconds = lease_override;
-    if (has_max_claim_reclaims)
-        spec.maxClaimReclaims = max_claim_reclaims;
-    if (retry_attempts > 0)
-        spec.retryAttempts = retry_attempts;
-    if (retry_base_ms >= 0.0)
-        spec.retryBaseMs = retry_base_ms;
+    spec.workers = workers_override.value_or(spec.workers);
+    spec.leaseSeconds = lease_override.value_or(spec.leaseSeconds);
+    spec.maxClaimReclaims =
+        max_claim_reclaims.value_or(spec.maxClaimReclaims);
+    spec.retryAttempts = retry_attempts.value_or(spec.retryAttempts);
+    spec.retryBaseMs = retry_base_ms.value_or(spec.retryBaseMs);
     if (takeover) {
         // A takeover must be able to finish alone: the workers that
         // served the dead coordinator may be gone too.

@@ -17,6 +17,20 @@ chunkSeed(uint64_t taskSeed, size_t index)
     return h.digest();
 }
 
+ChunkPlan
+planChunk(const StoppingRule& rule, uint64_t taskSeed, size_t index)
+{
+    const size_t chunkShots =
+        rule.chunkShots > 0 ? rule.chunkShots : StoppingRule{}.chunkShots;
+    ChunkPlan plan;
+    plan.index = index;
+    const size_t planned = index * chunkShots;
+    if (planned < rule.maxShots)
+        plan.shots = std::min(chunkShots, rule.maxShots - planned);
+    plan.seed = chunkSeed(taskSeed, index);
+    return plan;
+}
+
 ChunkOutcome
 runChunk(const DetectorErrorModel& dem, const ChunkPlan& plan,
          BpOsdDecoder& decoder, ShotBatch& batch,
@@ -130,8 +144,6 @@ runChunkGroupStreamed(const DetectorErrorModel& dem,
 AdaptiveSampler::AdaptiveSampler(StoppingRule rule, uint64_t taskSeed)
     : rule_(rule), taskSeed_(taskSeed)
 {
-    if (rule_.chunkShots == 0)
-        rule_.chunkShots = 256;
     if (rule_.chunksPerWave == 0)
         rule_.chunksPerWave = 1;
     if (rule_.maxShots == 0)
@@ -144,13 +156,11 @@ AdaptiveSampler::nextWave()
     std::vector<ChunkPlan> wave;
     if (done_)
         return wave;
-    for (size_t i = 0;
-         i < rule_.chunksPerWave && plannedShots_ < rule_.maxShots; ++i) {
-        ChunkPlan plan;
-        plan.index = nextChunk_++;
-        plan.shots = std::min(rule_.chunkShots,
-                              rule_.maxShots - plannedShots_);
-        plan.seed = chunkSeed(taskSeed_, plan.index);
+    for (size_t i = 0; i < rule_.chunksPerWave; ++i) {
+        const ChunkPlan plan = planChunk(rule_, taskSeed_, nextChunk_);
+        if (plan.shots == 0)
+            break;
+        ++nextChunk_;
         plannedShots_ += plan.shots;
         wave.push_back(plan);
     }
@@ -182,12 +192,6 @@ AdaptiveSampler::evaluateStop()
             stoppedEarly_ = true;
         }
     }
-}
-
-RateEstimate
-AdaptiveSampler::estimate() const
-{
-    return estimateRate(failures_, shots_);
 }
 
 } // namespace cyclone

@@ -120,9 +120,6 @@ class AdaptiveSampler
     size_t failures() const { return failures_; }
     size_t chunksPlanned() const { return nextChunk_; }
 
-    /** Current estimate with Wilson half-width. */
-    RateEstimate estimate() const;
-
   private:
     void evaluateStop();
 
@@ -138,6 +135,17 @@ class AdaptiveSampler
 
 /** Derive the RNG seed of chunk `index` of a task. */
 uint64_t chunkSeed(uint64_t taskSeed, size_t index);
+
+/**
+ * Chunk `index` of a task under `rule`: `chunkShots` shots (0 means
+ * the StoppingRule default) up to `maxShots`, so the last chunk may be
+ * short and any chunk past the budget has zero shots, seeded by
+ * chunkSeed. The one plan formula: AdaptiveSampler::nextWave plans
+ * its waves with it, and spool workers rebuild a shard's chunks from
+ * its index range with it.
+ */
+ChunkPlan planChunk(const StoppingRule& rule, uint64_t taskSeed,
+                    size_t index);
 
 } // namespace cyclone
 

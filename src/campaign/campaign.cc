@@ -8,12 +8,13 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "campaign/adaptive_sampler.h"
+#include "campaign/campaign_driver.h"
 #include "campaign/content_hash.h"
+#include "campaign/fault_plan.h"
 #include "circuit/memory_circuit.h"
 #include "dem/dem_builder.h"
 #include "noise/noise_model.h"
@@ -24,20 +25,13 @@ namespace cyclone {
 
 namespace {
 
-/** Per-worker sampling context: decoder state plus reusable packed
- *  shot buffers for the batch pipeline (one per staged chunk), and —
- *  for streaming tasks — the worker's streaming front-end wrapping
- *  the same decoder. */
-struct WorkerCtx
+double
+elapsedSeconds(std::chrono::steady_clock::time_point since)
 {
-    BpOsdDecoder decoder;
-    std::vector<ShotBatch> batches;
-    std::unique_ptr<StreamDecoder> stream;
-
-    WorkerCtx(const DetectorErrorModel& dem, const BpOptions& bp)
-        : decoder(dem, bp)
-    {}
-};
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - since)
+        .count();
+}
 
 /**
  * Map a task's StreamSpec onto StreamDecoderOptions. The deadline
@@ -64,62 +58,118 @@ streamOptionsFor(const ResolvedTask& rt)
     return o;
 }
 
-struct TaskState
+/** Per-worker sampling context: decoder state plus reusable packed
+ *  shot buffers for the batch pipeline (one per staged chunk), and —
+ *  for streaming tasks — the worker's streaming front-end wrapping
+ *  the same decoder. */
+struct WorkerCtx
 {
-    ResolvedTask rt;
+    BpOsdDecoder decoder;
+    std::vector<ShotBatch> batches;
+    std::unique_ptr<StreamDecoder> stream;
 
-    std::optional<AdaptiveSampler> sampler;
-    std::vector<std::unique_ptr<WorkerCtx>> workers;
-    size_t outstanding = 0;
-    double sampleSeconds = 0.0;
-    bool resolved = false;
-    bool failed = false;
-    bool finished = false;
+    explicit WorkerCtx(const ResolvedTask& rt)
+        : decoder(*rt.dem, rt.spec->bp)
+    {
+        if (rt.spec->stream.enabled)
+            stream = std::make_unique<StreamDecoder>(
+                decoder, rt.dem->numDetectors, streamOptionsFor(rt));
+    }
 };
 
-enum class EventKind
+/**
+ * The in-process executor: each build and each staging group runs as
+ * one job on the engine's pool and reports through an event queue.
+ * One decoder context per task and pool thread is reused across
+ * waves (a fresh decoder per group costs measurably more on large
+ * DEMs); a job hands the driver the counters it added.
+ */
+class LocalExecutor final : public CampaignExecutor
 {
-    Resolved,
-    ChunkDone,
-    Failed,
-};
-
-struct Event
-{
-    EventKind kind = EventKind::Failed;
-    size_t task = 0;
-    ChunkOutcome outcome;
-    double seconds = 0.0;
-    std::string error;
-};
-
-/** Completion channel from pool workers to the coordinator. */
-struct EventQueue
-{
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Event> events;
+  public:
+    LocalExecutor(ThreadPool& pool, ArtifactCache& cache)
+        : pool_(pool), cache_(cache)
+    {}
 
     void
-    push(Event e)
+    build(const std::vector<size_t>& tasks) override
     {
-        // Notify under the lock: the coordinator may pop this event,
-        // finish the run and destroy the queue; holding the mutex
-        // through the notify keeps the cv alive for the whole call.
-        std::lock_guard<std::mutex> lock(mutex);
-        events.push_back(std::move(e));
-        cv.notify_one();
+        contexts_.resize(tasks_->size());
+        for (auto& perWorker : contexts_)
+            perWorker.resize(pool_.size());
+        for (const size_t i : tasks)
+            pool_.submit([this, i] {
+                push({.task = i, .error = errorOf([&] {
+                          buildTaskArtifacts((*tasks_)[i].rt, cache_);
+                      })});
+            });
     }
 
-    Event
-    pop()
+    size_t
+    rangeChunks(const StoppingRule& rule) const override
     {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return !events.empty(); });
-        Event e = std::move(events.front());
-        events.pop_front();
-        return e;
+        return std::max<size_t>(1, rule.stagingChunks);
     }
+
+    void
+    submit(size_t task, std::vector<ChunkPlan> range) override
+    {
+        pool_.submit([this, task, plans = std::move(range)] {
+            const auto c0 = std::chrono::steady_clock::now();
+            const ResolvedTask& rt = (*tasks_)[task].rt;
+            const int w = ThreadPool::workerIndex();
+            auto& ctx = contexts_[task][w >= 0 ? static_cast<size_t>(w) : 0];
+            Completion c{.task = task};
+            c.error = errorOf([&] {
+                if (!ctx)
+                    ctx = std::make_unique<WorkerCtx>(rt);
+                c.outcome = ctx->stream
+                    ? runChunkGroupStreamed(*rt.dem, plans.data(),
+                                            plans.size(), *ctx->stream,
+                                            ctx->batches)
+                    : runChunkGroup(*rt.dem, plans.data(), plans.size(),
+                                    ctx->decoder, ctx->batches);
+            });
+            if (ctx) {
+                c.decoder = ctx->decoder.takeStats();
+                if (ctx->stream)
+                    c.stream = ctx->stream->takeStats();
+            }
+            c.seconds = elapsedSeconds(c0);
+            push(std::move(c));
+        });
+    }
+
+    Completion
+    next() override
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return !events_.empty(); });
+        Completion c = std::move(events_.front());
+        events_.pop_front();
+        return c;
+    }
+
+  private:
+    void
+    push(Completion c)
+    {
+        // Notify under the lock: the driver may pop this event, finish
+        // the run and destroy the executor; holding the mutex through
+        // the notify keeps the cv alive for the whole call.
+        std::lock_guard<std::mutex> lock(mutex_);
+        events_.push_back(std::move(c));
+        cv_.notify_one();
+    }
+
+    ThreadPool& pool_;
+    ArtifactCache& cache_;
+    /** [task][pool worker] decoder contexts, created on first use. */
+    std::vector<std::vector<std::unique_ptr<WorkerCtx>>> contexts_;
+    /** Completions from pool jobs to the driver. */
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    std::deque<Completion> events_;
 };
 
 uint64_t
@@ -157,14 +207,6 @@ taskContentHash(const ResolvedTask& rt)
     h.absorb(uint64_t{t.stop.minFailures});
     h.absorb(rt.taskSeed);
     return h.digest();
-}
-
-double
-elapsedSeconds(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - since)
-        .count();
 }
 
 } // namespace
@@ -351,6 +393,22 @@ buildTaskArtifacts(ResolvedTask& rt, ArtifactCache& cache)
 }
 
 void
+TaskResult::setCounts(size_t failures, size_t shots)
+{
+    logicalErrorRate = estimateRate(failures, shots);
+    wilson = wilsonHalfWidth(failures, shots);
+    perRoundErrorRate = 0.0;
+    if (rounds > 0 && shots > 0) {
+        const double ler = std::min(logicalErrorRate.rate, 1.0 - 1e-12);
+        perRoundErrorRate =
+            1.0 - std::pow(1.0 - ler, 1.0 / static_cast<double>(rounds));
+    }
+}
+
+namespace {
+
+/** Copy DEM/compile-derived metadata of a built task into a result. */
+void
 fillResolvedMetadata(TaskResult& r, const ResolvedTask& rt)
 {
     r.roundLatencyUs = rt.latencyUs;
@@ -368,29 +426,157 @@ fillResolvedMetadata(TaskResult& r, const ResolvedTask& rt)
     }
 }
 
-bool
-applyCheckpoint(TaskResult& r, const CampaignCheckpoint* resume)
+} // namespace
+
+CampaignResult
+driveCampaign(const CampaignSpec& spec, CampaignExecutor& exec,
+              const CampaignCheckpoint* resume,
+              const CampaignEngine::TaskCallback& onTaskDone)
 {
-    if (resume == nullptr)
-        return false;
-    auto it = resume->tasks.find(r.contentHash);
-    if (it == resume->tasks.end())
-        return false;
-    const TaskResult& saved = it->second;
-    r.logicalErrorRate = saved.logicalErrorRate;
-    r.wilson = saved.wilson;
-    r.perRoundErrorRate = saved.perRoundErrorRate;
-    r.roundLatencyUs = saved.roundLatencyUs;
-    r.demDetectors = saved.demDetectors;
-    r.demMechanisms = saved.demMechanisms;
-    r.decoder = saved.decoder;
-    r.streamed = saved.streamed;
-    r.stream = saved.stream;
-    r.chunks = saved.chunks;
-    r.stoppedEarly = saved.stoppedEarly;
-    r.sampleSeconds = saved.sampleSeconds;
-    r.fromCheckpoint = true;
-    return true;
+    const auto t0 = std::chrono::steady_clock::now();
+    const size_t n = spec.tasks.size();
+    CampaignResult result;
+    result.name = spec.name;
+    result.seed = spec.seed;
+    result.tasks.resize(n);
+
+    // Resolve codes, schedules, seeds and identities up front: cheap,
+    // and bad specs fail before any work launches.
+    std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
+    std::vector<TaskState> tasks(n);
+    // The identity fields of task i's result, which this run resolves
+    // whether the rest is sampled or restored.
+    auto header = [&](size_t i) {
+        const TaskSpec& t = spec.tasks[i];
+        TaskResult& r = result.tasks[i];
+        r.id = !t.id.empty() ? t.id : "task" + std::to_string(i);
+        r.codeName =
+            !t.codeName.empty() ? t.codeName : tasks[i].rt.code->name();
+        r.architecture = t.compileLatency
+            ? architectureName(t.architecture)
+            : "explicit";
+        r.physicalError = t.physicalError;
+        r.rounds = tasks[i].rt.rounds;
+        r.xBasis = t.xBasis;
+        r.contentHash = tasks[i].rt.contentHash;
+    };
+    for (size_t i = 0; i < n; ++i) {
+        tasks[i].rt = std::move(resolved[i]);
+        header(i);
+    }
+    exec.bind(tasks);
+
+    size_t remaining = n;
+    auto done = [&](size_t i) {
+        tasks[i].finished = true;
+        --remaining;
+        if (onTaskDone)
+            onTaskDone(result.tasks[i]);
+    };
+
+    // Restore task i if `saved` holds it: from a checkpoint before
+    // anything runs, or from the executor's journal once built, when
+    // its metadata comes from its artifacts as a sampled task's does.
+    auto restore = [&](size_t i, const CampaignCheckpoint* saved,
+                       bool journaled) {
+        if (saved == nullptr)
+            return false;
+        const auto it = saved->tasks.find(tasks[i].rt.contentHash);
+        if (it == saved->tasks.end())
+            return false;
+        result.tasks[i] = it->second;
+        header(i);
+        result.tasks[i].fromCheckpoint = !journaled;
+        if (journaled) {
+            fillResolvedMetadata(result.tasks[i], tasks[i].rt);
+            ++result.spool.journalRestores;
+        }
+        done(i);
+        return true;
+    };
+
+    auto finalize = [&](size_t i) {
+        TaskState& st = tasks[i];
+        TaskResult& r = result.tasks[i];
+        if (st.sampler) {
+            r.setCounts(st.sampler->failures(), st.sampler->shots());
+            r.chunks = st.sampler->chunksPlanned();
+            r.stoppedEarly = st.sampler->stoppedEarly();
+        }
+        fillResolvedMetadata(r, st.rt);
+        r.sampleSeconds = st.sampleSeconds;
+        if (r.streamed)
+            r.stream.computePercentiles();
+        done(i);
+        exec.finalized(result);
+        faultMilestone("coord.task.finalized");
+    };
+
+    // Plan the next wave and cut it into contiguous ranges. Range
+    // boundaries depend only on the wave's chunk indices — never on
+    // worker count or completion order — so every decoder statistic
+    // stays deterministic. Returns false when nothing is left to plan.
+    auto dispatchWave = [&](size_t i) {
+        TaskState& st = tasks[i];
+        const std::vector<ChunkPlan> wave = st.sampler->nextWave();
+        if (wave.empty())
+            return false;
+        const size_t step = exec.rangeChunks(st.rt.spec->stop);
+        st.outstanding = (wave.size() + step - 1) / step;
+        for (size_t g = 0; g < wave.size(); g += step)
+            exec.submit(i, std::vector<ChunkPlan>(
+                               wave.begin() + static_cast<std::ptrdiff_t>(g),
+                               wave.begin() + static_cast<std::ptrdiff_t>(
+                                                  std::min(g + step,
+                                                           wave.size()))));
+        faultMilestone("coord.wave.published");
+        return true;
+    };
+
+    std::vector<size_t> toBuild;
+    for (size_t i = 0; i < n; ++i)
+        if (!restore(i, resume, false))
+            toBuild.push_back(i);
+    exec.build(toBuild);
+
+    while (remaining > 0) {
+        Completion c = exec.next();
+        const size_t i = c.task;
+        TaskState& st = tasks[i];
+        if (st.finished)
+            continue;
+        TaskResult& r = result.tasks[i];
+        if (r.error.empty())
+            r.error = c.error;
+        if (!st.sampler) {
+            if (!r.error.empty()) {
+                finalize(i);
+            } else if (!restore(i, exec.journal(), true)) {
+                st.sampler.emplace(st.rt.spec->stop, st.rt.taskSeed);
+                if (!dispatchWave(i))
+                    finalize(i);
+            }
+            continue;
+        }
+        st.sampleSeconds += c.seconds;
+        mergeStats(r.decoder, c.decoder);
+        if (c.stream) {
+            r.streamed = true;
+            r.stream.merge(*c.stream);
+        }
+        if (c.error.empty()) {
+            st.sampler->absorb(c.outcome);
+            faultMilestone("coord.record.merged");
+        }
+        // A failed range fails its task once the wave has drained.
+        st.outstanding -= c.ranges;
+        if (st.outstanding == 0 &&
+            (!r.error.empty() || st.sampler->done() || !dispatchWave(i)))
+            finalize(i);
+    }
+
+    result.wallSeconds = elapsedSeconds(t0);
+    return result;
 }
 
 CampaignEngine::CampaignEngine(ThreadPool& pool, ArtifactCache& cache)
@@ -402,221 +588,15 @@ CampaignEngine::run(const CampaignSpec& spec,
                     const CampaignCheckpoint* resume,
                     const TaskCallback& onTaskDone)
 {
-    const auto t0 = std::chrono::steady_clock::now();
     const CacheStats before = cache_.stats();
-    const size_t n = spec.tasks.size();
-
-    CampaignResult result;
-    result.name = spec.name;
-    result.seed = spec.seed;
-    result.tasks.resize(n);
-
-    // Resolve codes, schedules, seeds and identities up front on the
-    // coordinator: cheap, and bad specs fail before any job launches.
-    std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
-    std::vector<TaskState> states(n);
-    for (size_t i = 0; i < n; ++i) {
-        TaskState& st = states[i];
-        st.rt = std::move(resolved[i]);
-        st.workers.resize(pool_.size());
-
-        const TaskSpec& t = spec.tasks[i];
-        TaskResult& r = result.tasks[i];
-        r.id = !t.id.empty() ? t.id : "task" + std::to_string(i);
-        r.codeName =
-            !t.codeName.empty() ? t.codeName : st.rt.code->name();
-        r.architecture = t.compileLatency
-            ? architectureName(t.architecture)
-            : "explicit";
-        r.physicalError = t.physicalError;
-        r.rounds = st.rt.rounds;
-        r.xBasis = t.xBasis;
-        r.contentHash = st.rt.contentHash;
-    }
-
-    EventQueue events;
-    size_t remaining = 0;
-
-    auto finalize = [&](size_t i) {
-        TaskState& st = states[i];
-        TaskResult& r = result.tasks[i];
-        st.finished = true;
-        if (st.sampler) {
-            r.logicalErrorRate = st.sampler->estimate();
-            r.wilson = wilsonHalfWidth(st.sampler->failures(),
-                                       st.sampler->shots());
-            r.chunks = st.sampler->chunksPlanned();
-            r.stoppedEarly = st.sampler->stoppedEarly();
-        }
-        fillResolvedMetadata(r, st.rt);
-        r.sampleSeconds = st.sampleSeconds;
-        if (r.rounds > 0 && r.logicalErrorRate.trials > 0) {
-            const double ler =
-                std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
-            r.perRoundErrorRate = 1.0 -
-                std::pow(1.0 - ler,
-                         1.0 / static_cast<double>(r.rounds));
-        }
-        for (const auto& ctx : st.workers) {
-            if (!ctx)
-                continue;
-            mergeStats(r.decoder, ctx->decoder.stats());
-            if (ctx->stream) {
-                r.streamed = true;
-                r.stream.merge(ctx->stream->stats());
-            }
-        }
-        if (r.streamed)
-            r.stream.computePercentiles();
-        if (onTaskDone)
-            onTaskDone(r);
-    };
-
-    auto dispatchWave = [&](size_t i) -> bool {
-        TaskState& st = states[i];
-        std::vector<ChunkPlan> wave = st.sampler->nextWave();
-        if (wave.empty())
-            return false;
-        // Cross-chunk syndrome staging: partition the wave into
-        // groups of `stagingChunks` consecutive plans and submit one
-        // decode job per group. Group boundaries depend only on the
-        // wave's chunk indices — never on worker count or completion
-        // order — so every decoder statistic stays deterministic.
-        const size_t group = std::max<size_t>(
-            size_t{1}, st.rt.spec->stop.stagingChunks);
-        std::vector<std::vector<ChunkPlan>> jobs;
-        for (size_t g = 0; g < wave.size(); g += group)
-            jobs.emplace_back(
-                wave.begin() + static_cast<std::ptrdiff_t>(g),
-                wave.begin() + static_cast<std::ptrdiff_t>(
-                                   std::min(g + group, wave.size())));
-        st.outstanding = jobs.size();
-        for (std::vector<ChunkPlan>& job : jobs) {
-            pool_.submit([&events, &st, i, plans = std::move(job)] {
-                const auto c0 = std::chrono::steady_clock::now();
-                Event e;
-                e.task = i;
-                try {
-                    const int w = ThreadPool::workerIndex();
-                    auto& ctx = st.workers[w >= 0
-                                               ? static_cast<size_t>(w)
-                                               : 0];
-                    if (!ctx) {
-                        ctx = std::make_unique<WorkerCtx>(
-                            *st.rt.dem, st.rt.spec->bp);
-                        if (st.rt.spec->stream.enabled)
-                            ctx->stream =
-                                std::make_unique<StreamDecoder>(
-                                    ctx->decoder,
-                                    st.rt.dem->numDetectors,
-                                    streamOptionsFor(st.rt));
-                    }
-                    e.outcome = ctx->stream
-                        ? runChunkGroupStreamed(
-                              *st.rt.dem, plans.data(), plans.size(),
-                              *ctx->stream, ctx->batches)
-                        : runChunkGroup(*st.rt.dem, plans.data(),
-                                        plans.size(), ctx->decoder,
-                                        ctx->batches);
-                    e.kind = EventKind::ChunkDone;
-                } catch (const std::exception& ex) {
-                    e.kind = EventKind::Failed;
-                    e.error = ex.what();
-                } catch (...) {
-                    e.kind = EventKind::Failed;
-                    e.error = "unknown sampling error";
-                }
-                e.seconds = elapsedSeconds(c0);
-                events.push(std::move(e));
-            });
-        }
-        return true;
-    };
-
-    // Checkpointed tasks are done before any job launches; the rest
-    // get a resolve job (compile + DEM build through the shared cache).
-    for (size_t i = 0; i < n; ++i) {
-        if (applyCheckpoint(result.tasks[i], resume)) {
-            states[i].finished = true;
-            if (onTaskDone)
-                onTaskDone(result.tasks[i]);
-            continue;
-        }
-        ++remaining;
-    }
-
-    for (size_t i = 0; i < n; ++i) {
-        if (states[i].finished)
-            continue;
-        TaskState& st = states[i];
-        pool_.submit([this, &events, &st, i] {
-            Event e;
-            e.task = i;
-            try {
-                buildTaskArtifacts(st.rt, cache_);
-                e.kind = EventKind::Resolved;
-            } catch (const std::exception& ex) {
-                e.kind = EventKind::Failed;
-                e.error = ex.what();
-            } catch (...) {
-                e.kind = EventKind::Failed;
-                e.error = "unknown build error";
-            }
-            events.push(std::move(e));
-        });
-    }
-
-    while (remaining > 0) {
-        Event e = events.pop();
-        TaskState& st = states[e.task];
-        if (st.finished)
-            continue;
-        switch (e.kind) {
-          case EventKind::Resolved:
-            st.resolved = true;
-            st.sampler.emplace(st.rt.spec->stop, st.rt.taskSeed);
-            if (!dispatchWave(e.task)) {
-                finalize(e.task);
-                --remaining;
-            }
-            break;
-          case EventKind::ChunkDone:
-            st.sampler->absorb(e.outcome);
-            st.sampleSeconds += e.seconds;
-            if (--st.outstanding == 0) {
-                if (st.failed || st.sampler->done() ||
-                    !dispatchWave(e.task)) {
-                    finalize(e.task);
-                    --remaining;
-                }
-            }
-            break;
-          case EventKind::Failed:
-            if (result.tasks[e.task].error.empty())
-                result.tasks[e.task].error = e.error;
-            if (!st.resolved) {
-                finalize(e.task);
-                --remaining;
-            } else {
-                // A chunk failed: drain the rest of its wave before
-                // finalizing so no job still references this task.
-                st.failed = true;
-                st.sampleSeconds += e.seconds;
-                if (--st.outstanding == 0) {
-                    finalize(e.task);
-                    --remaining;
-                }
-            }
-            break;
-        }
-    }
+    LocalExecutor exec(pool_, cache_);
+    CampaignResult result = driveCampaign(spec, exec, resume, onTaskDone);
 
     // This run's share of the shared cache's lifetime counters.
     const CacheStats after = cache_.stats();
     for (const StatField<CacheStats>& f : CacheStats::fields())
         f.set(result.cache, std::get<size_t>(f.get(after)) -
                                 std::get<size_t>(f.get(before)));
-    result.wallSeconds = elapsedSeconds(t0);
     return result;
 }
 

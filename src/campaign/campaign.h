@@ -4,12 +4,15 @@
  * logical-error-rate experiments on one shared work-stealing pool.
  *
  * The engine turns a declarative CampaignSpec into per-task LER
- * estimates. Every stage runs as pool jobs: architecture compiles and
- * DEM builds are deduplicated through the shared ArtifactCache, and
- * sampling is scheduled in deterministic chunk waves whose shot totals
- * adapt per task (see AdaptiveSampler). The caller's thread only
- * coordinates, so campaigns scale to every core the pool owns while
- * remaining bit-reproducible for a fixed seed at any thread count.
+ * estimates. One driver (campaign_driver.h) runs every campaign, over
+ * one of two executors: CampaignEngine's runs every stage as pool
+ * jobs, the spool's (coordinator.h) hands chunk ranges to worker
+ * processes. In-process, architecture compiles and DEM builds are
+ * deduplicated through the shared ArtifactCache, and sampling is
+ * scheduled in deterministic chunk waves whose shot totals adapt per
+ * task (see AdaptiveSampler). The caller's thread only coordinates,
+ * so campaigns scale to every core the pool owns while remaining
+ * bit-reproducible for a fixed seed at any thread count.
  */
 
 #ifndef CYCLONE_CAMPAIGN_CAMPAIGN_H
@@ -86,6 +89,10 @@ struct TaskResult
 
     /** Non-empty when the task failed to build or sample. */
     std::string error;
+
+    /** Set the shot counts and what derives from them: the estimate,
+     *  its Wilson half-width and (given `rounds`) the per-round rate. */
+    void setCounts(size_t failures, size_t shots);
 };
 
 /** Completed tasks from a previous run, keyed by content hash. */
@@ -113,7 +120,7 @@ struct SpoolStats
     size_t transientRetries = 0;
     /** 1 if this run stole a dead coordinator's lease (failover). */
     size_t coordinatorTakeovers = 0;
-    /** Tasks restored from a dead coordinator's merge journal. */
+    /** Tasks restored from a dead coordinator's journal. */
     size_t journalRestores = 0;
     /** Worker health at the end of the run (from workers/ files). */
     size_t workersHealthy = 0;
@@ -145,10 +152,10 @@ struct CampaignResult
 
 /**
  * A task with its identity — and, after buildTaskArtifacts, its
- * compiled artifacts — resolved. This is the unit both execution
- * modes share: the in-process engine resolves tasks on its pool, the
- * spool coordinator and every worker process resolve the same spec
- * text through resolveTaskIdentities and arrive at the same content
+ * compiled artifacts — resolved. This is the unit both executors
+ * share: the in-process engine builds tasks on its pool, the spool
+ * coordinator and every worker process resolve the same spec text
+ * through resolveTaskIdentities and arrive at the same content
  * hashes, seeds and artifacts, which is what makes distributed
  * results bit-identical to local ones. `spec` points into the
  * CampaignSpec it was resolved from, which must stay alive.
@@ -188,16 +195,6 @@ std::vector<ResolvedTask> resolveTaskIdentities(const CampaignSpec& spec);
  */
 void buildTaskArtifacts(ResolvedTask& task, ArtifactCache& cache);
 
-/** Copy DEM/compile-derived metadata of a built task into a result. */
-void fillResolvedMetadata(TaskResult& result, const ResolvedTask& task);
-
-/**
- * If `resume` holds a completed task with `result.contentHash`, copy
- * its saved fields into `result` (marking fromCheckpoint) and return
- * true.
- */
-bool applyCheckpoint(TaskResult& result, const CampaignCheckpoint* resume);
-
 /** Orchestrates campaigns over a shared pool and artifact cache. */
 class CampaignEngine
 {
@@ -216,6 +213,10 @@ class CampaignEngine
      *        content hash), e.g. loaded from a checkpoint file
      * @param onTaskDone per-task completion hook (progress printing,
      *        incremental checkpointing)
+     *
+     * Fires the coord.* milestones of fault_plan.h as a spool
+     * coordinator does, so a crash injected after a finalize leaves
+     * what onTaskDone saved to resume from.
      */
     CampaignResult run(const CampaignSpec& spec,
                        const CampaignCheckpoint* resume = nullptr,

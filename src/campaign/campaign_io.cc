@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -186,58 +185,52 @@ specError(size_t line, const std::string& message)
                              std::to_string(line) + ": " + message);
 }
 
-/**
- * Strict numeric field parsers. Every numeric spec key routes
- * through these so a malformed value reports the offending line AND
- * key ("staging_chunks = banana" names both), instead of a bare
- * std::invalid_argument; trailing garbage ("12abc", which std::stoull
- * happily truncates to 12) is rejected rather than silently accepted.
- */
-unsigned long long
+/** `convert` (a std::sto* function) over the whole of `text`. */
+template <typename Convert>
+auto
+parseWhole(const std::string& text, Convert convert)
+{
+    size_t pos = 0;
+    decltype(convert(text, &pos)) v{};
+    try {
+        v = convert(text, &pos);
+    } catch (const std::invalid_argument&) {
+        throw std::invalid_argument("invalid number '" + text + "'");
+    } catch (const std::out_of_range&) {
+        throw std::invalid_argument("number out of range '" + text + "'");
+    }
+    if (pos != text.size())
+        throw std::invalid_argument("trailing characters in number '" +
+                                    text + "'");
+    return v;
+}
+
+/** A numeric spec value through parseCount/parseReal; a malformed one
+ *  reports its line and key ("staging_chunks = banana" names both). */
+template <typename Parse>
+auto
+parseSpecNumber(size_t line, const std::string& key,
+                const std::string& value, Parse parse)
+{
+    try {
+        return parse(value);
+    } catch (const std::invalid_argument& ex) {
+        specError(line, "key '" + key + "': " + ex.what());
+    }
+}
+
+size_t
 parseSpecCount(size_t line, const std::string& key,
                const std::string& value)
 {
-    // stoull accepts (and wraps) negative input; reject it up front.
-    if (!value.empty() && value.front() == '-')
-        specError(line, "key '" + key +
-                      "': expected a non-negative integer, got '" +
-                      value + "'");
-    try {
-        size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            specError(line, "key '" + key +
-                          "': trailing characters in number '" +
-                          value + "'");
-        return v;
-    } catch (const std::invalid_argument&) {
-        specError(line,
-                  "key '" + key + "': invalid number '" + value + "'");
-    } catch (const std::out_of_range&) {
-        specError(line, "key '" + key + "': number out of range '" +
-                      value + "'");
-    }
+    return parseSpecNumber(line, key, value, parseCount);
 }
 
 double
 parseSpecReal(size_t line, const std::string& key,
               const std::string& value)
 {
-    try {
-        size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size())
-            specError(line, "key '" + key +
-                          "': trailing characters in number '" +
-                          value + "'");
-        return v;
-    } catch (const std::invalid_argument&) {
-        specError(line,
-                  "key '" + key + "': invalid number '" + value + "'");
-    } catch (const std::out_of_range&) {
-        specError(line, "key '" + key + "': number out of range '" +
-                      value + "'");
-    }
+    return parseSpecNumber(line, key, value, parseReal);
 }
 
 /** One [task] block before arch/p expansion. */
@@ -315,6 +308,28 @@ checkDuplicateTaskIds(const CampaignSpec& spec,
 }
 
 } // namespace
+
+size_t
+parseCount(const std::string& text)
+{
+    // stoull accepts a sign (and wraps a negative value): counts take
+    // digits only.
+    if (text.empty() ||
+        !std::isdigit(static_cast<unsigned char>(text.front())))
+        throw std::invalid_argument(
+            "expected a non-negative integer, got '" + text + "'");
+    return parseWhole(text, [](const std::string& t, size_t* pos) {
+        return std::stoull(t, pos);
+    });
+}
+
+double
+parseReal(const std::string& text)
+{
+    return parseWhole(text, [](const std::string& t, size_t* pos) {
+        return std::stod(t, pos);
+    });
+}
 
 std::string
 campaignResultToJson(const CampaignResult& result)
@@ -452,11 +467,11 @@ writeTextFile(const std::string& path, const std::string& content)
     return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-bool
-saveCheckpoint(const CampaignResult& result, const std::string& path)
+std::string
+formatCheckpoint(const std::vector<TaskResult>& tasks)
 {
     std::vector<KvRecord> records;
-    for (const TaskResult& t : result.tasks) {
+    for (const TaskResult& t : tasks) {
         if (!t.error.empty() || t.logicalErrorRate.trials == 0)
             continue;
         KvRecord& rec = records.emplace_back("task");
@@ -467,7 +482,35 @@ saveCheckpoint(const CampaignResult& result, const std::string& path)
         rec.putFields(BpOsdStats::fields(), t.decoder, "decoder.");
         rec.putFields(StreamDecodeStats::fields(), t.stream, "stream.");
     }
-    return writeTextFile(path, formatRecords(kCheckpointMagic, records));
+    return formatRecords(kCheckpointMagic, records);
+}
+
+CampaignCheckpoint
+parseCheckpoint(const std::string& text)
+{
+    // The streaming latency histogram is not persisted: its summary
+    // scalars and percentiles are restored verbatim.
+    CampaignCheckpoint out;
+    for (const KvRecord& rec :
+         parseRecords(text, kCheckpointMagic, "campaign checkpoint")) {
+        if (rec.tag() != "task")
+            continue;
+        TaskResult t;
+        t.contentHash = rec.hex("content_hash");
+        rec.getFields(kCheckpointFields, t);
+        rec.getFields(BpOsdStats::fields(), t.decoder, "decoder.");
+        rec.getFields(StreamDecodeStats::fields(), t.stream, "stream.");
+        t.setCounts(rec.count("failures"), rec.count("shots"));
+        t.fromCheckpoint = true;
+        out.tasks[t.contentHash] = t;
+    }
+    return out;
+}
+
+bool
+saveCheckpoint(const CampaignResult& result, const std::string& path)
+{
+    return writeTextFile(path, formatCheckpoint(result.tasks));
 }
 
 bool
@@ -478,33 +521,9 @@ loadCheckpoint(const std::string& path, CampaignCheckpoint& out)
         return false;
     std::ostringstream text;
     text << in.rdbuf();
-    // The streaming latency histogram is not persisted: its summary
-    // scalars and percentiles are restored verbatim.
     try {
-        for (const KvRecord& rec : parseRecords(
-                 text.str(), kCheckpointMagic, "campaign checkpoint")) {
-            if (rec.tag() != "task")
-                continue;
-            TaskResult t;
-            t.contentHash = rec.hex("content_hash");
-            const size_t shots = rec.count("shots");
-            const size_t failures = rec.count("failures");
-            rec.getFields(kCheckpointFields, t);
-            rec.getFields(BpOsdStats::fields(), t.decoder, "decoder.");
-            rec.getFields(StreamDecodeStats::fields(), t.stream,
-                          "stream.");
-            t.logicalErrorRate = estimateRate(failures, shots);
-            t.wilson = wilsonHalfWidth(failures, shots);
-            if (t.rounds > 0 && shots > 0) {
-                const double ler =
-                    std::min(t.logicalErrorRate.rate, 1.0 - 1e-12);
-                t.perRoundErrorRate =
-                    1.0 - std::pow(1.0 - ler,
-                                   1.0 / static_cast<double>(t.rounds));
-            }
-            t.fromCheckpoint = true;
-            out.tasks[t.contentHash] = t;
-        }
+        for (auto& [hash, task] : parseCheckpoint(text.str()).tasks)
+            out.tasks[hash] = std::move(task);
     } catch (const std::exception&) {
         return false;
     }

@@ -20,7 +20,8 @@
  *
  * Checkpoints hold one key=value record (kv_record.h) per completed
  * task, keyed by content hash, so a rerun of an edited spec
- * re-executes exactly the tasks whose definition changed. The JSON
+ * re-executes exactly the tasks whose definition changed. A spool's
+ * journal (journal.txt) is the same document. The JSON
  * `decoder`, `streaming`, `cache` and `spool` objects and the CSV
  * decoder and `stream_*` columns are rendered from the stats structs'
  * field tables (stat_fields.h).
@@ -30,6 +31,7 @@
 #define CYCLONE_CAMPAIGN_CAMPAIGN_IO_H
 
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.h"
 
@@ -45,6 +47,18 @@ std::string campaignResultToCsv(const CampaignResult& result);
 bool writeTextFile(const std::string& path, const std::string& content);
 
 /**
+ * The checkpoint document of every successfully completed task of
+ * `tasks`: counts, the fields a restore copies back, and the decoder
+ * and streaming stats, under a CRC line.
+ */
+std::string formatCheckpoint(const std::vector<TaskResult>& tasks);
+
+/** Parse a checkpoint document (tasks marked fromCheckpoint). Throws
+ *  CorruptRecordError on a bad checksum, std::runtime_error on
+ *  malformed records. */
+CampaignCheckpoint parseCheckpoint(const std::string& text);
+
+/**
  * Save every successfully completed task of `result` as a checkpoint.
  * Returns false on I/O failure.
  */
@@ -57,6 +71,15 @@ bool saveCheckpoint(const CampaignResult& result, const std::string& path);
  * advisory caches: a bad one is ignored, not fatal).
  */
 bool loadCheckpoint(const std::string& path, CampaignCheckpoint& out);
+
+/** Parse a count as spec files and runner flags take it: digits only
+ *  (no sign), nothing after them. Throws std::invalid_argument saying
+ *  what is wrong with `text`. */
+size_t parseCount(const std::string& text);
+
+/** Parse a real number as spec files and runner flags take it: nothing
+ *  after it. Throws std::invalid_argument saying what is wrong. */
+double parseReal(const std::string& text);
 
 /** Parse a spec document; throws std::runtime_error with a line. */
 CampaignSpec parseCampaignSpec(const std::string& text);

@@ -3,24 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "campaign/adaptive_sampler.h"
+#include "campaign/campaign_driver.h"
 #include "campaign/campaign_io.h"
-#include "campaign/content_hash.h"
 #include "campaign/fault_plan.h"
 #include "campaign/thread_pool.h"
 #include "common/stats.h"
@@ -30,19 +28,7 @@ namespace cyclone {
 namespace {
 
 constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v2";
-constexpr const char* kJournalMagic = "cyclone-coord-journal v2";
-constexpr const char* kHealthMagic = "cyclone-worker-health v1";
-
-// Record fields besides the content hash and the nested stats.
-const StatField<JournalEntry> kJournalFields[] = {
-    {"task", &JournalEntry::task},
-    {"shots", &JournalEntry::shots},
-    {"failures", &JournalEntry::failures},
-    {"chunks", &JournalEntry::chunks},
-    {"stopped_early", &JournalEntry::stoppedEarly},
-    {"sample_seconds", &JournalEntry::sampleSeconds, MergeRule::Sum,
-     FieldKind::Timing},
-};
+constexpr const char* kHealthMagic = "cyclone-worker-health v2";
 
 const StatField<WorkerReport> kWorkerReportFields[] = {
     {"shards", &WorkerReport::shardsRun},
@@ -50,6 +36,21 @@ const StatField<WorkerReport> kWorkerReportFields[] = {
     {"failures", &WorkerReport::failures},
     {"retries", &WorkerReport::transientRetries},
     {"promotions", &WorkerReport::promotions},
+};
+
+/** A worker's health file (spool workers/<id>). */
+struct WorkerHealth
+{
+    /** "healthy", "degraded" (transient retries seen) or "done". */
+    std::string state;
+    size_t retries = 0;
+    size_t shards = 0;
+};
+
+const StatField<WorkerHealth> kHealthFields[] = {
+    {"state", &WorkerHealth::state},
+    {"retries", &WorkerHealth::retries},
+    {"shards", &WorkerHealth::shards},
 };
 
 void
@@ -79,22 +80,6 @@ retryPolicyFrom(size_t attempts, double baseMs)
     return p;
 }
 
-/** Coordinator-side view of one task in flight. */
-struct CoordTask
-{
-    ResolvedTask rt;
-    std::optional<AdaptiveSampler> sampler;
-    /** Shard ids of the current wave still awaiting records. */
-    std::vector<std::string> outstanding;
-    /** Descriptors of published-but-unmerged shards, kept so a shard
-     *  whose record was quarantined can be republished even if every
-     *  on-disk copy of its descriptor is gone. */
-    std::unordered_map<std::string, ShardDescriptor> inflight;
-    size_t nextShard = 0;
-    bool finished = false;
-    double sampleSeconds = 0.0;
-};
-
 /** Per-pool-thread decode contexts, rebuilt per shard so every
  *  record's decoder counters cover exactly that shard's groups. */
 struct ShardCtx
@@ -122,15 +107,11 @@ executeShardChunks(Spool& spool, const std::string& id,
     const StoppingRule& rule = rt.spec->stop;
     const size_t staging = std::max<size_t>(1, rule.stagingChunks);
 
-    // Rebuild the shard's exact ChunkPlans from its chunk range:
-    // same shots formula and seed derivation the coordinator's
-    // sampler used when it planned the wave.
+    // Rebuild the shard's exact ChunkPlans from its chunk range, by
+    // the formula the coordinator's sampler planned the wave with.
     std::vector<ChunkPlan> plans(d.numChunks);
-    for (size_t k = 0; k < d.numChunks; ++k) {
-        plans[k].index = d.firstChunk + k;
-        plans[k].shots = chunkShotsAt(rule, plans[k].index);
-        plans[k].seed = chunkSeed(d.taskSeed, plans[k].index);
-    }
+    for (size_t k = 0; k < d.numChunks; ++k)
+        plans[k] = planChunk(rule, d.taskSeed, d.firstChunk + k);
 
     std::vector<std::unique_ptr<ShardCtx>> ctxs(pool.size());
     std::mutex mutex;
@@ -161,10 +142,14 @@ executeShardChunks(Spool& spool, const std::string& id,
                 if (!error)
                     error = std::current_exception();
             }
-            std::lock_guard<std::mutex> lock(mutex);
-            seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - c0)
-                           .count();
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                seconds += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - c0)
+                               .count();
+            }
+            // Last, outside the lock: once pending reaches 0 the caller
+            // returns and destroys the mutex and everything else here.
             pending.fetch_sub(1);
         });
     }
@@ -205,6 +190,347 @@ taskIndexOfShardId(const std::string& id)
     return static_cast<size_t>(task);
 }
 
+/**
+ * The spool executor: the coordinator of a distributed campaign. It
+ * holds the coordinator lease, prebuilds every artifact into the
+ * spool's store, publishes each chunk range as a shard and turns the
+ * records workers post back into completions. While it waits it
+ * sweeps expired claims, watches worker health and, with selfExecute,
+ * runs open shards itself.
+ */
+class SpoolExecutor final : public CampaignExecutor
+{
+  public:
+    SpoolExecutor(const CampaignSpec& spec, const std::string& specText,
+                  const CoordinatorOptions& options);
+
+    const CampaignCheckpoint* journal() const override { return &journal_; }
+    void build(const std::vector<size_t>& tasks) override;
+
+    size_t
+    rangeChunks(const StoppingRule& rule) const override
+    {
+        return effectiveShardChunks(rule);
+    }
+
+    void submit(size_t task, std::vector<ChunkPlan> range) override;
+    Completion next() override;
+    void finalized(const CampaignResult& result) override;
+
+    /** End the campaign: DONE marker, worker health, spool and cache
+     *  counters into `result`, stats and result.json, lease release. */
+    void finish(CampaignResult& result);
+
+  private:
+    /** One coordinator pass over the spool; queues what it merged. */
+    void pass();
+
+    const CampaignSpec& spec_;
+    const CoordinatorOptions options_;
+    const std::string owner_;
+    const std::chrono::steady_clock::time_point t0_;
+    Spool spool_;
+    ArtifactCache cache_;
+    SpoolStats stats_;
+    /** The tasks a dead predecessor finalized (journal.txt). */
+    CampaignCheckpoint journal_;
+    /** Next shard ordinal of each task. */
+    std::vector<size_t> nextShard_;
+    /** Published shards awaiting their records, in id = (task, shard)
+     *  order. Their descriptors are kept so a shard whose record was
+     *  quarantined can be republished even if every on-disk copy of
+     *  its descriptor is gone. */
+    std::map<std::string, ShardDescriptor> pending_;
+    std::deque<Completion> ready_;
+    std::unique_ptr<ThreadPool> selfPool_;
+};
+
+SpoolExecutor::SpoolExecutor(const CampaignSpec& spec,
+                             const std::string& specText,
+                             const CoordinatorOptions& options)
+    : spec_(spec), options_(options),
+      owner_(!options.owner.empty()
+                 ? options.owner
+                 : "pid" + std::to_string(::getpid())),
+      t0_(std::chrono::steady_clock::now()), spool_(spec.spool)
+{
+    spool_.setRetryPolicy(
+        retryPolicyFrom(spec.retryAttempts, spec.retryBaseMs));
+    SpoolManifest manifest;
+    manifest.name = spec.name;
+    manifest.seed = spec.seed;
+    manifest.leaseSeconds = spec.leaseSeconds;
+    manifest.retryAttempts = spec.retryAttempts;
+    manifest.retryBaseMs = spec.retryBaseMs;
+    spool_.initialize(manifest, specText);
+
+    // Become THE coordinator: create the lease, or wait out a live
+    // one and steal it once stale. A fresh lease is heartbeated by
+    // its owner, so the steal only ever fires on a dead coordinator
+    // (monotonic age: a wall-clock step cannot fake staleness).
+    while (!spool_.acquireCoordinatorLease(owner_)) {
+        const double age = spool_.coordinatorLeaseAge();
+        if (age < 0.0)
+            continue; // lease vanished; retry the acquire
+        if (age > spec.leaseSeconds) {
+            if (spool_.stealCoordinatorLease(owner_)) {
+                ++stats_.coordinatorTakeovers;
+                break;
+            }
+            continue; // another stealer won; wait on its lease
+        }
+        sleepSeconds(std::min(0.05, spec.leaseSeconds / 8.0));
+    }
+    faultMilestone("coord.lease.acquired");
+    cache_.attachStore(spool_.cacheDir());
+
+    // A dead predecessor's journal: the checkpoint document of the
+    // tasks it finalized, restored without re-merging a record.
+    std::string text;
+    if (spool_.readJournal(text)) {
+        try {
+            journal_ = parseCheckpoint(text);
+        } catch (const std::exception&) {
+            // Torn (the predecessor died mid-commit) or of an older
+            // format: quarantine it and fall back to re-merging from
+            // records, which is merely slower.
+            spool_.quarantineFile("journal.txt");
+            ++stats_.recordsQuarantined;
+        }
+    }
+}
+
+void
+SpoolExecutor::build(const std::vector<size_t>& tasks)
+{
+    nextShard_.assign(tasks_->size(), 0);
+    // Sequential and thread-free (callers fork worker processes around
+    // the coordinator; a live pool would make that unsafe). Every
+    // compile and DEM publishes to the spool store before any shard
+    // exists, so workers always store-hit and the fleet builds each
+    // distinct artifact once.
+    for (const size_t i : tasks) {
+        spool_.heartbeatCoordinator();
+        ready_.push_back({.task = i, .error = errorOf([&] {
+                              buildTaskArtifacts((*tasks_)[i].rt, cache_);
+                          })});
+    }
+    faultMilestone("coord.prebuilt");
+}
+
+void
+SpoolExecutor::submit(size_t task, std::vector<ChunkPlan> range)
+{
+    const ResolvedTask& rt = (*tasks_)[task].rt;
+    ShardDescriptor d;
+    d.task = task;
+    d.shard = nextShard_[task]++;
+    d.firstChunk = range.front().index;
+    d.numChunks = range.size();
+    d.contentHash = rt.contentHash;
+    d.taskSeed = rt.taskSeed;
+    const std::string id = shardId(d.task, d.shard);
+    if (spool_.publishShard(d)) {
+        ++stats_.shardsPublished;
+    } else if (spool_.hasRecord(id)) {
+        // A previous coordinator run already collected this shard;
+        // the merge scan absorbs it directly.
+        ++stats_.recordsReused;
+    }
+    pending_.emplace(id, d);
+}
+
+Completion
+SpoolExecutor::next()
+{
+    while (ready_.empty())
+        pass();
+    Completion c = std::move(ready_.front());
+    ready_.pop_front();
+    if (!c.error.empty()) {
+        // A failed shard fails its task: drop the rest of its wave, so
+        // the driver finalizes it now instead of waiting on shards
+        // nobody will run.
+        c.ranges = std::erase_if(pending_, [&](const auto& shard) {
+            return shard.second.task == c.task;
+        });
+    }
+    return c;
+}
+
+void
+SpoolExecutor::pass()
+{
+    spool_.heartbeatCoordinator();
+    bool progress = false;
+    for (auto it = pending_.begin(); it != pending_.end();) {
+        const std::string& id = it->first;
+        const ShardDescriptor& d = it->second;
+        if (!spool_.hasRecord(id)) {
+            ++it;
+            continue;
+        }
+        progress = true;
+        ShardRecord rec;
+        try {
+            rec = spool_.readRecord(id);
+        } catch (const CorruptRecordError&) {
+            // Torn or rotted record: quarantine it and make sure the
+            // shard is executable again — revive its done/ tombstone,
+            // or republish our descriptor if every on-disk copy is
+            // gone. (If the claim is still in claimed/, the lease
+            // sweep below recycles it.)
+            spool_.quarantineRecord(id);
+            ++stats_.recordsQuarantined;
+            if (!spool_.reviveShard(id) && spool_.publishShard(d))
+                ++stats_.shardsPublished;
+            ++it;
+            continue;
+        }
+        if (rec.contentHash != d.contentHash)
+            throw std::runtime_error(
+                "spool record " + id +
+                " does not match this campaign's task (content hash "
+                "mismatch)");
+        ready_.push_back({.task = d.task,
+                          .outcome = {rec.shots, rec.failures},
+                          .seconds = rec.seconds,
+                          .decoder = std::move(rec.decoder)});
+        ++stats_.shardsMerged;
+        it = pending_.erase(it);
+    }
+
+    // Lease sweep: claims whose heartbeat went stale go back to
+    // open/ so surviving workers re-execute them. Records are
+    // deterministic, so a worker that was merely slow (not dead)
+    // racing its reclaimed twin is harmless. The per-shard reclaim
+    // counter persists in the spool, so a shard that keeps killing
+    // workers is caught even across coordinator failovers; its task
+    // then fails instead of livelocking the fleet.
+    for (const std::string& id : spool_.claimedShards()) {
+        if (spool_.claimAge(id) <= spec_.leaseSeconds)
+            continue;
+        const size_t count = spool_.bumpReclaimCount(id);
+        if (count <= spec_.maxClaimReclaims) {
+            if (spool_.reclaimShard(id))
+                ++stats_.shardsReclaimed;
+        } else if (spool_.quarantineShard(id)) {
+            ++stats_.shardsPoisoned;
+            const size_t task = taskIndexOfShardId(id);
+            if (task < tasks_->size())
+                ready_.push_back(
+                    {.task = task,
+                     .error = "poison shard " + id + ": claim reclaimed " +
+                         std::to_string(count - 1) +
+                         " times; shard quarantined"});
+            progress = true;
+        }
+    }
+
+    // Observe every worker health file each pass so its age is
+    // measured on CLOCK_MONOTONIC from the last mtime change we saw,
+    // exactly like shard claims. Without this history the end-of-run
+    // classification would fall back to wall-clock mtime arithmetic,
+    // and an NTP step during the campaign would report live workers
+    // as lost.
+    for (const std::string& name : spool_.list("workers"))
+        spool_.workerHealthAge(name);
+
+    // Self-execution: with no dedicated workers (takeover, promotion,
+    // single-process operation) the coordinator claims an open shard
+    // itself whenever a pass made no progress, on a lazily created
+    // local pool.
+    if (options_.selfExecute && !progress) {
+        for (const std::string& id : spool_.openShards()) {
+            ShardDescriptor d;
+            if (!spool_.claimShard(id, d))
+                continue;
+            if (d.task >= tasks_->size() || (*tasks_)[d.task].finished) {
+                spool_.retireClaim(id);
+                continue;
+            }
+            if (!selfPool_)
+                selfPool_ = std::make_unique<ThreadPool>(options_.threads);
+            std::string error = errorOf([&] {
+                executeShardChunks(spool_, id, d, (*tasks_)[d.task].rt,
+                                   *selfPool_, spec_.leaseSeconds,
+                                   [&] { spool_.heartbeatCoordinator(); });
+            });
+            if (!error.empty())
+                ready_.push_back({.task = d.task, .error = std::move(error)});
+            progress = true;
+            break; // merge the fresh record before claiming more
+        }
+    }
+
+    if (!progress)
+        sleepSeconds(0.02);
+}
+
+void
+SpoolExecutor::finalized(const CampaignResult& result)
+{
+    // Rewrite the whole journal (tmp+rename, like shard records)
+    // after every finalize: it is always a consistent prefix of the
+    // finalized tasks, no matter where we die. Tasks a checkpoint
+    // restored stay with that checkpoint.
+    std::vector<TaskResult> finished;
+    for (size_t i = 0; i < tasks_->size(); ++i)
+        if ((*tasks_)[i].finished && !result.tasks[i].fromCheckpoint)
+            finished.push_back(result.tasks[i]);
+    spool_.writeJournal(formatCheckpoint(finished));
+}
+
+void
+SpoolExecutor::finish(CampaignResult& result)
+{
+    spool_.markDone();
+
+    // Fold worker health files into the summary: done => healthy,
+    // degraded (transient retries) => degraded, a live-looking file
+    // that stopped updating => lost, as is one that cannot be read or
+    // fails its checksum.
+    for (const std::string& name : spool_.list("workers")) {
+        WorkerHealth health;
+        try {
+            for (const KvRecord& rec :
+                 parseRecords(spool_.readFile("workers/" + name),
+                              kHealthMagic, "worker health file"))
+                if (rec.tag() == "health")
+                    rec.getFields(kHealthFields, health);
+        } catch (const std::exception&) {
+            ++stats_.workersLost;
+            continue;
+        }
+        if (health.state == "done")
+            ++stats_.workersHealthy;
+        else if (health.state == "degraded")
+            ++stats_.workersDegraded;
+        else if (spool_.workerHealthAge(name) > spec_.leaseSeconds)
+            ++stats_.workersLost;
+        else
+            ++stats_.workersHealthy;
+    }
+
+    stats_.transientRetries = spool_.transientRetries();
+    mergeStats(result.spool, stats_);
+    result.cache = cache_.stats();
+    result.wallSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0_)
+                             .count();
+
+    WorkerReport coordStats;
+    coordStats.cache = result.cache;
+    coordStats.transientRetries = stats_.transientRetries;
+    spool_.writeFile("stats-coordinator.txt",
+                     formatWorkerStats(coordStats), "spool.stats.commit");
+    // Publish the merged result into the spool too, so a promoted
+    // worker's campaign (whose stdout nobody owns) is not lost.
+    spool_.writeFile("result.json", campaignResultToJson(result),
+                     "spool.result.commit");
+    spool_.releaseCoordinatorLease(owner_);
+}
+
 } // namespace
 
 size_t
@@ -221,46 +547,6 @@ effectiveShardChunks(const StoppingRule& rule)
     // Round up to a staging-group multiple: worker-side groups then
     // coincide exactly with a single-process run's wave partition.
     return ((chunks + staging - 1) / staging) * staging;
-}
-
-size_t
-chunkShotsAt(const StoppingRule& rule, size_t index)
-{
-    const size_t chunkShots =
-        rule.chunkShots > 0 ? rule.chunkShots : 256;
-    const size_t planned = index * chunkShots;
-    if (planned >= rule.maxShots)
-        return 0;
-    return std::min(chunkShots, rule.maxShots - planned);
-}
-
-std::string
-formatCoordJournal(const std::vector<JournalEntry>& entries)
-{
-    std::vector<KvRecord> records;
-    for (const JournalEntry& e : entries) {
-        KvRecord& rec = records.emplace_back("task");
-        rec.putHex("content_hash", e.contentHash);
-        rec.putFields(kJournalFields, e);
-        rec.putFields(BpOsdStats::fields(), e.decoder, "decoder.");
-    }
-    return formatRecords(kJournalMagic, records);
-}
-
-std::vector<JournalEntry>
-parseCoordJournal(const std::string& text)
-{
-    std::vector<JournalEntry> entries;
-    for (const KvRecord& rec :
-         parseRecords(text, kJournalMagic, "coordinator journal")) {
-        if (rec.tag() != "task")
-            continue;
-        JournalEntry& e = entries.emplace_back();
-        rec.getFields(kJournalFields, e);
-        e.contentHash = rec.hex("content_hash");
-        rec.getFields(BpOsdStats::fields(), e.decoder, "decoder.");
-    }
-    return entries;
 }
 
 CampaignResult
@@ -281,451 +567,11 @@ runDistributedCampaign(const CampaignSpec& spec,
                 "does not support (drop the spool, or disable "
                 "streaming)");
     }
-
     maybeInstallSpecFaultPlan(spec);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    Spool spool(spec.spool);
-    spool.setRetryPolicy(
-        retryPolicyFrom(spec.retryAttempts, spec.retryBaseMs));
-    SpoolManifest manifest;
-    manifest.name = spec.name;
-    manifest.seed = spec.seed;
-    manifest.leaseSeconds = spec.leaseSeconds;
-    manifest.retryAttempts = spec.retryAttempts;
-    manifest.retryBaseMs = spec.retryBaseMs;
-    spool.initialize(manifest, specText);
-
-    const size_t n = spec.tasks.size();
-    CampaignResult result;
-    result.name = spec.name;
-    result.seed = spec.seed;
-    result.tasks.resize(n);
-
-    // Become THE coordinator: create the lease, or wait out a live
-    // one and steal it once stale. A fresh lease is heartbeated by
-    // its owner, so the steal only ever fires on a dead coordinator
-    // (monotonic age: a wall-clock step cannot fake staleness).
-    const std::string owner = !options.owner.empty()
-        ? options.owner
-        : "pid" + std::to_string(::getpid());
-    while (!spool.acquireCoordinatorLease(owner)) {
-        const double age = spool.coordinatorLeaseAge();
-        if (age < 0.0)
-            continue; // lease vanished; retry the acquire
-        if (age > spec.leaseSeconds) {
-            if (spool.stealCoordinatorLease(owner)) {
-                ++result.spool.coordinatorTakeovers;
-                break;
-            }
-            continue; // another stealer won; wait on its lease
-        }
-        sleepSeconds(std::min(0.05, spec.leaseSeconds / 8.0));
-    }
-    faultMilestone("coord.lease.acquired");
-
-    ArtifactCache cache;
-    cache.attachStore(spool.cacheDir());
-
-    std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
-    std::vector<CoordTask> states(n);
-    size_t remaining = 0;
-
-    for (size_t i = 0; i < n; ++i) {
-        CoordTask& st = states[i];
-        st.rt = std::move(resolved[i]);
-        const TaskSpec& t = spec.tasks[i];
-        TaskResult& r = result.tasks[i];
-        r.id = !t.id.empty() ? t.id : "task" + std::to_string(i);
-        r.codeName =
-            !t.codeName.empty() ? t.codeName : st.rt.code->name();
-        r.architecture = t.compileLatency
-            ? architectureName(t.architecture)
-            : "explicit";
-        r.physicalError = t.physicalError;
-        r.rounds = st.rt.rounds;
-        r.xBasis = t.xBasis;
-        r.contentHash = st.rt.contentHash;
-        if (applyCheckpoint(r, resume)) {
-            st.finished = true;
-            if (onTaskDone)
-                onTaskDone(r);
-            continue;
-        }
-        ++remaining;
-    }
-
-    // A dead predecessor's merge journal: tasks it already finalized
-    // restore below without re-merging a single record.
-    std::vector<JournalEntry> journal;
-    {
-        std::string text;
-        if (spool.readJournal(text)) {
-            try {
-                journal = parseCoordJournal(text);
-            } catch (const std::exception&) {
-                // Torn journal (the predecessor died mid-commit...
-                // of the commit): quarantine it and fall back to
-                // re-merging from records, which is merely slower.
-                spool.quarantineFile("journal.txt");
-                ++result.spool.recordsQuarantined;
-                journal.clear();
-            }
-        }
-    }
-    auto journalFor = [&](uint64_t hash) -> const JournalEntry* {
-        for (const JournalEntry& e : journal)
-            if (e.contentHash == hash)
-                return &e;
-        return nullptr;
-    };
-
-    // Resolve all artifacts up front, sequentially and thread-free
-    // (callers fork worker processes around this function; a live
-    // pool would make that unsafe). Every compile and DEM publishes
-    // to the spool store before any shard exists, so workers always
-    // store-hit and the fleet builds each distinct artifact once.
-    for (size_t i = 0; i < n; ++i) {
-        CoordTask& st = states[i];
-        if (st.finished)
-            continue;
-        spool.heartbeatCoordinator();
-        try {
-            buildTaskArtifacts(st.rt, cache);
-            st.sampler.emplace(st.rt.spec->stop, st.rt.taskSeed);
-        } catch (const std::exception& ex) {
-            result.tasks[i].error = ex.what();
-        }
-    }
-    faultMilestone("coord.prebuilt");
-
-    // Rewrite the whole journal (tmp+rename, like shard records)
-    // after every finalize: the journal is always a consistent
-    // prefix of the finalized tasks, no matter where we die.
-    auto writeJournalNow = [&] {
-        std::vector<JournalEntry> entries;
-        for (size_t i = 0; i < n; ++i) {
-            const TaskResult& r = result.tasks[i];
-            if (!states[i].finished || r.fromCheckpoint ||
-                !r.error.empty())
-                continue;
-            JournalEntry e;
-            e.task = i;
-            e.contentHash = r.contentHash;
-            e.shots = r.logicalErrorRate.trials;
-            e.failures = r.logicalErrorRate.successes;
-            e.chunks = r.chunks;
-            e.stoppedEarly = r.stoppedEarly;
-            e.sampleSeconds = r.sampleSeconds;
-            e.decoder = r.decoder;
-            entries.push_back(std::move(e));
-        }
-        spool.writeJournal(formatCoordJournal(entries));
-    };
-
-    auto finalize = [&](size_t i) {
-        CoordTask& st = states[i];
-        TaskResult& r = result.tasks[i];
-        st.finished = true;
-        if (st.sampler) {
-            r.logicalErrorRate = st.sampler->estimate();
-            r.wilson = wilsonHalfWidth(st.sampler->failures(),
-                                       st.sampler->shots());
-            r.chunks = st.sampler->chunksPlanned();
-            r.stoppedEarly = st.sampler->stoppedEarly();
-        }
-        fillResolvedMetadata(r, st.rt);
-        r.sampleSeconds = st.sampleSeconds;
-        if (r.rounds > 0 && r.logicalErrorRate.trials > 0) {
-            const double ler =
-                std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
-            r.perRoundErrorRate = 1.0 -
-                std::pow(1.0 - ler,
-                         1.0 / static_cast<double>(r.rounds));
-        }
-        if (onTaskDone)
-            onTaskDone(r);
-        writeJournalNow();
-        faultMilestone("coord.task.finalized");
-    };
-
-    // Restore a task a dead coordinator already finalized: same
-    // fields finalize() derives, from the journaled counts — the
-    // estimate/Wilson formulas are pure functions of (failures,
-    // shots), so the restored task is bit-identical.
-    auto restoreFromJournal = [&](size_t i, const JournalEntry& e) {
-        CoordTask& st = states[i];
-        TaskResult& r = result.tasks[i];
-        st.finished = true;
-        r.logicalErrorRate = estimateRate(e.failures, e.shots);
-        r.wilson = wilsonHalfWidth(e.failures, e.shots);
-        r.chunks = e.chunks;
-        r.stoppedEarly = e.stoppedEarly;
-        r.decoder = e.decoder;
-        fillResolvedMetadata(r, st.rt);
-        r.sampleSeconds = e.sampleSeconds;
-        if (r.rounds > 0 && r.logicalErrorRate.trials > 0) {
-            const double ler =
-                std::min(r.logicalErrorRate.rate, 1.0 - 1e-12);
-            r.perRoundErrorRate = 1.0 -
-                std::pow(1.0 - ler,
-                         1.0 / static_cast<double>(r.rounds));
-        }
-        ++result.spool.journalRestores;
-        if (onTaskDone)
-            onTaskDone(r);
-    };
-
-    // Publish one wave as contiguous chunk-range shards. Returns
-    // false when the sampler has nothing left to plan.
-    auto publishWave = [&](size_t i) -> bool {
-        CoordTask& st = states[i];
-        const std::vector<ChunkPlan> wave = st.sampler->nextWave();
-        if (wave.empty())
-            return false;
-        const size_t step =
-            effectiveShardChunks(st.rt.spec->stop);
-        for (size_t g = 0; g < wave.size(); g += step) {
-            const size_t count = std::min(step, wave.size() - g);
-            ShardDescriptor d;
-            d.task = i;
-            d.shard = st.nextShard++;
-            d.firstChunk = wave[g].index;
-            d.numChunks = count;
-            d.chunkShots = st.rt.spec->stop.chunkShots > 0
-                ? st.rt.spec->stop.chunkShots
-                : 256;
-            d.contentHash = st.rt.contentHash;
-            d.taskSeed = st.rt.taskSeed;
-            const std::string id = shardId(d.task, d.shard);
-            if (spool.publishShard(d)) {
-                ++result.spool.shardsPublished;
-            } else if (spool.hasRecord(id)) {
-                // A previous coordinator run already collected this
-                // shard; the merge scan below absorbs it directly.
-                ++result.spool.recordsReused;
-            }
-            st.outstanding.push_back(id);
-            st.inflight.emplace(id, d);
-        }
-        faultMilestone("coord.wave.published");
-        return true;
-    };
-
-    for (size_t i = 0; i < n; ++i) {
-        CoordTask& st = states[i];
-        if (st.finished)
-            continue;
-        if (st.sampler) {
-            if (const JournalEntry* e = journalFor(st.rt.contentHash)) {
-                restoreFromJournal(i, *e);
-                --remaining;
-                continue;
-            }
-        }
-        if (!st.sampler || !publishWave(i)) {
-            finalize(i);
-            --remaining;
-        }
-    }
-
-    // Finalize a task as poisoned: its shard keeps killing whoever
-    // claims it, so surface an error instead of livelocking the
-    // fleet re-publishing it forever.
-    auto poisonTask = [&](const std::string& id, size_t reclaims) {
-        const size_t i = taskIndexOfShardId(id);
-        if (i >= n || states[i].finished)
-            return;
-        TaskResult& r = result.tasks[i];
-        r.error = "poison shard " + id + ": claim reclaimed " +
-            std::to_string(reclaims) +
-            " times; shard quarantined";
-        finalize(i);
-        --remaining;
-    };
-
-    std::unique_ptr<ThreadPool> selfPool;
-
-    while (remaining > 0) {
-        spool.heartbeatCoordinator();
-        bool progress = false;
-        for (size_t i = 0; i < n; ++i) {
-            CoordTask& st = states[i];
-            if (st.finished)
-                continue;
-            for (size_t k = 0; k < st.outstanding.size();) {
-                const std::string id = st.outstanding[k];
-                if (!spool.hasRecord(id)) {
-                    ++k;
-                    continue;
-                }
-                ShardRecord rec;
-                try {
-                    rec = spool.readRecord(id);
-                } catch (const CorruptRecordError&) {
-                    // Torn or rotted record: quarantine it and make
-                    // sure the shard is executable again — revive
-                    // its done/ tombstone, or republish from our
-                    // in-flight descriptor if every on-disk copy is
-                    // gone. (If the claim is still in claimed/, the
-                    // lease sweep below recycles it.)
-                    spool.quarantineRecord(id);
-                    ++result.spool.recordsQuarantined;
-                    if (!spool.reviveShard(id)) {
-                        const auto itD = st.inflight.find(id);
-                        if (itD != st.inflight.end() &&
-                            spool.publishShard(itD->second))
-                            ++result.spool.shardsPublished;
-                    }
-                    progress = true;
-                    ++k;
-                    continue;
-                }
-                if (rec.contentHash != st.rt.contentHash)
-                    throw std::runtime_error(
-                        "spool record " + id +
-                        " does not match this campaign's task "
-                        "(content hash mismatch)");
-                st.sampler->absorb(
-                    ChunkOutcome{rec.shots, rec.failures});
-                st.sampleSeconds += rec.seconds;
-                mergeStats(result.tasks[i].decoder, rec.decoder);
-                ++result.spool.shardsMerged;
-                st.inflight.erase(id);
-                st.outstanding.erase(st.outstanding.begin() +
-                                     static_cast<std::ptrdiff_t>(k));
-                progress = true;
-                faultMilestone("coord.record.merged");
-            }
-            if (st.outstanding.empty()) {
-                if (st.sampler->done() || !publishWave(i)) {
-                    finalize(i);
-                    --remaining;
-                }
-                progress = true;
-            }
-        }
-
-        // Lease sweep: claims whose heartbeat went stale go back to
-        // open/ so surviving workers re-execute them. Records are
-        // deterministic, so a worker that was merely slow (not dead)
-        // racing its reclaimed twin is harmless. The per-shard
-        // reclaim counter persists in the spool, so a shard that
-        // keeps killing workers is caught even across coordinator
-        // failovers.
-        for (const std::string& id : spool.claimedShards()) {
-            const double age = spool.claimAge(id);
-            if (age <= spec.leaseSeconds)
-                continue;
-            const size_t count = spool.bumpReclaimCount(id);
-            if (count > spec.maxClaimReclaims) {
-                if (spool.quarantineShard(id)) {
-                    ++result.spool.shardsPoisoned;
-                    poisonTask(id, count - 1);
-                    progress = true;
-                }
-            } else if (spool.reclaimShard(id)) {
-                ++result.spool.shardsReclaimed;
-            }
-        }
-
-        // Observe every worker health file each pass so its age is
-        // measured on CLOCK_MONOTONIC from the last mtime change we
-        // saw, exactly like shard claims. Without this history the
-        // end-of-run classification would fall back to wall-clock
-        // mtime arithmetic, and an NTP step during the campaign
-        // would report live workers as lost.
-        for (const std::string& name : spool.list("workers"))
-            spool.workerHealthAge(name);
-
-        // Self-execution: with no dedicated workers (takeover,
-        // promotion, single-process operation) the coordinator
-        // claims an open shard itself whenever a pass made no
-        // progress, on a lazily created local pool.
-        if (options.selfExecute && !progress && remaining > 0) {
-            for (const std::string& id : spool.openShards()) {
-                ShardDescriptor d;
-                if (!spool.claimShard(id, d))
-                    continue;
-                if (d.task >= n || states[d.task].finished) {
-                    spool.retireClaim(id);
-                    continue;
-                }
-                if (!selfPool)
-                    selfPool =
-                        std::make_unique<ThreadPool>(options.threads);
-                try {
-                    executeShardChunks(
-                        spool, id, d, states[d.task].rt, *selfPool,
-                        spec.leaseSeconds,
-                        [&] { spool.heartbeatCoordinator(); });
-                } catch (const std::exception& ex) {
-                    TaskResult& r = result.tasks[d.task];
-                    if (r.error.empty())
-                        r.error = ex.what();
-                    finalize(d.task);
-                    --remaining;
-                }
-                progress = true;
-                break; // merge the fresh record before claiming more
-            }
-        }
-
-        if (!progress)
-            sleepSeconds(0.02);
-    }
-
-    spool.markDone();
-
-    // Fold worker health files into the summary: done => healthy,
-    // degraded (transient retries) => degraded, a live-looking file
-    // that stopped updating => lost.
-    for (const std::string& name : spool.list("workers")) {
-        try {
-            const std::string text = spool.readFile("workers/" + name);
-            std::istringstream in(text);
-            std::string line;
-            std::string state = "healthy";
-            if (std::getline(in, line) && line == kHealthMagic) {
-                std::string key, value;
-                while (in >> key >> value)
-                    if (key == "state")
-                        state = value;
-            }
-            if (state == "done") {
-                ++result.spool.workersHealthy;
-            } else if (state == "degraded") {
-                ++result.spool.workersDegraded;
-            } else {
-                const double age = spool.workerHealthAge(name);
-                if (age > spec.leaseSeconds)
-                    ++result.spool.workersLost;
-                else
-                    ++result.spool.workersHealthy;
-            }
-        } catch (const std::exception&) {
-            ++result.spool.workersLost;
-        }
-    }
-
-    result.cache = cache.stats();
-    result.spool.transientRetries = spool.transientRetries();
-    result.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
-    WorkerReport coordStats;
-    coordStats.cache = result.cache;
-    coordStats.transientRetries = spool.transientRetries();
-    spool.writeFile("stats-coordinator.txt",
-                    formatWorkerStats(coordStats),
-                    "spool.stats.commit");
-    // Publish the merged result into the spool too, so a promoted
-    // worker's campaign (whose stdout nobody owns) is not lost.
-    spool.writeFile("result.json", campaignResultToJson(result),
-                    "spool.result.commit");
-    spool.releaseCoordinatorLease(owner);
+    SpoolExecutor exec(spec, specText, options);
+    CampaignResult result = driveCampaign(spec, exec, resume, onTaskDone);
+    exec.finish(result);
     return result;
 }
 
@@ -783,13 +629,12 @@ runSpoolWorker(const WorkerOptions& opts)
     const std::string healthFile = "workers/" + workerId;
 
     auto writeHealth = [&](const char* state) {
-        std::ostringstream out;
-        out << kHealthMagic << "\n"
-            << "state " << state << "\n"
-            << "retries " << spool.transientRetries() << "\n"
-            << "shards " << report.shardsRun << "\n";
+        const WorkerHealth health{state, spool.transientRetries(),
+                                  report.shardsRun};
+        KvRecord rec("health");
+        rec.putFields(kHealthFields, health);
         try {
-            spool.writeFile(healthFile, out.str(),
+            spool.writeFile(healthFile, formatRecords(kHealthMagic, {rec}),
                             "spool.health.commit");
         } catch (const std::exception&) {
             // Health is advisory; never kill a worker over it.

@@ -1,17 +1,18 @@
 /**
  * @file
- * Distributed campaign execution: coordinator and worker loops over a
- * filesystem spool.
+ * Distributed campaign execution: the spool executor of the campaign
+ * driver, and the worker loop, over a filesystem spool.
  *
- * The coordinator owns the campaign: it resolves every task, builds
- * (and publishes to the spool's shared artifact store) every compile
- * result and DEM exactly once, then drives each task's AdaptiveSampler
- * wave by wave — but instead of decoding locally it slices every wave
- * into contiguous chunk-range shards, publishes them through the
- * spool, and merges the result records workers post back. Stopping
- * decisions happen at the same wave boundaries on the same cumulative
- * counts as an in-process run, and chunk RNG streams depend only on
- * (task seed, chunk index), so merged results are bit-identical to a
+ * The coordinator runs the same driver as an in-process campaign
+ * (campaign_driver.h) over the spool executor: it builds (and
+ * publishes to the spool's shared artifact store) every compile
+ * result and DEM exactly once, then drives each task's
+ * AdaptiveSampler wave by wave — but instead of decoding locally it
+ * publishes every contiguous chunk range of a wave as a shard, and
+ * merges the result records workers post back. Stopping decisions
+ * happen at the same wave boundaries on the same cumulative counts as
+ * an in-process run, and chunk RNG streams depend only on (task seed,
+ * chunk index), so merged results are bit-identical to a
  * single-process run at any worker count — including zero external
  * workers plus N forked local ones.
  *
@@ -25,14 +26,15 @@
  * the lease expires and another worker re-executes it.
  *
  * Failover: the coordinator role itself is leased (spool
- * coord.lease) and journaled (spool journal.txt, rewritten
- * atomically after every task finalize). If the coordinator dies at
- * ANY point — before the spool exists, mid-prebuild, mid-merge,
- * between the last record and DONE — any process can take over:
- * `campaign_runner --coordinator-takeover`, a fresh coordinator run
- * of the same spec, or an idle worker with `promote` set. The
- * takeover waits out the stale lease, steals it (a rename: exactly
- * one winner), restores journaled tasks without re-merging, republishes
+ * coord.lease) and journaled (spool journal.txt, a checkpoint
+ * document of the finalized tasks, rewritten atomically after every
+ * finalize). If the coordinator dies at ANY point — before the spool
+ * exists, mid-prebuild, mid-merge, between the last record and DONE —
+ * any process can take over: `campaign_runner --coordinator-takeover`,
+ * a fresh coordinator run of the same spec, or an idle worker with
+ * `promote` set. The takeover waits out the stale lease, steals it (a
+ * rename: exactly one winner), restores journaled tasks without
+ * re-merging (through the driver's checkpoint restore), republishes
  * missing shards (publish skips anything open/claimed/done/recorded),
  * re-merges surviving records, and finalizes. Every step is
  * idempotent, so the merged result is bit-identical to an
@@ -44,7 +46,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "campaign/campaign.h"
 #include "campaign/campaign_spec.h"
@@ -59,34 +60,6 @@ namespace cyclone {
  * quarter wave when 0 (auto).
  */
 size_t effectiveShardChunks(const StoppingRule& rule);
-
-/**
- * Shots of chunk `index` of a task under `rule` — the same value
- * AdaptiveSampler::nextWave plans, recomputed standalone so workers
- * can rebuild exact ChunkPlans from a shard's chunk range.
- */
-size_t chunkShotsAt(const StoppingRule& rule, size_t index);
-
-/** One finalized task in the coordinator's merge journal. */
-struct JournalEntry
-{
-    size_t task = 0;
-    uint64_t contentHash = 0;
-    size_t shots = 0;
-    size_t failures = 0;
-    size_t chunks = 0;
-    bool stoppedEarly = false;
-    double sampleSeconds = 0.0;
-    BpOsdStats decoder;
-};
-
-/** Text round-trip of the coordinator merge journal: one key=value
- *  record (kv_record.h) per entry, CRC-protected, rewritten whole via
- *  tmp+rename after every finalize. */
-std::string formatCoordJournal(const std::vector<JournalEntry>& entries);
-/** Throws CorruptRecordError on a bad checksum, std::runtime_error on
- *  malformed fields. */
-std::vector<JournalEntry> parseCoordJournal(const std::string& text);
 
 /** Coordinator-role configuration. */
 struct CoordinatorOptions
@@ -186,9 +159,10 @@ WorkerReport parseWorkerStats(const std::string& text);
  * Run the worker loop against `opts.spool` until the coordinator's
  * DONE marker appears (or `maxShards` is reached). Waits for the
  * spool to be initialized first, so workers may start before the
- * coordinator. Maintains a health file (spool workers/<id>:
- * healthy/degraded/done, degraded once transient retries occur) that
- * the coordinator folds into the final summary. Throws
+ * coordinator. Maintains a health file (spool workers/<id>, one
+ * CRC'd key=value record: healthy/degraded/done, degraded once
+ * transient retries occur) that the coordinator folds into the final
+ * summary. Throws
  * std::runtime_error on a spec/shard content-hash mismatch (the
  * spool holds a different campaign than the shard expects).
  */

@@ -34,7 +34,6 @@ const StatField<ShardDescriptor> kDescriptorFields[] = {
     {"shard", &ShardDescriptor::shard},
     {"first_chunk", &ShardDescriptor::firstChunk},
     {"num_chunks", &ShardDescriptor::numChunks},
-    {"chunk_shots", &ShardDescriptor::chunkShots},
 };
 
 const StatField<ShardRecord> kRecordFields[] = {

@@ -22,7 +22,8 @@
  *       done/<shard>       completed descriptors (tombstones)
  *       results/<shard>.rec  shard result records (tmp+rename publish)
  *       coord.lease        coordinator liveness lease (mtime heartbeat)
- *       journal.txt        coordinator merge journal (finalized tasks)
+ *       journal.txt        coordinator journal: the checkpoint document
+ *                          of the finalized tasks
  *       reclaims/<shard>   per-shard reclaim counters (poison detection)
  *       quarantine/        corrupt records/descriptors, poison shards
  *       workers/<id>       worker health files (healthy/degraded/done)
@@ -40,22 +41,23 @@
  * each shard id exactly once.
  *
  * Coordinator failover: the coordinator holds `coord.lease`
- * (created O_CREAT|O_EXCL, heartbeated by mtime) and journals every
- * finalized task into `journal.txt` after each merge. If it dies, any
- * process may steal the stale lease (a rename, so exactly one winner)
- * and resume: records are idempotent, publishing skips existing
- * shards, and journaled tasks restore without re-merging — the
- * takeover run produces bit-identical results.
+ * (created O_CREAT|O_EXCL, heartbeated by mtime) and rewrites
+ * `journal.txt` after every task it finalizes, in the campaign
+ * checkpoint format (campaign_io.h). If it dies, any process may
+ * steal the stale lease (a rename, so exactly one winner) and resume:
+ * records are idempotent, publishing skips existing shards, and
+ * journaled tasks restore without re-merging — the takeover run
+ * produces bit-identical results.
  *
  * Self-healing: the manifest, shard descriptors and records, the
- * journal and worker stats files are key=value record documents
- * (kv_record.h) with a trailing CRC-32 line. A file that fails its
- * checksum (torn write, bit rot) is moved to `quarantine/` and its
- * shard re-published instead of poisoning the merge. A shard whose
- * claim is reclaimed
- * `max_claim_reclaims` times (it keeps killing workers) is itself
- * quarantined and its task finalized with an error rather than
- * livelocking the fleet.
+ * journal, worker stats and worker health files are key=value record
+ * documents (kv_record.h) with a trailing CRC-32 line. A file that
+ * fails its checksum (torn write, bit rot) is moved to `quarantine/`
+ * and its shard re-published instead of poisoning the merge (a health
+ * file that fails it counts its worker as lost). A shard whose claim
+ * is reclaimed `max_claim_reclaims` times (it keeps killing workers)
+ * is itself quarantined and its task finalized with an error rather
+ * than livelocking the fleet.
  *
  * Lease ages are *monotonic-safe*: ages are measured as elapsed
  * CLOCK_MONOTONIC time since this process last observed the file's
@@ -96,8 +98,6 @@ struct ShardDescriptor
     size_t firstChunk = 0;
     /** Number of chunks in the range. */
     size_t numChunks = 0;
-    /** Shots per chunk (copied so workers need no spec lookup). */
-    size_t chunkShots = 0;
     /** Task content hash: workers verify their re-resolved spec. */
     uint64_t contentHash = 0;
     /** Effective task seed (chunkSeed base). */
@@ -328,7 +328,7 @@ class Spool
 
     // ---- journal / generic files -------------------------------
 
-    /** Atomically replace journal.txt (pre-formatted text). */
+    /** Atomically replace journal.txt (a checkpoint document). */
     void writeJournal(const std::string& text);
 
     /** Read journal.txt into `out`; false if absent. */

@@ -84,6 +84,15 @@ BpOsdDecoder::BpOsdDecoder(const DetectorErrorModel& dem, BpOptions options)
     stats_.backend = backendChoice_.backend->name;
 }
 
+BpOsdStats
+BpOsdDecoder::takeStats()
+{
+    BpOsdStats taken = stats_;
+    stats_ = BpOsdStats{};
+    stats_.backend = taken.backend;
+    return taken;
+}
+
 uint64_t
 BpOsdDecoder::observablesOf(const BitVec& errors) const
 {

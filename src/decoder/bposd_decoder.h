@@ -195,6 +195,11 @@ class BpOsdDecoder : public Decoder
 
     const BpOsdStats& stats() const { return stats_; }
 
+    /** Hand over the statistics gathered since construction or the
+     *  last call, and restart them from zero (the backend name stays):
+     *  what one job of a reused decoder added. */
+    BpOsdStats takeStats();
+
     /** Lane width of the batched wave kernel (1 = disabled). */
     size_t waveLaneWidth() const { return backendChoice_.lanes; }
 

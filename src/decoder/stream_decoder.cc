@@ -140,6 +140,15 @@ StreamDecoder::StreamDecoder(BpOsdDecoder& decoder, size_t numDetectors,
     pending_.reserve(slabCapacity());
 }
 
+StreamDecodeStats
+StreamDecoder::takeStats()
+{
+    StreamDecodeStats taken = stats_;
+    stats_ = StreamDecodeStats{};
+    stats_.deadlineUs = options_.deadlineUs;
+    return taken;
+}
+
 size_t
 StreamDecoder::roundBegin(size_t r) const
 {

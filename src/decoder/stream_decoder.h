@@ -275,6 +275,10 @@ class StreamDecoder
 
     const StreamDecodeStats& stats() const { return stats_; }
 
+    /** Hand over the statistics gathered since construction or the
+     *  last call, and restart them from zero (the deadline stays). */
+    StreamDecodeStats takeStats();
+
   private:
     struct StreamState
     {

@@ -1,6 +1,7 @@
 #include "qec/css_code.h"
 
 #include <algorithm>
+#include <mutex>
 #include <sstream>
 
 #include "common/logging.h"
@@ -64,6 +65,10 @@ independentOf(const GF2Matrix& base, const std::vector<BitVec>& candidates,
 void
 CssCode::computeLogicals() const
 {
+    // Parallel campaign builds share one code object: derive its
+    // logicals once, under a lock, so no caller reads them half-built.
+    static std::mutex mutex;
+    std::lock_guard<std::mutex> lock(mutex);
     if (logicalsDone_)
         return;
     GF2Matrix dx = hx_.toDense();

@@ -1,12 +1,13 @@
 /**
  * @file
- * Crash-safety tests for the distributed campaign stack: FaultPlan
- * grammar and firing semantics, retry-policy backoff bounds,
- * CRC-protected artifact blobs, and — the core of the suite — a
- * seeded chaos harness that kills a self-executing coordinator at
- * every commit point of the spool protocol and asserts that a
- * takeover coordinator finishes the campaign with results
- * byte-identical to an uninterrupted single-process run.
+ * Crash-safety tests for the campaign stack: FaultPlan grammar and
+ * firing semantics, retry-policy backoff bounds, CRC-protected
+ * artifact blobs, and — the core of the suite — a seeded chaos
+ * harness that kills a self-executing coordinator at every commit
+ * point of the spool protocol and asserts that a takeover coordinator
+ * finishes the campaign with results byte-identical to an
+ * uninterrupted single-process run; an in-process run killed after a
+ * finalize resumes from its checkpoint the same way.
  */
 
 #include <gtest/gtest.h>
@@ -571,6 +572,51 @@ TEST(CoordinatorTakeover, MidMergeKillIsByteIdentical)
     EXPECT_TRUE(spool.done());
     expectTasksIdentical(reference, merged);
     EXPECT_EQ(normalizedJson(reference), normalizedJson(merged));
+}
+
+TEST(InProcessCrash, ResumesFromCheckpointBitIdentically)
+{
+    // An in-process run fires the coordinator's milestones too: killed
+    // right after its first finalize, it leaves the checkpoint its
+    // onTaskDone saved, and resuming from that checkpoint finishes
+    // the campaign exactly as an uninterrupted run does.
+    CampaignSpec spec = parseCampaignSpec(kChaosSpec);
+    spec.threads = 2;
+    const CampaignResult reference = runCampaign(spec);
+
+    ScratchDir scratch("inprocess-crash");
+    const std::string path = scratch.path + "/campaign.ckpt";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        installFaultPlan(
+            FaultPlan::parse("coord.task.finalized:crash_after@1"));
+        CampaignResult saved;
+        int rc = 0;
+        try {
+            runCampaign(spec, nullptr, [&](const TaskResult& t) {
+                saved.tasks.push_back(t);
+                saveCheckpoint(saved, path);
+            });
+        } catch (const std::exception& ex) {
+            std::fprintf(stderr, "crash child: %s\n", ex.what());
+            rc = 3;
+        }
+        ::_exit(rc);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), kFaultCrashExitCode)
+        << "the run must die at its first finalize";
+
+    CampaignCheckpoint checkpoint;
+    ASSERT_TRUE(loadCheckpoint(path, checkpoint));
+    const CampaignResult resumed = runCampaign(spec, &checkpoint);
+    expectTasksIdentical(reference, resumed);
+    size_t restored = 0;
+    for (const TaskResult& t : resumed.tasks)
+        restored += t.fromCheckpoint ? 1 : 0;
+    EXPECT_GE(restored, 1u);
 }
 
 } // namespace

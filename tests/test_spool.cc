@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign/adaptive_sampler.h"
 #include "campaign/artifact_cache.h"
 #include "campaign/campaign.h"
 #include "campaign/campaign_io.h"
@@ -164,7 +165,6 @@ TEST(SpoolSerde, ShardDescriptorRoundTrip)
     d.shard = 17;
     d.firstChunk = 42;
     d.numChunks = 6;
-    d.chunkShots = 128;
     d.contentHash = 0xdeadbeefcafef00dull;
     d.taskSeed = 0x0123456789abcdefull;
     const ShardDescriptor r =
@@ -173,7 +173,6 @@ TEST(SpoolSerde, ShardDescriptorRoundTrip)
     EXPECT_EQ(r.shard, d.shard);
     EXPECT_EQ(r.firstChunk, d.firstChunk);
     EXPECT_EQ(r.numChunks, d.numChunks);
-    EXPECT_EQ(r.chunkShots, d.chunkShots);
     EXPECT_EQ(r.contentHash, d.contentHash);
     EXPECT_EQ(r.taskSeed, d.taskSeed);
     EXPECT_THROW(parseShardDescriptor("garbage"), std::runtime_error);
@@ -343,12 +342,14 @@ TEST(SpoolSerde, ShardPlanningHelpers)
     rule.stagingChunks = 1;
     EXPECT_EQ(effectiveShardChunks(rule), 2u);
 
-    // Chunk shots mirror AdaptiveSampler: full chunks until the
-    // budget, then a short tail, then zero.
-    EXPECT_EQ(chunkShotsAt(rule, 0), 100u);
-    EXPECT_EQ(chunkShotsAt(rule, 9), 100u);
-    EXPECT_EQ(chunkShotsAt(rule, 10), 50u);
-    EXPECT_EQ(chunkShotsAt(rule, 11), 0u);
+    // The chunk plan AdaptiveSampler and workers share: full chunks
+    // until the budget, then a short tail, then zero.
+    EXPECT_EQ(planChunk(rule, 7, 0).shots, 100u);
+    EXPECT_EQ(planChunk(rule, 7, 9).shots, 100u);
+    EXPECT_EQ(planChunk(rule, 7, 10).shots, 50u);
+    EXPECT_EQ(planChunk(rule, 7, 11).shots, 0u);
+    EXPECT_EQ(planChunk(rule, 7, 9).index, 9u);
+    EXPECT_EQ(planChunk(rule, 7, 9).seed, chunkSeed(7, 9));
 }
 
 TEST(SpoolProtocol, ClaimCompleteAndRecords)
@@ -374,7 +375,6 @@ TEST(SpoolProtocol, ClaimCompleteAndRecords)
     d.shard = 0;
     d.firstChunk = 0;
     d.numChunks = 4;
-    d.chunkShots = 100;
     d.contentHash = 0x42;
     d.taskSeed = 0x99;
     EXPECT_TRUE(spool.publishShard(d));
@@ -466,7 +466,6 @@ TEST(SpoolProtocol, QuarantineReviveAndRetire)
     d.task = 0;
     d.shard = 0;
     d.numChunks = 1;
-    d.chunkShots = 10;
     d.contentHash = 0x1;
     ASSERT_TRUE(spool.publishShard(d));
     const std::string id = shardId(0, 0);
@@ -540,7 +539,6 @@ TEST(SpoolProtocol, ClaimAgeSurvivesWallClockStep)
     d.task = 0;
     d.shard = 0;
     d.numChunks = 1;
-    d.chunkShots = 10;
     d.contentHash = 0x1;
     ASSERT_TRUE(spool.publishShard(d));
     const std::string id = shardId(0, 0);
@@ -649,38 +647,46 @@ TEST(SpoolProtocol, JournalRoundTripThroughSpool)
     std::string out;
     EXPECT_FALSE(spool.readJournal(out));
 
-    JournalEntry e;
-    e.task = 2;
-    e.contentHash = 0xabcdef0123456789ull;
-    e.shots = 1200;
-    e.failures = 17;
-    e.chunks = 24;
-    e.stoppedEarly = true;
-    e.sampleSeconds = 0.125;
-    e.decoder.decodes = 1200;
-    e.decoder.bpIterations = 31337;
-    e.decoder.backend = "avx512";
-    spool.writeJournal(formatCoordJournal({e}));
+    // The journal is a checkpoint document of the finalized tasks.
+    TaskResult t;
+    t.contentHash = 0xabcdef0123456789ull;
+    t.rounds = 3;
+    t.setCounts(17, 1200);
+    t.chunks = 24;
+    t.stoppedEarly = true;
+    t.sampleSeconds = 0.125;
+    t.decoder.decodes = 1200;
+    t.decoder.bpIterations = 31337;
+    t.decoder.backend = "avx512";
+    spool.writeJournal(formatCheckpoint({t}));
 
     ASSERT_TRUE(spool.readJournal(out));
-    const std::vector<JournalEntry> back = parseCoordJournal(out);
-    ASSERT_EQ(back.size(), 1u);
-    EXPECT_EQ(back[0].task, e.task);
-    EXPECT_EQ(back[0].contentHash, e.contentHash);
-    EXPECT_EQ(back[0].shots, e.shots);
-    EXPECT_EQ(back[0].failures, e.failures);
-    EXPECT_EQ(back[0].chunks, e.chunks);
-    EXPECT_EQ(back[0].stoppedEarly, e.stoppedEarly);
-    EXPECT_EQ(back[0].sampleSeconds, e.sampleSeconds);
-    EXPECT_EQ(back[0].decoder.decodes, e.decoder.decodes);
-    EXPECT_EQ(back[0].decoder.bpIterations, e.decoder.bpIterations);
-    EXPECT_EQ(back[0].decoder.backend, "avx512");
+    const CampaignCheckpoint back = parseCheckpoint(out);
+    ASSERT_EQ(back.tasks.size(), 1u);
+    const TaskResult& r = back.tasks.at(t.contentHash);
+    EXPECT_EQ(r.logicalErrorRate.trials, 1200u);
+    EXPECT_EQ(r.logicalErrorRate.successes, 17u);
+    EXPECT_EQ(r.wilson, t.wilson);
+    EXPECT_EQ(r.perRoundErrorRate, t.perRoundErrorRate);
+    EXPECT_EQ(r.chunks, t.chunks);
+    EXPECT_EQ(r.stoppedEarly, t.stoppedEarly);
+    EXPECT_EQ(r.sampleSeconds, t.sampleSeconds);
+    EXPECT_EQ(r.decoder.decodes, t.decoder.decodes);
+    EXPECT_EQ(r.decoder.bpIterations, t.decoder.bpIterations);
+    EXPECT_EQ(r.decoder.backend, "avx512");
 
     // A corrupted journal fails its checksum.
-    std::string torn = formatCoordJournal({e});
+    std::string torn = formatCheckpoint({t});
     torn[torn.size() / 2] ^= 1;
-    EXPECT_THROW(parseCoordJournal(torn), CorruptRecordError);
-    EXPECT_THROW(parseCoordJournal(torn.substr(0, torn.size() - 9)),
+    EXPECT_THROW(parseCheckpoint(torn), CorruptRecordError);
+    EXPECT_THROW(parseCheckpoint(torn.substr(0, torn.size() - 9)),
+                 std::runtime_error);
+    // So does a journal in the older, journal-only format: a takeover
+    // quarantines it and re-merges from records.
+    EXPECT_THROW(parseCheckpoint(withCrcLine(
+                     "cyclone-coord-journal v2\n"
+                     "task content_hash=abcdef0123456789 task=2 "
+                     "shots=1200 failures=17\n")),
                  std::runtime_error);
 }
 
@@ -1084,6 +1090,48 @@ bp = minsum
     Spool spool(scratch.path);
     EXPECT_TRUE(spool.done());
     EXPECT_FALSE(spool.quarantined().empty());
+}
+
+TEST(DistributedCampaign, WorkerHealthFilesClassifyTheFleet)
+{
+    // Health files are CRC'd key=value records. At the end of a run a
+    // done file counts as healthy, a degraded one as degraded, and a
+    // healthy-looking one that stopped updating, or one that fails its
+    // checksum, as lost.
+    ScratchDir scratch("spool-health");
+    ASSERT_EQ(::mkdir(scratch.path.c_str(), 0777), 0);
+    ASSERT_EQ(::mkdir((scratch.path + "/workers").c_str(), 0777), 0);
+    auto health = [](const std::string& state) {
+        return withCrcLine("cyclone-worker-health v2\nhealth state=" +
+                           state + " retries=0 shards=1\n");
+    };
+    const std::string workers = scratch.path + "/workers/";
+    spoolWriteAtomic(workers + "finished", health("done"));
+    spoolWriteAtomic(workers + "flaky", health("degraded"));
+    spoolWriteAtomic(workers + "vanished", health("healthy"));
+    std::string torn = health("done");
+    torn[torn.size() / 2] ^= 1;
+    spoolWriteAtomic(workers + "torn", torn);
+
+    // The one live worker starts three lease periods late, so the
+    // coordinator watches the vanished worker's file go stale first.
+    CampaignSpec spec = parseCampaignSpec(kSpoolSpec);
+    spec.spool = scratch.path;
+    spec.leaseSeconds = 0.5;
+    const std::vector<pid_t> pids = forkWorkers(scratch.path, 1, 1.5);
+    CampaignResult dist;
+    try {
+        dist = runDistributedCampaign(spec, kSpoolSpec);
+    } catch (...) {
+        for (const pid_t pid : pids)
+            ::waitpid(pid, nullptr, 0);
+        throw;
+    }
+    reapWorkers(pids);
+
+    EXPECT_EQ(dist.spool.workersHealthy, 2u) << "finished + live worker";
+    EXPECT_EQ(dist.spool.workersDegraded, 1u);
+    EXPECT_EQ(dist.spool.workersLost, 2u) << "vanished + torn";
 }
 
 TEST(DistributedCampaign, IdleWorkerPromotesOverDeadCoordinator)
