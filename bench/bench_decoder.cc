@@ -1,8 +1,8 @@
 /**
  * @file
- * Decode-throughput benchmark: scalar per-shot decoding vs the packed
- * batch pipeline vs the lane-parallel wave kernel on the paper's
- * [[72,12,6]] BB code.
+ * Decode-throughput benchmark: scalar per-shot decoding vs the wave
+ * pipeline (the packed batch path on the lane-parallel wave kernel) on
+ * the paper's [[72,12,6]] BB code.
  *
  * Each benchmark iteration samples one chunk with a fresh
  * deterministic seed and decodes it — exactly the work a campaign
@@ -14,7 +14,7 @@
  * zero-syndrome wave sweep and the duplicate memo before BP runs at
  * all.
  *
- * All three paths are bit-identical by construction (enforced by
+ * Both paths are bit-identical by construction (enforced by
  * tests/test_shot_batch.cc and tests/test_wave_decoder.cc); this
  * benchmark exists so their speed can't silently rot. Besides the
  * console table it always distills the measured rates into a
@@ -22,14 +22,17 @@
  * CYCLONE_BENCH_JSON) so CI can track the perf trajectory across PRs
  * and fail if the wave path ever drops below the scalar one.
  *
- * Two more rows decode the DEM a campaign builds for bb72 under the
- * Cyclone architecture at p = 1e-3 (compiled round latency, idle
- * noise) through the wave pipeline, once with spec-default BpOptions
- * (product-sum) and once with min-sum: the decoder users get by
- * default against the one the other rows measure, as the in-binary
- * ratio default_over_minsum. Both come from one paired run that
- * decodes every chunk with both rules, so host drift lands on both
- * sides of the ratio alike.
+ * Every ratio CI gates on two decode rows comes from one paired run:
+ * each iteration samples one chunk (or chunk group), both sides decode
+ * it, the side that goes first alternates, and each side runs on its
+ * own clock, so host drift lands on both sides of the ratio alike.
+ * The pairs are scalar against wave at each p (wave_over_scalar),
+ * 64-shot chunks decoded one at a time against the same chunks pooled
+ * through the staged group (staged_over_chunk64), and spec-default
+ * BpOptions (product-sum) against min-sum on the DEM a campaign builds
+ * for bb72 under the Cyclone architecture at p = 1e-3 (compiled round
+ * latency, idle noise; default_over_minsum): the decoder users get by
+ * default against the one the other rows measure.
  *
  * The OSD stage is also timed alone, scalar reference against the
  * batched stage, on bb72 at p = 1e-3 and on the DEM a campaign builds
@@ -37,6 +40,7 @@
  * reaches OSD (in-binary ratio hgp225_osd_batch_over_scalar).
  */
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -110,11 +114,10 @@ campaignDem(const std::string& code)
 }
 
 BpOptions
-benchBp(size_t wave_lanes)
+benchBp()
 {
     BpOptions bp;
     bp.variant = BpOptions::Variant::MinSum;
-    bp.waveLanes = wave_lanes;
     return bp;
 }
 
@@ -137,25 +140,82 @@ attachDecoderCounters(benchmark::State& state, const BpOsdStats& stats,
         stats.waveLaneOccupancy();
 }
 
+/** Sample chunk `seed` of `shots` shots into `batch`. */
 void
-BM_DecodeScalar(benchmark::State& state, double p)
+sampleChunk(const DetectorErrorModel& dem, uint64_t seed, size_t shots,
+            ShotBatch& batch)
+{
+    Rng rng(seed);
+    sampleDemBatch(dem, shots, rng, batch);
+}
+
+/** Shots of `batch` whose prediction misses its observables. */
+size_t
+countFailures(const ShotBatch& batch, const uint64_t* predicted)
+{
+    size_t failures = 0;
+    for (size_t s = 0; s < batch.numShots; ++s)
+        failures += predicted[s] != batch.observables[s];
+    return failures;
+}
+
+/**
+ * The loop of a paired run: each iteration calls sample(i) once for
+ * iteration i, then decode(side) for both sides, the side that goes
+ * first alternating, each side timed on its own clock. Returns each
+ * side's seconds.
+ */
+template <typename Sample, typename Decode>
+std::array<double, 2>
+runPaired(benchmark::State& state, Sample sample, Decode decode)
+{
+    std::array<double, 2> seconds = {0.0, 0.0};
+    uint64_t iteration = 0;
+    for (auto _ : state) {
+        sample(iteration);
+        for (size_t k = 0; k < 2; ++k) {
+            const size_t side = (iteration + k) % 2;
+            const auto start = std::chrono::steady_clock::now();
+            benchmark::DoNotOptimize(decode(side));
+            seconds[side] += std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start).count();
+        }
+        ++iteration;
+    }
+    return seconds;
+}
+
+/** Per-shot scalar decoding against the wave pipeline, paired over
+ *  the same kChunkShots chunks. Counters carry a "scalar_" or "wave_"
+ *  prefix. */
+void
+BM_DecodeScalarVsWave(benchmark::State& state, double p)
 {
     const DetectorErrorModel& dem = bb72Dem(p);
-    BpOsdDecoder decoder(dem, benchBp(1));
-    DemShots shots;
-    uint64_t chunk = 0;
-    for (auto _ : state) {
-        Rng rng(chunkSeed(0xbe7c4ULL, chunk++));
-        sampleDemInto(dem, kChunkShots, rng, shots);
-        uint64_t failures = 0;
-        for (size_t s = 0; s < kChunkShots; ++s) {
-            if (decoder.decode(shots.syndromes[s]) !=
-                shots.observables[s])
-                ++failures;
-        }
-        benchmark::DoNotOptimize(failures);
-    }
-    attachDecoderCounters(state, decoder.stats());
+    BpOsdDecoder scalar(dem, benchBp());
+    BpOsdDecoder wave(dem, benchBp());
+    ShotBatch batch;
+    std::vector<BitVec> syndromes(kChunkShots);
+    std::vector<uint64_t> predicted(kChunkShots);
+    const auto seconds = runPaired(
+        state,
+        [&](uint64_t chunk) {
+            sampleChunk(dem, chunkSeed(0xbe7c4ULL, chunk), kChunkShots,
+                        batch);
+            for (size_t s = 0; s < kChunkShots; ++s)
+                syndromes[s] = batch.syndromeOf(s);
+        },
+        [&](size_t side) {
+            if (side == 0) {
+                for (size_t s = 0; s < kChunkShots; ++s)
+                    predicted[s] = scalar.decode(syndromes[s]);
+            } else {
+                wave.decodeBatch(batch, predicted);
+            }
+            return countFailures(batch, predicted.data());
+        });
+    attachDecoderCounters(state, scalar.stats(), "scalar_", seconds[0]);
+    attachDecoderCounters(state, wave.stats(), "wave_", seconds[1]);
 }
 
 /** Sample and decode one fresh kChunkShots chunk per iteration —
@@ -179,47 +239,28 @@ decodeChunks(benchmark::State& state, const DetectorErrorModel& dem,
     attachDecoderCounters(state, decoder.stats());
 }
 
-/** Batched pipeline; wave_lanes == 1 is the scalar-core batch path. */
-void
-BM_DecodeBatch(benchmark::State& state, double p, size_t wave_lanes)
-{
-    const DetectorErrorModel& dem = bb72Dem(p);
-    BpOsdDecoder decoder(dem, benchBp(wave_lanes));
-    decodeChunks(state, dem, decoder, 0xbe7c4ULL);
-}
-
 /** The wave pipeline on the campaign-built DEM with spec-default
- *  options (product-sum) and with min-sum, paired: each iteration
- *  samples one chunk and decodes it with both rules, the first rule
- *  alternating, each side timed on its own clock. Counters carry a
- *  "default_" or "minsum_" prefix. */
+ *  options (product-sum) and with min-sum, paired over the same
+ *  chunks. Counters carry a "default_" or "minsum_" prefix. */
 void
 BM_DecodeDefaultVsMinSum(benchmark::State& state)
 {
     const DetectorErrorModel& dem = campaignDem("bb72");
     BpOsdDecoder product_sum(dem, BpOptions{});
-    BpOsdDecoder min_sum(dem, benchBp(0));
+    BpOsdDecoder min_sum(dem, benchBp());
     BpOsdDecoder* rules[2] = {&product_sum, &min_sum};
-    double seconds[2] = {0.0, 0.0};
     ShotBatch batch;
     std::vector<uint64_t> predicted;
-    uint64_t chunk = 0;
-    for (auto _ : state) {
-        ChunkPlan plan;
-        plan.index = chunk;
-        plan.shots = kChunkShots;
-        plan.seed = chunkSeed(0xdefa17ULL, chunk);
-        for (size_t k = 0; k < 2; ++k) {
-            const size_t r = (chunk + k) % 2;
-            const auto start = std::chrono::steady_clock::now();
-            const ChunkOutcome outcome =
-                runChunk(dem, plan, *rules[r], batch, predicted);
-            seconds[r] += std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start).count();
-            benchmark::DoNotOptimize(outcome.failures);
-        }
-        ++chunk;
-    }
+    const auto seconds = runPaired(
+        state,
+        [&](uint64_t chunk) {
+            sampleChunk(dem, chunkSeed(0xdefa17ULL, chunk), kChunkShots,
+                        batch);
+        },
+        [&](size_t side) {
+            rules[side]->decodeBatch(batch, predicted);
+            return countFailures(batch, predicted.data());
+        });
     attachDecoderCounters(state, product_sum.stats(), "default_",
                           seconds[0]);
     attachDecoderCounters(state, min_sum.stats(), "minsum_", seconds[1]);
@@ -232,7 +273,7 @@ BM_DecodeBatchForcedBackend(benchmark::State& state, double p,
 {
     const DetectorErrorModel& dem = bb72Dem(p);
     ::setenv(kWaveBackendEnv, backend->name, 1);
-    BpOsdDecoder decoder(dem, benchBp(0));
+    BpOsdDecoder decoder(dem, benchBp());
     ::unsetenv(kWaveBackendEnv);
     decodeChunks(state, dem, decoder, 0xbe7c4ULL);
     state.counters["wave_lanes"] =
@@ -250,7 +291,7 @@ BM_WaveKernelForcedBackend(benchmark::State& state, double p,
 {
     const DetectorErrorModel& dem = bb72Dem(p);
     auto graph = std::make_shared<BpGraph>(dem);
-    BpWaveDecoder decoder(graph, benchBp(0), *backend);
+    BpWaveDecoder decoder(graph, benchBp(), *backend);
     const size_t lanes = decoder.laneWidth();
     std::vector<BitVec> pool;
     DemShots shots;
@@ -288,53 +329,50 @@ BM_WaveKernelForcedBackend(benchmark::State& state, double p,
 constexpr size_t kSmallChunkShots = 64;
 constexpr size_t kStagingGroup = 8;
 
-/** A campaign worker decoding 64-shot chunks one at a time — the
- *  baseline the cross-chunk staging pool is measured against. */
+/** A campaign worker decoding 64-shot chunks one at a time against
+ *  the same chunks pooled kStagingGroup at a time through the staged
+ *  decode group, so wave lanes and OSD slabs fill across chunk
+ *  boundaries; paired over the same chunk groups. Counters carry a
+ *  "chunk64_" or "staged_" prefix. */
 void
-BM_DecodeChunk64(benchmark::State& state, double p)
+BM_DecodeChunk64VsStaged(benchmark::State& state, double p)
 {
     const DetectorErrorModel& dem = bb72Dem(p);
-    BpOsdDecoder decoder(dem, benchBp(0));
-    ShotBatch batch;
+    BpOsdDecoder per_chunk(dem, benchBp());
+    BpOsdDecoder staged(dem, benchBp());
+    std::vector<ShotBatch> batches(kStagingGroup);
     std::vector<uint64_t> predicted;
-    uint64_t chunk = 0;
-    for (auto _ : state) {
-        for (size_t k = 0; k < kStagingGroup; ++k) {
-            ChunkPlan plan;
-            plan.index = chunk;
-            plan.shots = kSmallChunkShots;
-            plan.seed = chunkSeed(0x57a6edULL, chunk++);
-            const ChunkOutcome outcome =
-                runChunk(dem, plan, decoder, batch, predicted);
-            benchmark::DoNotOptimize(outcome.failures);
-        }
-    }
-    attachDecoderCounters(state, decoder.stats());
-}
-
-/** The same 64-shot chunks pooled through the staged decode group, so
- *  wave lanes and OSD slabs fill across chunk boundaries. */
-void
-BM_DecodeStaged(benchmark::State& state, double p)
-{
-    const DetectorErrorModel& dem = bb72Dem(p);
-    BpOsdDecoder decoder(dem, benchBp(0));
-    std::vector<ShotBatch> batches;
-    std::vector<ChunkPlan> plans(kStagingGroup);
-    uint64_t chunk = 0;
-    for (auto _ : state) {
-        for (size_t k = 0; k < kStagingGroup; ++k) {
-            plans[k].index = chunk;
-            plans[k].shots = kSmallChunkShots;
-            plans[k].seed = chunkSeed(0x57a6edULL, chunk++);
-        }
-        const ChunkOutcome outcome = runChunkGroup(
-            dem, plans.data(), plans.size(), decoder, batches);
-        benchmark::DoNotOptimize(outcome.failures);
-    }
-    attachDecoderCounters(state, decoder.stats());
-    state.counters["staged_chunks"] =
-        static_cast<double>(decoder.stats().stagedChunks);
+    const auto seconds = runPaired(
+        state,
+        [&](uint64_t group) {
+            for (size_t k = 0; k < kStagingGroup; ++k)
+                sampleChunk(dem,
+                            chunkSeed(0x57a6edULL,
+                                      group * kStagingGroup + k),
+                            kSmallChunkShots, batches[k]);
+        },
+        [&](size_t side) {
+            size_t failures = 0;
+            if (side == 0) {
+                for (const ShotBatch& batch : batches) {
+                    per_chunk.decodeBatch(batch, predicted);
+                    failures += countFailures(batch, predicted.data());
+                }
+                return failures;
+            }
+            staged.beginStaged();
+            for (const ShotBatch& batch : batches)
+                staged.stageBatch(batch);
+            staged.flushStaged();
+            for (size_t k = 0; k < kStagingGroup; ++k)
+                failures += countFailures(
+                    batches[k], staged.stagedPredictions().data() +
+                                    staged.stagedBatchOffset(k));
+            return failures;
+        });
+    attachDecoderCounters(state, per_chunk.stats(), "chunk64_",
+                          seconds[0]);
+    attachDecoderCounters(state, staged.stats(), "staged_", seconds[1]);
 }
 
 /** Non-converged (syndrome, posterior) workload for the OSD rows. */
@@ -367,7 +405,7 @@ osdWorkload(const std::string& dem_name)
     const DetectorErrorModel& dem = *work.dem;
     const size_t chunk_shots = hgp ? 64 : kChunkShots;
     const size_t target = hgp ? 32 : 192;
-    BpDecoder bp(dem, benchBp(1));
+    BpDecoder bp(dem, benchBp());
     DemShots shots;
     size_t total = 0;
     uint64_t chunk = 0;
@@ -451,9 +489,9 @@ BM_OsdBatch(benchmark::State& state, const std::string& dem_name)
 struct RowSpec
 {
     std::string name;
-    std::string path; ///< "scalar", "batch", "wave", "wave_<backend>",
-                      ///< "chunk64", "staged", "osd_*", "default",
-                      ///< "minsum".
+    std::string path; ///< "scalar", "wave", "wave_<backend>",
+                      ///< "kernel_<backend>", "chunk64", "staged",
+                      ///< "osd_*", "default", "minsum".
     double p;
     /** The run whose counters, named `prefix` + counter, fill the row:
      *  the row's own run when empty. */
@@ -472,6 +510,17 @@ rowSpecs()
 {
     static std::vector<RowSpec> specs;
     return specs;
+}
+
+/** The summary row named `name`, or nullptr. */
+const RowSpec*
+findRow(const std::string& name)
+{
+    for (const RowSpec& spec : rowSpecs()) {
+        if (spec.name == name)
+            return &spec;
+    }
+    return nullptr;
 }
 
 /** Console reporter that also captures final counter values. */
@@ -544,7 +593,7 @@ writeBenchJson(const CaptureReporter& reporter)
            "default (product-sum)\",\n";
     out << "  \"chunk_shots\": " << kChunkShots << ",\n";
     out << "  \"wave_lane_width\": "
-        << BpWaveDecoder::resolveLaneWidth(0) << ",\n";
+        << selectDecoderBackend().backend->kernels()->lanes << ",\n";
     out << "  \"rows\": [\n";
     bool first = true;
     for (const RowSpec& spec : rowSpecs()) {
@@ -583,27 +632,23 @@ writeBenchJson(const CaptureReporter& reporter)
     out << "\n  ],\n";
     out << "  \"speedups\": {";
     bool first_p = true;
-    for (const RowSpec& spec : rowSpecs()) {
-        if (spec.path != "scalar")
+    for (const RowSpec& scalar : rowSpecs()) {
+        if (scalar.path != "scalar")
             continue;
         char suffix[32];
-        std::snprintf(suffix, sizeof suffix, "p%g", spec.p);
-        const std::string scalar = spec.name;
-        const std::string batch = "decode_batch/bb72_" + std::string(suffix);
-        const std::string wave = "decode_wave/bb72_" + std::string(suffix);
-        if (!reporter.has(batch) || !reporter.has(wave))
+        std::snprintf(suffix, sizeof suffix, "p%g", scalar.p);
+        const RowSpec* wave =
+            findRow("decode_wave/bb72_" + std::string(suffix));
+        if (wave == nullptr || !reporter.has(scalar.source()))
             continue;
         const double s = reporter.value(scalar, "shots_per_sec");
-        const double b = reporter.value(batch, "shots_per_sec");
-        const double w = reporter.value(wave, "shots_per_sec");
-        if (s <= 0.0 || b <= 0.0)
+        const double w = reporter.value(*wave, "shots_per_sec");
+        if (s <= 0.0)
             continue;
         char buf[320];
         std::snprintf(buf, sizeof buf,
-                      "%s\n    \"%s\": {\"batch_over_scalar\": %.4g, "
-                      "\"wave_over_batch\": %.4g, "
-                      "\"wave_over_scalar\": %.4g",
-                      first_p ? "" : ",", suffix, b / s, w / b, w / s);
+                      "%s\n    \"%s\": {\"wave_over_scalar\": %.4g",
+                      first_p ? "" : ",", suffix, w / s);
         out << buf;
         // OSD-stage speedup and its share of the wave decode path:
         // time per shot spent in OSD = nonconv_frac / osd_rate, so
@@ -701,11 +746,12 @@ writeBenchJson(const CaptureReporter& reporter)
     // Cross-chunk staging against per-chunk decoding of the same
     // 64-shot chunks, with the lane occupancy each achieves.
     {
-        const std::string per = "decode_chunk64/bb72_p0.001";
-        const std::string pool = "decode_staged/bb72_p0.001";
-        if (reporter.has(per) && reporter.has(pool)) {
-            const double r = reporter.value(per, "shots_per_sec");
-            const double s = reporter.value(pool, "shots_per_sec");
+        const RowSpec* per = findRow("decode_chunk64/bb72_p0.001");
+        const RowSpec* pool = findRow("decode_staged/bb72_p0.001");
+        if (per != nullptr && pool != nullptr &&
+            reporter.has(per->source())) {
+            const double r = reporter.value(*per, "shots_per_sec");
+            const double s = reporter.value(*pool, "shots_per_sec");
             if (r > 0.0) {
                 char buf[240];
                 std::snprintf(
@@ -715,8 +761,8 @@ writeBenchJson(const CaptureReporter& reporter)
                     "\"staged_occupancy\": %.4g, "
                     "\"chunk64_occupancy\": %.4g}",
                     first_p ? "" : ",", s / r,
-                    reporter.value(pool, "wave_occupancy"),
-                    reporter.value(per, "wave_occupancy"));
+                    reporter.value(*pool, "wave_occupancy"),
+                    reporter.value(*per, "wave_occupancy"));
                 out << buf;
                 first_p = false;
             }
@@ -730,30 +776,21 @@ writeBenchJson(const CaptureReporter& reporter)
 void
 registerRows()
 {
+    // Per-shot scalar decoding against the wave pipeline: one paired
+    // run per p fills both rows.
     for (double p : {1e-3, 1e-4}) {
         char buf[32];
         std::snprintf(buf, sizeof buf, "/bb72_p%g", p);
         const std::string suffix = buf;
-        const std::string scalar_name = "decode_scalar" + suffix;
-        const std::string batch_name = "decode_batch" + suffix;
-        const std::string wave_name = "decode_wave" + suffix;
-        rowSpecs().push_back({scalar_name, "scalar", p});
-        rowSpecs().push_back({batch_name, "batch", p});
-        rowSpecs().push_back({wave_name, "wave", p});
+        const std::string pair = "decode_scalar_vs_decode_wave" + suffix;
+        rowSpecs().push_back(
+            {"decode_scalar" + suffix, "scalar", p, pair, "scalar_"});
+        rowSpecs().push_back(
+            {"decode_wave" + suffix, "wave", p, pair, "wave_"});
         benchmark::RegisterBenchmark(
-            scalar_name.c_str(),
-            [p](benchmark::State& state) { BM_DecodeScalar(state, p); })
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark(
-            batch_name.c_str(),
+            pair.c_str(),
             [p](benchmark::State& state) {
-                BM_DecodeBatch(state, p, 1);
-            })
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark(
-            wave_name.c_str(),
-            [p](benchmark::State& state) {
-                BM_DecodeBatch(state, p, 0);
+                BM_DecodeScalarVsWave(state, p);
             })
             ->Unit(benchmark::kMillisecond);
     }
@@ -762,7 +799,7 @@ registerRows()
     // dispatch override at the operating point. Rows exist only for
     // rungs this host can run, so CI gates must key off presence.
     for (const DecoderBackend* b : decoderBackendRegistry()) {
-        if (b->kernels == nullptr || !b->supported())
+        if (!b->supported())
             continue;
         const std::string name =
             std::string("decode_wave_") + b->name + "/bb72_p0.001";
@@ -787,22 +824,18 @@ registerRows()
     }
 
     // Cross-chunk staging: 64-shot chunks decoded one at a time vs
-    // pooled kStagingGroup at a time.
+    // pooled kStagingGroup at a time; one paired run fills both rows.
     {
-        const std::string per = "decode_chunk64/bb72_p0.001";
-        const std::string pool = "decode_staged/bb72_p0.001";
-        rowSpecs().push_back({per, "chunk64", 1e-3});
-        rowSpecs().push_back({pool, "staged", 1e-3});
+        const std::string pair =
+            "decode_chunk64_vs_decode_staged/bb72_p0.001";
+        rowSpecs().push_back({"decode_chunk64/bb72_p0.001", "chunk64",
+                              1e-3, pair, "chunk64_"});
+        rowSpecs().push_back({"decode_staged/bb72_p0.001", "staged", 1e-3,
+                              pair, "staged_"});
         benchmark::RegisterBenchmark(
-            per.c_str(),
+            pair.c_str(),
             [](benchmark::State& state) {
-                BM_DecodeChunk64(state, 1e-3);
-            })
-            ->Unit(benchmark::kMillisecond);
-        benchmark::RegisterBenchmark(
-            pool.c_str(),
-            [](benchmark::State& state) {
-                BM_DecodeStaged(state, 1e-3);
+                BM_DecodeChunk64VsStaged(state, 1e-3);
             })
             ->Unit(benchmark::kMillisecond);
     }

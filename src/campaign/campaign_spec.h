@@ -64,7 +64,7 @@ struct StoppingRule
      * bit-identical at any thread count — but a different value
      * regroups the decoder's duplicate-syndrome memo, so memoHits
      * (never any prediction) can change. A perf knob: deliberately
-     * excluded from the task content hash, like bp.waveLanes.
+     * excluded from the task content hash, like the SIMD rung.
      * 1 = stage nothing (one chunk per decode job, the default).
      */
     size_t stagingChunks = 1;

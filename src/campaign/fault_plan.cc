@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "campaign/campaign_io.h"
 #include "campaign/content_hash.h"
 
 namespace cyclone {
@@ -51,18 +52,19 @@ parseAction(const std::string& name)
                              "'");
 }
 
+/** A positive count, read as spec files take counts (parseCount:
+ *  digits only, nothing after them). */
 size_t
-parseCount(const std::string& text, const char* what)
+parsePlanCount(const std::string& text, const char* what)
 {
     try {
-        const unsigned long long v = std::stoull(text);
-        if (v == 0)
-            throw std::runtime_error("zero");
-        return static_cast<size_t>(v);
-    } catch (...) {
-        throw std::runtime_error(std::string("fault plan: bad ") +
-                                 what + " '" + text + "'");
+        const size_t v = parseCount(text);
+        if (v != 0)
+            return v;
+    } catch (const std::exception&) {
     }
+    throw std::runtime_error(std::string("fault plan: bad ") + what +
+                             " '" + text + "'");
 }
 
 void
@@ -104,7 +106,7 @@ FaultPlan::parse(const std::string& text)
         if (item.empty())
             continue;
         if (item.rfind("seed=", 0) == 0) {
-            plan.seed = parseCount(item.substr(5), "seed");
+            plan.seed = parsePlanCount(item.substr(5), "seed");
             continue;
         }
         const size_t colon = item.find(':');
@@ -122,11 +124,11 @@ FaultPlan::parse(const std::string& text)
             if (star != std::string::npos &&
                 (at == std::string::npos || star > at)) {
                 rule.count =
-                    parseCount(action.substr(star + 1), "count");
+                    parsePlanCount(action.substr(star + 1), "count");
                 action.erase(star);
             } else if (at != std::string::npos) {
                 rule.firstHit =
-                    parseCount(action.substr(at + 1), "hit");
+                    parsePlanCount(action.substr(at + 1), "hit");
                 action.erase(at);
             }
         }

@@ -52,20 +52,6 @@ struct BpOptions
     double minSumScale = 0.9;
     /** Message clamp magnitude. */
     double clamp = 50.0;
-
-    /**
-     * Lane width of the batched wave kernel: 0 lets backend dispatch
-     * pick the widest rung this host supports (L = 16 zmm on AVX-512,
-     * L = 8 ymm on AVX2 — see decoder_backend.h), 1 disables the wave
-     * kernel (the batch path decodes distinct syndromes one at a time
-     * through the scalar core), and other values cap the dispatch at
-     * the nearest supported width at or below. Purely a performance
-     * knob — every
-     * width produces bit-identical decodes (enforced by
-     * tests/test_wave_decoder.cc), so it is deliberately excluded
-     * from campaign content hashes.
-     */
-    size_t waveLanes = 0;
 };
 
 /** Belief-propagation decoder core. */

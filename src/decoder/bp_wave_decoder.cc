@@ -8,58 +8,17 @@
 
 namespace cyclone {
 
-bool
-BpWaveDecoder::runtimeSupported()
-{
-    return selectDecoderBackend(0).lanes > 1;
-}
-
-size_t
-BpWaveDecoder::resolveLaneWidth(size_t requested)
-{
-    return selectDecoderBackend(requested).lanes;
-}
-
-BpWaveDecoder::BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
-                             BpOptions options)
-    : graph_(std::move(graph)), options_(options),
-      clamp_(static_cast<float>(options.clamp)),
-      minSumScale_(static_cast<float>(options.minSumScale))
-{
-    const DecoderBackendChoice choice =
-        selectDecoderBackend(options_.waveLanes);
-    CYCLONE_ASSERT(choice.lanes > 1,
-                   "BpWaveDecoder constructed with no wave backend "
-                   "available (waveLanes " << options_.waveLanes
-                   << ") — check runtimeSupported() first");
-    backend_ = choice.backend;
-    laneWidth_ = choice.lanes;
-    kernels_ = backend_->kernels(laneWidth_);
-    initState();
-}
-
 BpWaveDecoder::BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
                              BpOptions options,
                              const DecoderBackend& backend)
     : graph_(std::move(graph)), options_(options), backend_(&backend),
+      kernels_(backend.kernels()), laneWidth_(kernels_->lanes),
       clamp_(static_cast<float>(options.clamp)),
       minSumScale_(static_cast<float>(options.minSumScale))
 {
     CYCLONE_ASSERT(backend.supported(),
                    "backend '" << backend.name
                    << "' is not supported on this host");
-    laneWidth_ = backendLaneWidth(backend, options_.waveLanes);
-    CYCLONE_ASSERT(laneWidth_ > 1,
-                   "backend '" << backend.name
-                   << "' serves no lane width for waveLanes "
-                   << options_.waveLanes);
-    kernels_ = backend.kernels(laneWidth_);
-    initState();
-}
-
-void
-BpWaveDecoder::initState()
-{
     const size_t L = laneWidth_;
     if (options_.variant == BpOptions::Variant::MinSum &&
         kernels_->minSumCompressed) {

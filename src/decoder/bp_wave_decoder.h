@@ -15,8 +15,8 @@
  * (decoder_backend.h): each SIMD-ladder rung is a per-ISA translation
  * unit exporting a kernel table, and this class runs the iteration
  * schedule, convergence bookkeeping and verification against whichever
- * table dispatch selected. L is therefore a runtime property here, not
- * a template parameter.
+ * table dispatch selected. L — 16, 8 or 4, one width per rung — is
+ * therefore a runtime property here, not a template parameter.
  *
  * Bit-exactness invariant: lanes never interact arithmetically. Each
  * lane performs the same float operations, in the same order, as
@@ -34,8 +34,8 @@
  * also match the scalar decoder: verification is evaluated every
  * iteration here, and when the scalar decoder skips verification (no
  * decision bit moved) the skipped result provably equals the reused
- * one. The equivalence is enforced by tests/test_wave_decoder.cc
- * across lane widths and backends.
+ * one. The equivalence is enforced by tests/test_wave_decoder.cc on
+ * every supported rung.
  */
 
 #ifndef CYCLONE_DECODER_BP_WAVE_DECODER_H
@@ -57,34 +57,10 @@ class BpWaveDecoder
 {
   public:
     /**
-     * Lane width runtime dispatch resolves a BpOptions::waveLanes
-     * request to on this host (selectDecoderBackend(requested).lanes):
-     * the widest supported rung at or below the request, honoring the
-     * CYCLONE_WAVE_BACKEND override. Returns 1 when only the scalar
-     * rung is available (pre-AVX2 x86 host, or a forced scalar
-     * override) — callers treat 1 as "wave kernel disabled" and must
-     * not construct a BpWaveDecoder.
-     */
-    static size_t resolveLaneWidth(size_t requested);
-
-    /**
-     * Whether dispatch finds any wave rung this CPU can run (the
-     * kernel functions are compiled with function-scoped target
-     * attributes on x86-64 builds). When false, BpOsdDecoder silently
-     * uses the scalar batch core instead; constructing or driving a
-     * BpWaveDecoder directly is then undefined. Always true on
-     * non-x86 builds (the generic rung runs everywhere).
-     */
-    static bool runtimeSupported();
-
-    /** Auto-dispatched backend (selectDecoderBackend). */
-    BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
-                  BpOptions options);
-
-    /**
-     * Explicit backend, for forced-dispatch tests and per-rung
-     * benches. `backend` must be supported on this host and must
-     * serve options.waveLanes (backendLaneWidth > 1).
+     * Decoder on one rung of the SIMD ladder (selectDecoderBackend
+     * for this host's, or any registry entry for forced-dispatch
+     * tests and per-rung benches). `backend` must be supported on
+     * this host; its kernel table fixes the lane width.
      */
     BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
                   BpOptions options, const DecoderBackend& backend);
@@ -123,7 +99,6 @@ class BpWaveDecoder
     size_t numVars() const { return graph_->numVars; }
 
   private:
-    void initState();
     void runWave(size_t count);
     /** Lane mask of lanes whose hard decision matches their syndrome. */
     uint64_t verifyWave() const;

@@ -72,16 +72,10 @@ BpOsdStats::fields()
 
 BpOsdDecoder::BpOsdDecoder(const DetectorErrorModel& dem, BpOptions options)
     : dem_(dem), graph_(std::make_shared<const BpGraph>(dem)),
-      options_(options),
-      // Dispatch once: on a CPU with no supported wave rung the choice
-      // degrades to the scalar backend (lanes == 1) and the batch path
-      // falls back to the scalar core — identical results, the wave is
-      // purely a throughput feature.
-      backendChoice_(selectDecoderBackend(options.waveLanes)),
-      waveEnabled_(backendChoice_.lanes > 1), bp_(graph_, options),
-      osd_(dem)
+      options_(options), backend_(selectDecoderBackend().backend),
+      bp_(graph_, options), osd_(dem)
 {
-    stats_.backend = backendChoice_.backend->name;
+    stats_.backend = backend_->name;
 }
 
 BpOsdStats
@@ -338,64 +332,55 @@ BpOsdDecoder::flushStaged()
     stagedOpen_ = false;
     stagedPredicted_.assign(stagedShots_, 0);
 
-    // Pass 2: decode each distinct syndrome of the pool — lane groups
-    // through the wave kernel, or one at a time through the scalar
-    // core when the wave kernel is disabled (waveLanes == 1, or no
-    // supported backend).
-    if (waveEnabled_ && wave_ == nullptr && !memoEntries_.empty())
-        wave_ = std::make_unique<BpWaveDecoder>(
-            graph_, options_, *backendChoice_.backend);
-    if (waveEnabled_ && wave_ != nullptr) {
-        // A lane group iterates until its slowest lane converges, so
-        // group syndromes of similar weight together: weight tracks
-        // BP difficulty, which keeps fast lanes from idling behind
-        // one hard syndrome. Ordering cannot change any outcome —
-        // lanes never interact — it only reduces frozen-lane waste.
-        // The stable sort keeps the grouping deterministic, and with
-        // several chunks staged the pool fills whole L-wide groups
-        // where per-chunk decoding would have emitted ragged tails.
-        laneOrder_.resize(memoEntries_.size());
-        for (size_t i = 0; i < laneOrder_.size(); ++i)
-            laneOrder_[i] = static_cast<uint32_t>(i);
-        std::stable_sort(
-            laneOrder_.begin(), laneOrder_.end(),
-            [&](uint32_t a, uint32_t b) {
-                return memoEntries_[a].weight < memoEntries_[b].weight;
-            });
+    // Pass 2: decode each distinct syndrome of the pool, L at a time
+    // through the wave kernel. A lane group iterates until its slowest
+    // lane converges, so group syndromes of similar weight together:
+    // weight tracks BP difficulty, which keeps fast lanes from idling
+    // behind one hard syndrome. Ordering cannot change any outcome —
+    // lanes never interact — it only reduces frozen-lane waste. The
+    // stable sort keeps the grouping deterministic, and with several
+    // chunks staged the pool fills whole L-wide groups where per-chunk
+    // decoding would have emitted ragged tails.
+    if (wave_ == nullptr && !memoEntries_.empty())
+        wave_ = std::make_unique<BpWaveDecoder>(graph_, options_,
+                                                *backend_);
+    laneOrder_.resize(memoEntries_.size());
+    for (size_t i = 0; i < laneOrder_.size(); ++i)
+        laneOrder_[i] = static_cast<uint32_t>(i);
+    std::stable_sort(
+        laneOrder_.begin(), laneOrder_.end(),
+        [&](uint32_t a, uint32_t b) {
+            return memoEntries_[a].weight < memoEntries_[b].weight;
+        });
 
-        const size_t L = wave_->laneWidth();
-        const BitVec* lanes[64];
-        osdPending_.clear();
-        for (size_t group = 0; group < laneOrder_.size(); group += L) {
-            const size_t count =
-                std::min(L, laneOrder_.size() - group);
-            for (size_t i = 0; i < count; ++i)
-                lanes[i] = &memoEntries_[laneOrder_[group + i]].syndrome;
-            wave_->decodeWave(lanes, count);
-            ++stats_.waveGroups;
-            stats_.waveLaneSlots += L;
-            stats_.waveLanesFilled += count;
-            for (size_t i = 0; i < count; ++i) {
-                const uint32_t memoIdx = laneOrder_[group + i];
-                if (!wave_->laneConverged(i)) {
-                    // Defer OSD: stage this lane for the batched solve.
-                    bufferWaveLaneForOsd(i, memoIdx);
-                    continue;
-                }
-                // The lane's hard decision is bit-identical to the
-                // scalar core's for this syndrome.
-                DecodeOutcome& outcome = memoEntries_[memoIdx].outcome;
-                outcome.converged = true;
-                outcome.iterations = wave_->laneIterations(i);
-                wave_->laneHardDecision(i, hardScratch_);
-                outcome.observables = observablesOf(hardScratch_);
+    const size_t L = waveLaneWidth();
+    const BitVec* lanes[64];
+    osdPending_.clear();
+    for (size_t group = 0; group < laneOrder_.size(); group += L) {
+        const size_t count = std::min(L, laneOrder_.size() - group);
+        for (size_t i = 0; i < count; ++i)
+            lanes[i] = &memoEntries_[laneOrder_[group + i]].syndrome;
+        wave_->decodeWave(lanes, count);
+        ++stats_.waveGroups;
+        stats_.waveLaneSlots += L;
+        stats_.waveLanesFilled += count;
+        for (size_t i = 0; i < count; ++i) {
+            const uint32_t memoIdx = laneOrder_[group + i];
+            if (!wave_->laneConverged(i)) {
+                // Defer OSD: stage this lane for the batched solve.
+                bufferWaveLaneForOsd(i, memoIdx);
+                continue;
             }
+            // The lane's hard decision is bit-identical to the scalar
+            // core's for this syndrome.
+            DecodeOutcome& outcome = memoEntries_[memoIdx].outcome;
+            outcome.converged = true;
+            outcome.iterations = wave_->laneIterations(i);
+            wave_->laneHardDecision(i, hardScratch_);
+            outcome.observables = observablesOf(hardScratch_);
         }
-        flushOsdBatch();
-    } else {
-        for (MemoEntry& entry : memoEntries_)
-            entry.outcome = decodeCore(entry.syndrome);
     }
+    flushOsdBatch();
 
     // Pass 3: replay each outcome — and its statistics — onto every
     // shot that carried the syndrome, so the aggregate counters stay

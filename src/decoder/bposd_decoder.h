@@ -15,11 +15,13 @@
  * and replays the result — and its statistics — for duplicates, and
  * the surviving distinct syndromes are decoded L at a time by the
  * lane-parallel wave kernel (bp_wave_decoder.h) of whichever
- * SIMD-ladder backend runtime dispatch selected (decoder_backend.h),
- * whose per-lane posteriors seed OSD exactly as the scalar core would
- * — with non-converged lanes collected across wave groups and solved
- * by the batched OSD stage (OsdDecoder::solveBatch) in slabs of up to
- * 64 shots.
+ * SIMD-ladder rung runtime dispatch selected (decoder_backend.h; the
+ * generic rung runs on every host), whose per-lane posteriors seed
+ * OSD exactly as the scalar core would — with non-converged lanes
+ * collected across wave groups and solved by the batched OSD stage
+ * (OsdDecoder::solveBatch) in slabs of up to 64 shots. decode() runs
+ * the scalar core alone, one shot at a time: the per-shot oracle the
+ * identity tests compare the pipeline against.
  *
  * decodeBatch() is itself a thin wrapper over the staged interface
  * (beginStaged / stageBatch / flushStaged), which lets a campaign
@@ -33,8 +35,8 @@
  * completion order. Every fast path reproduces what per-shot decoding
  * would return bit-for-bit (BP is deterministic per syndrome, lanes
  * never interact, the batched OSD equals the scalar OSD exactly), so
- * batch, staged and scalar decoding are bit-identical at any lane
- * width on any backend.
+ * batch, staged and per-shot decoding are bit-identical on every
+ * rung.
  */
 
 #ifndef CYCLONE_DECODER_BPOSD_DECODER_H
@@ -104,8 +106,8 @@ struct BpOsdStats
      *  waveGroups. */
     size_t stagedChunks = 0;
 
-    /** SIMD-ladder backend the decoder dispatched to ("scalar",
-     *  "generic", "avx2", "avx512"). */
+    /** SIMD-ladder backend the decoder dispatched to ("generic",
+     *  "avx2", "avx512"). */
     std::string backend;
 
     /** Fraction of decodes resolved by the zero-syndrome fast path. */
@@ -131,9 +133,8 @@ class BpOsdDecoder : public Decoder
   public:
     /**
      * @param dem detector error model; must outlive the decoder
-     * @param options BP configuration (options.waveLanes selects the
-     *        batch path's lane width; 1 disables the wave kernel).
-     *        The kernel backend is resolved here, once (see
+     * @param options BP configuration. The batch path's kernel
+     *        backend is resolved here, once (see
      *        selectDecoderBackend).
      */
     explicit BpOsdDecoder(const DetectorErrorModel& dem,
@@ -200,15 +201,11 @@ class BpOsdDecoder : public Decoder
      *  what one job of a reused decoder added. */
     BpOsdStats takeStats();
 
-    /** Lane width of the batched wave kernel (1 = disabled). */
-    size_t waveLaneWidth() const { return backendChoice_.lanes; }
+    /** Lane width of the batched wave kernel. */
+    size_t waveLaneWidth() const { return backend_->kernels()->lanes; }
 
     /** Name of the dispatched SIMD-ladder backend. */
-    const char*
-    backendName() const
-    {
-        return backendChoice_.backend->name;
-    }
+    const char* backendName() const { return backend_->name; }
 
   private:
     /** What one full BP(+OSD) solve did, for stats and memo replay. */
@@ -249,8 +246,7 @@ class BpOsdDecoder : public Decoder
     const DetectorErrorModel& dem_;
     std::shared_ptr<const BpGraph> graph_;
     BpOptions options_;
-    DecoderBackendChoice backendChoice_;
-    bool waveEnabled_ = false;
+    const DecoderBackend* backend_ = nullptr;
     BpDecoder bp_;
     /** Lazily built on the first flush (the wave state is numEdges x
      *  L floats — per-shot-only users never pay for it). */

@@ -1,5 +1,6 @@
 #include "decoder/decoder_backend.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace cyclone {
@@ -12,16 +13,6 @@ alwaysSupported()
     return true;
 }
 
-#if defined(CYCLONE_WAVE_KERNEL_AVX2)
-
-bool
-avx2Supported()
-{
-    return __builtin_cpu_supports("avx2");
-}
-
-#endif
-
 #if defined(CYCLONE_WAVE_KERNEL_AVX512)
 
 bool
@@ -32,46 +23,40 @@ avx512Supported()
 }
 
 const DecoderBackend kAvx512Backend{
-    "avx512", 16, &avx512Supported, &waveKernelTablesAvx512};
+    "avx512", &avx512Supported, &waveKernelTableAvx512};
 
 #endif
 
 #if defined(CYCLONE_WAVE_KERNEL_AVX2)
 
+bool
+avx2Supported()
+{
+    return __builtin_cpu_supports("avx2");
+}
+
 const DecoderBackend kAvx2Backend{
-    "avx2", 8, &avx2Supported, &waveKernelTablesAvx2};
-
-#else
-
-// Preferred width 8 matches the old default: 16 generic-vector lanes
-// without an attributed kernel lower to poor code on most baselines
-// and pay more frozen-lane waste per slow syndrome.
-const DecoderBackend kGenericBackend{
-    "generic", 8, &alwaysSupported, &waveKernelTablesGeneric};
+    "avx2", &avx2Supported, &waveKernelTableAvx2};
 
 #endif
 
-const DecoderBackend kScalarBackend{
-    "scalar", 1, &alwaysSupported, nullptr};
+const DecoderBackend kGenericBackend{
+    "generic", &alwaysSupported, &waveKernelTableGeneric};
 
 } // namespace
 
 const std::vector<const DecoderBackend*>&
 decoderBackendRegistry()
 {
-    static const std::vector<const DecoderBackend*> registry = [] {
-        std::vector<const DecoderBackend*> r;
+    static const std::vector<const DecoderBackend*> registry = {
 #if defined(CYCLONE_WAVE_KERNEL_AVX512)
-        r.push_back(&kAvx512Backend);
+        &kAvx512Backend,
 #endif
 #if defined(CYCLONE_WAVE_KERNEL_AVX2)
-        r.push_back(&kAvx2Backend);
-#else
-        r.push_back(&kGenericBackend);
+        &kAvx2Backend,
 #endif
-        r.push_back(&kScalarBackend);
-        return r;
-    }();
+        &kGenericBackend,
+    };
     return registry;
 }
 
@@ -85,56 +70,23 @@ findDecoderBackend(std::string_view name)
     return nullptr;
 }
 
-size_t
-backendLaneWidth(const DecoderBackend& backend, size_t requested)
-{
-    if (backend.kernels == nullptr)
-        return 0;
-    size_t cap = requested == 0 ? backend.preferredLanes : requested;
-    if (cap < 4)
-        cap = 4; // Requests below the narrowest kernel clamp up.
-    size_t best = 0;
-    for (const size_t w : {size_t{4}, size_t{8}, size_t{16}}) {
-        if (w <= cap && backend.kernels(w) != nullptr)
-            best = w;
-    }
-    return best;
-}
-
 DecoderBackendChoice
-selectDecoderBackend(size_t requestedLanes)
+selectDecoderBackend(size_t)
 {
-    const auto& registry = decoderBackendRegistry();
-    const DecoderBackend* scalar = registry.back();
-    if (requestedLanes == 1)
-        return {scalar, 1};
-
     if (const char* env = std::getenv(kWaveBackendEnv)) {
-        const std::string_view forced(env);
-        if (!forced.empty() && forced != "auto") {
-            const DecoderBackend* b = findDecoderBackend(forced);
-            if (b != nullptr && b->supported()) {
-                if (b->kernels == nullptr)
-                    return {b, 1};
-                const size_t lanes =
-                    backendLaneWidth(*b, requestedLanes);
-                if (lanes > 1)
-                    return {b, lanes};
-            }
-            // Unknown names, unsupported rungs and width-incompatible
-            // forces fall through to auto dispatch: the override is a
-            // throughput knob and must never strand a decode.
-        }
+        const DecoderBackend* forced = findDecoderBackend(env);
+        if (forced != nullptr && forced->supported())
+            return {forced};
+        // Anything else falls through to auto dispatch: the override
+        // is a throughput knob and must never strand a decode.
     }
-
-    for (const DecoderBackend* b : registry) {
-        if (b->kernels == nullptr || !b->supported())
-            continue;
-        const size_t lanes = backendLaneWidth(*b, requestedLanes);
-        if (lanes > 1)
-            return {b, lanes};
-    }
-    return {scalar, 1};
+    // The search stops short of the always-supported generic rung, so
+    // it lands there when no wider rung runs on this host.
+    const auto& registry = decoderBackendRegistry();
+    return {*std::find_if(registry.begin(), registry.end() - 1,
+                          [](const DecoderBackend* b) {
+                              return b->supported();
+                          })};
 }
 
 } // namespace cyclone

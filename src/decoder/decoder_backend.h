@@ -3,26 +3,24 @@
  * The DecoderBackend seam: registry and runtime dispatch for the
  * decode stack's SIMD ladder.
  *
- * A backend is one rung of the ladder — "scalar" (the per-syndrome
- * batch core, no wave kernel), "avx2" (L = 8 ymm wave kernel,
- * narrowable to 4), "avx512" (L = 16 zmm wave kernel) or "generic"
- * (vector-extension kernels at the baseline ISA, the SIMD rung of
- * non-x86 builds). All rungs are bit-identical by construction —
- * lanes never interact and every lane runs the scalar float sequence
- * — so dispatch is purely a throughput decision:
+ * A backend is one rung of the ladder, and each rung decodes one lane
+ * width L (syndromes per wave): "avx512" (L = 16, one zmm per
+ * variable), "avx2" (L = 8, one ymm) and "generic" (L = 4, one
+ * 128-bit vector at the baseline ISA: SSE2 on x86-64, NEON on
+ * aarch64). Every build registers generic, last and always supported;
+ * x86-64 builds put the two AVX rungs ahead of it. All rungs are
+ * bit-identical by construction — lanes never interact and every lane
+ * runs the scalar float sequence — so dispatch is purely a throughput
+ * decision:
  *
  *   1. If the CYCLONE_WAVE_BACKEND environment variable names a
  *      compiled-in, CPUID-supported backend, it wins (the forced-
- *      dispatch hook the tests and benches use). Unknown names, or
- *      backends this host cannot run, fall through to auto dispatch —
- *      an override can change speed, never results.
- *   2. Otherwise the widest supported rung wins: avx512 -> avx2 ->
- *      scalar on x86 builds, generic -> scalar elsewhere.
- *
- * A requested lane width (BpOptions::waveLanes) narrows the choice:
- * a rung whose kernels are all wider than the request is skipped
- * (e.g. waveLanes = 8 on an AVX-512 host selects avx2/L8, and
- * waveLanes = 1 always selects scalar).
+ *      dispatch hook the tests and benches use). Other values —
+ *      unknown names, "auto", "", rungs this host cannot run — fall
+ *      through to auto dispatch: an override can change speed, never
+ *      results.
+ *   2. Otherwise the first supported rung of the registry wins:
+ *      avx512 -> avx2 -> generic on x86 builds, generic elsewhere.
  *
  * Later rungs (GPU, streaming slabs) drop in as new registry entries
  * behind the same two functions.
@@ -42,57 +40,47 @@ namespace cyclone {
 /** One rung of the SIMD ladder. */
 struct DecoderBackend
 {
-    /** Stable identifier: "scalar", "generic", "avx2" or "avx512".
-     *  Also the value CYCLONE_WAVE_BACKEND matches against, and the
-     *  name reported through BpOsdStats. */
+    /** Stable identifier: "generic", "avx2" or "avx512". Also the
+     *  value CYCLONE_WAVE_BACKEND matches against, and the name
+     *  reported through BpOsdStats. */
     const char* name = "";
-
-    /** Lane width auto-dispatch picks when waveLanes == 0. */
-    size_t preferredLanes = 1;
 
     /** Whether this host's CPU can execute the rung's kernels. */
     bool (*supported)() = nullptr;
 
-    /** Kernel factory (nullptr for the scalar rung). */
-    const WaveKernelTable* (*kernels)(size_t lanes) = nullptr;
+    /** The rung's kernel table; its `lanes` is the rung's width. */
+    const WaveKernelTable* (*kernels)() = nullptr;
 };
 
 /**
  * Every backend compiled into this build, widest rung first; the
- * scalar rung is always present and always last. Entries may be
- * unsupported on this host — pair with supported().
+ * generic rung is always present, always supported and always last.
+ * Other entries may be unsupported on this host — pair with
+ * supported().
  */
 const std::vector<const DecoderBackend*>& decoderBackendRegistry();
 
 /** Registry entry by name, or nullptr (compiled-in != supported). */
 const DecoderBackend* findDecoderBackend(std::string_view name);
 
-/** Environment variable that forces a backend ("auto" / "" = off). */
+/** Environment variable that forces a backend by name. */
 inline constexpr const char* kWaveBackendEnv = "CYCLONE_WAVE_BACKEND";
 
-/** A dispatch decision: the rung plus the resolved lane width. */
+/** A dispatch decision. */
 struct DecoderBackendChoice
 {
     const DecoderBackend* backend = nullptr;
-    size_t lanes = 1; ///< 1 iff backend is the scalar rung.
 };
 
 /**
- * Widest lane width `backend` can serve under a BpOptions::waveLanes
- * request (0 = the backend's preferred width; requests below 4 clamp
- * up to the narrowest kernel). Returns 0 when the backend has no
- * kernel at or below the request — the dispatch loop then falls
- * through to a narrower rung.
+ * Runtime dispatch for this host and this environment. Never fails:
+ * the generic rung runs everywhere. Read once at decoder construction
+ * — changing CYCLONE_WAVE_BACKEND afterwards does not migrate live
+ * decoders. The argument is unread; it stays only so perfbench's
+ * provenance call `selectDecoderBackend(0)` compiles until the next
+ * benchmark change.
  */
-size_t backendLaneWidth(const DecoderBackend& backend, size_t requested);
-
-/**
- * Runtime dispatch for this host, this environment and a waveLanes
- * request. Never fails: the scalar rung is the universal fallback.
- * Read once at decoder construction — changing CYCLONE_WAVE_BACKEND
- * afterwards does not migrate live decoders.
- */
-DecoderBackendChoice selectDecoderBackend(size_t requestedLanes);
+DecoderBackendChoice selectDecoderBackend(size_t unread = 0);
 
 } // namespace cyclone
 

@@ -6,19 +6,21 @@
  * the check-to-variable update — are template bodies shared by every
  * rung of the SIMD ladder (wave_kernels.inl). Each rung is one
  * translation unit that includes the .inl under a function-scoped
- * target attribute and exports a table of function pointers:
+ * target attribute and exports one table of function pointers at its
+ * one lane width:
  *
- *   - wave_kernels_generic.cc : no target attribute (baseline ISA);
- *     the only SIMD rung of non-x86 builds.
- *   - wave_kernels_avx2.cc    : target("avx2"), L = 4 and 8 (ymm).
+ *   - wave_kernels_generic.cc : no target attribute (baseline ISA),
+ *     L = 4 — one 128-bit vector per variable; in every build.
+ *   - wave_kernels_avx2.cc    : target("avx2"), L = 8 (one ymm).
  *   - wave_kernels_avx512.cc  : target("avx512f,avx512bw"), L = 16 —
  *     one zmm per variable, with the frozen-lane select lowered to
  *     __mmask16 blends.
  *
  * Splitting the rungs into separate TUs (instead of one TU with many
  * target attributes) keeps each kernel's helpers inlined under exactly
- * one ISA and lets the registry in decoder_backend.cc compile rungs in
- * or out independently. The kernels operate on a borrowed view of the
+ * one ISA and lets the registry in decoder_backend.cc compile the AVX
+ * rungs in or out (CYCLONE_WAVE_KERNEL_AVX2 / _AVX512, defined on
+ * x86-64 builds). The kernels operate on a borrowed view of the
  * decoder's lane-major state (WaveKernelCtx); all float semantics and
  * the bit-exactness argument live in bp_wave_decoder.h.
  */
@@ -71,7 +73,7 @@ struct WaveKernelCtx
     uint32_t* edgeMinBits = nullptr;   ///< numEdges: lane was-min1 bits.
 };
 
-/** One lane width of one ISA rung: the wave decoder's inner passes. */
+/** One ISA rung at its lane width: the wave decoder's inner passes. */
 struct WaveKernelTable
 {
     size_t lanes = 0;
@@ -81,9 +83,9 @@ struct WaveKernelTable
      * array. A per-rung tuning choice, not a capability: compression
      * pays where the full message stream is the bottleneck (L = 16,
      * 64 B per edge) and its decode-on-read maps to single mask
-     * instructions; at L <= 8 the smaller stream plus the cheaper
-     * plain store wins. The decoder allocates and resets whichever
-     * state the selected rung asks for.
+     * instructions; on the narrower rungs the smaller stream plus the
+     * cheaper plain store wins. The decoder allocates and resets
+     * whichever state the selected rung asks for.
      */
     bool minSumCompressed = false;
     /** Full-message posterior pass (product-sum variant, and the
@@ -98,14 +100,13 @@ struct WaveKernelTable
 };
 
 /**
- * Kernel table of one rung at one lane width, or nullptr when that
- * rung (or width) is not compiled into this build. The factories are
- * always linkable; availability is a runtime query so the backend
- * registry stays a plain data table.
+ * Kernel table of each rung. The AVX tables are defined only in builds
+ * that compile those rungs (CYCLONE_WAVE_KERNEL_AVX2 / _AVX512); the
+ * registry references them under the same guards.
  */
-const WaveKernelTable* waveKernelTablesGeneric(size_t lanes);
-const WaveKernelTable* waveKernelTablesAvx2(size_t lanes);
-const WaveKernelTable* waveKernelTablesAvx512(size_t lanes);
+const WaveKernelTable* waveKernelTableGeneric();
+const WaveKernelTable* waveKernelTableAvx2();
+const WaveKernelTable* waveKernelTableAvx512();
 
 } // namespace cyclone
 

@@ -1,8 +1,7 @@
 /**
  * @file
- * AVX2 rung of the SIMD ladder: L = 4 and 8 (one ymm per variable).
- * Compiled into a table only when the build enables the x86 kernels;
- * the empty fallback keeps the factory linkable everywhere.
+ * AVX2 rung of the SIMD ladder: L = 8, one ymm per variable. Compiled
+ * only when the build enables the x86 kernels (CYCLONE_WAVE_KERNEL_AVX2).
  */
 
 // The product-sum math must round exactly like the scalar decoder's:
@@ -42,30 +41,14 @@
 namespace cyclone {
 
 const WaveKernelTable*
-waveKernelTablesAvx2(size_t lanes)
+waveKernelTableAvx2()
 {
-    // Full-message min-sum: at ymm widths the message array is a
-    // quarter the L = 16 size, and measured e2e throughput favors the
-    // plain store over compression's per-edge decode.
-    if (lanes == 8)
-        return laneKernelTable<8, false>();
-    if (lanes == 4)
-        return laneKernelTable<4, false>();
-    return nullptr;
+    // Full-message min-sum: at ymm width the message array is half
+    // the L = 16 size, and measured e2e throughput favors the plain
+    // store over compression's per-edge decode.
+    return laneKernelTable<8, false>();
 }
 
 } // namespace cyclone
 
-#else // !CYCLONE_WAVE_KERNEL_AVX2
-
-namespace cyclone {
-
-const WaveKernelTable*
-waveKernelTablesAvx2(size_t)
-{
-    return nullptr;
-}
-
-} // namespace cyclone
-
-#endif
+#endif // CYCLONE_WAVE_KERNEL_AVX2

@@ -4,8 +4,8 @@
  * generic-vector selects (`cond ? a : b` on 16-lane comparisons) lower
  * to __mmask16 compare + masked blends under this target, which is
  * what makes the frozen-lane message freeze and the two-smallest
- * tracking cheap at this width. Compiled into a table only when the
- * build enables the x86 AVX-512 kernels.
+ * tracking cheap at this width. Compiled only when the build enables
+ * the x86 kernels (CYCLONE_WAVE_KERNEL_AVX512).
  */
 
 // The product-sum math must round exactly like the scalar decoder's:
@@ -44,23 +44,11 @@
 namespace cyclone {
 
 const WaveKernelTable*
-waveKernelTablesAvx512(size_t lanes)
+waveKernelTableAvx512()
 {
-    return lanes == 16 ? laneKernelTable<16, true>() : nullptr;
+    return laneKernelTable<16, true>();
 }
 
 } // namespace cyclone
 
-#else // !CYCLONE_WAVE_KERNEL_AVX512
-
-namespace cyclone {
-
-const WaveKernelTable*
-waveKernelTablesAvx512(size_t)
-{
-    return nullptr;
-}
-
-} // namespace cyclone
-
-#endif
+#endif // CYCLONE_WAVE_KERNEL_AVX512

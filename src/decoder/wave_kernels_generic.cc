@@ -1,12 +1,11 @@
 /**
  * @file
- * Generic rung of the SIMD ladder: no target attribute, so the
- * kernels compile for the baseline ISA (NEON on aarch64, SSE2 on
- * plain x86-64 builds with CYCLONE_WAVE_SIMD off). On builds that
- * carry the attributed x86 rungs this TU compiles to the empty
- * fallback: pre-AVX2 x86 hosts must select the scalar batch core, not
- * a generic-vector kernel the compiler lowers poorly (see
- * decoder_backend.cc).
+ * Generic rung of the SIMD ladder, L = 4: no target attribute, so the
+ * kernels compile for the baseline ISA — one 128-bit vector per
+ * variable (SSE2 on x86-64, NEON on aarch64). Every build registers
+ * it, last: it is what pre-AVX2 x86 hosts and non-x86 builds decode
+ * with. Wider generic vectors lower to poor code without an ISA
+ * target, so this rung has no other width.
  */
 
 // The product-sum math must round exactly like the scalar decoder's:
@@ -18,8 +17,6 @@
 #endif
 
 #include "decoder/wave_kernels.h"
-
-#ifndef CYCLONE_WAVE_KERNEL_AVX2
 
 #include <cstdint>
 
@@ -33,32 +30,12 @@
 namespace cyclone {
 
 const WaveKernelTable*
-waveKernelTablesGeneric(size_t lanes)
+waveKernelTableGeneric()
 {
-    // Full-message min-sum everywhere: without a native sign-bit
-    // pack the compressed pass's encode loop is an OR reduction per
-    // edge, which costs more than the message stores it avoids.
-    if (lanes == 16)
-        return laneKernelTable<16, false>();
-    if (lanes == 8)
-        return laneKernelTable<8, false>();
-    if (lanes == 4)
-        return laneKernelTable<4, false>();
-    return nullptr;
+    // Full-message min-sum: without a native sign-bit pack the
+    // compressed pass's encode loop is an OR reduction per edge,
+    // which costs more than the message stores it avoids.
+    return laneKernelTable<4, false>();
 }
 
 } // namespace cyclone
-
-#else // CYCLONE_WAVE_KERNEL_AVX2
-
-namespace cyclone {
-
-const WaveKernelTable*
-waveKernelTablesGeneric(size_t)
-{
-    return nullptr;
-}
-
-} // namespace cyclone
-
-#endif

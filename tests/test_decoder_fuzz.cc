@@ -4,15 +4,15 @@
  * edge-case unit tests.
  *
  * The batched pipeline's contract is that every fast path — the
- * scalar-core batch, the lane-parallel wave kernel, and the batched
- * OSD stage — is bit-identical to per-shot decoding. Instead of
- * hand-building a case per feature, the fuzzer generates random small
- * DEMs (varied detector/mechanism counts, ragged degrees, duplicate
- * columns, zero-weight detectors) and random shot sets (error-pattern
- * shots plus adversarial raw syndromes that may leave the DEM column
- * span), then asserts exact prediction and statistics equality across
- * every decode path (scalar-core batch, the wave pipeline on every
- * supported rung, the staged pool) for both BP variants. Wider random
+ * lane-parallel wave kernel on each rung and the batched OSD stage —
+ * is bit-identical to per-shot decoding. Instead of hand-building a
+ * case per feature, the fuzzer generates random small DEMs (varied
+ * detector/mechanism counts, ragged degrees, duplicate columns,
+ * zero-weight detectors) and random shot sets (error-pattern shots
+ * plus adversarial raw syndromes that may leave the DEM column span),
+ * then asserts exact prediction and statistics equality between the
+ * per-shot oracle (BpOsdDecoder::decode) and the pipeline on every
+ * supported rung, plus the staged pool, for both BP variants. Wider random
  * DEMs (65-464 detectors) run the batched OSD stage head to head
  * against per-shot OSD at reject quotas from 0 to 60, which is what
  * reaches the aug-free hit-list rebuild and the multi-word dual-basis
@@ -37,39 +37,10 @@
 #include "decoder/stream_decoder.h"
 #include "dem/dem.h"
 #include "dem/shot_batch.h"
+#include "env_guard.h"
 
 namespace cyclone {
 namespace {
-
-/** Set (or, with nullptr, unset) an env var for one scope. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        const char* prev = std::getenv(name);
-        had_ = prev != nullptr;
-        if (had_)
-            old_ = prev;
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~EnvGuard()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_ = false;
-};
 
 size_t
 fuzzIterations()
@@ -188,60 +159,27 @@ TEST(DecoderFuzz, AllPathsBitExactOnRandomDems)
                 " det=" + std::to_string(dem.numDetectors) +
                 " mechs=" + std::to_string(dem.mechanisms.size());
 
-            // Path 1: per-shot scalar decoding (the reference).
-            BpOptions scalarBp = bp;
-            scalarBp.waveLanes = 1;
-            BpOsdDecoder scalar(dem, scalarBp);
+            // The per-shot oracle: the scalar core, one shot at a time.
+            BpOsdDecoder scalar(dem, bp);
             std::vector<uint64_t> expected(shots);
             for (size_t s = 0; s < shots; ++s)
                 expected[s] = scalar.decode(batch.syndromeOf(s));
             const BpOsdStats want = scalar.stats();
 
-            struct PathSpec
-            {
-                const char* name;
-                size_t waveLanes;
-            };
-            const PathSpec paths[] = {
-                {"batch", 1},
-                {"wave", 0},
-            };
-            size_t batchMemoHits = 0;
-            for (const PathSpec& path : paths) {
-                BpOptions pathBp = bp;
-                pathBp.waveLanes = path.waveLanes;
-                BpOsdDecoder decoder(dem, pathBp);
-                std::vector<uint64_t> got;
-                decoder.decodeBatch(batch, got);
-                ASSERT_EQ(got.size(), shots) << label;
-                for (size_t s = 0; s < shots; ++s)
-                    ASSERT_EQ(got[s], expected[s])
-                        << label << " path=" << path.name
-                        << " s=" << s;
-                expectReplayedStatsEqual(
-                    decoder.stats(), want,
-                    label + " path=" + path.name);
-                // All batch paths share the same memo grouping.
-                if (path.waveLanes == 1)
-                    batchMemoHits = decoder.stats().memoHits;
-                else
-                    EXPECT_EQ(decoder.stats().memoHits, batchMemoHits)
-                        << label << " path=" << path.name;
-            }
-
-            // Path 4 (x N): every supported SIMD-ladder rung, forced
-            // through the dispatch override, full pipeline. The rung
-            // must change nothing — not one bit, not one counter.
+            // The full pipeline on every supported SIMD-ladder rung,
+            // forced through the dispatch override. The rung must
+            // change nothing — not one bit, not one counter — and
+            // every rung groups the memo alike.
+            std::vector<size_t> memoHits;
             for (const DecoderBackend* b : decoderBackendRegistry()) {
-                if (b->kernels == nullptr || !b->supported())
+                if (!b->supported())
                     continue;
                 EnvGuard guard(kWaveBackendEnv, b->name);
-                BpOptions pathBp = bp;
-                pathBp.waveLanes = 0;
-                BpOsdDecoder decoder(dem, pathBp);
+                BpOsdDecoder decoder(dem, bp);
                 ASSERT_STREQ(decoder.backendName(), b->name) << label;
                 std::vector<uint64_t> got;
                 decoder.decodeBatch(batch, got);
+                ASSERT_EQ(got.size(), shots) << label;
                 for (size_t s = 0; s < shots; ++s)
                     ASSERT_EQ(got[s], expected[s])
                         << label << " backend=" << b->name
@@ -249,17 +187,16 @@ TEST(DecoderFuzz, AllPathsBitExactOnRandomDems)
                 expectReplayedStatsEqual(
                     decoder.stats(), want,
                     label + " backend=" + b->name);
-                EXPECT_EQ(decoder.stats().memoHits, batchMemoHits)
+                memoHits.push_back(decoder.stats().memoHits);
+                EXPECT_EQ(memoHits.back(), memoHits.front())
                     << label << " backend=" << b->name;
             }
 
-            // Path 5: the staged pool — the same batch staged twice
-            // into one group must replay the exact outcome (and
-            // per-shot statistics) onto both copies.
+            // The staged pool: the same batch staged twice into one
+            // group must replay the exact outcome (and per-shot
+            // statistics) onto both copies.
             {
-                BpOptions pathBp = bp;
-                pathBp.waveLanes = 0;
-                BpOsdDecoder staged(dem, pathBp);
+                BpOsdDecoder staged(dem, bp);
                 staged.beginStaged();
                 staged.stageBatch(batch);
                 staged.stageBatch(batch);
@@ -524,9 +461,7 @@ TEST(OsdBatch, RankDeficientAndOutOfSpanSyndromes)
             batch.flipDetector(s, (s + 1) % 4);
     }
 
-    BpOptions scalarBp = bp;
-    scalarBp.waveLanes = 1;
-    BpOsdDecoder scalar(dem, scalarBp);
+    BpOsdDecoder scalar(dem, bp);
     std::vector<uint64_t> expected(shots);
     for (size_t s = 0; s < shots; ++s)
         expected[s] = scalar.decode(batch.syndromeOf(s));

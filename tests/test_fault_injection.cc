@@ -231,6 +231,10 @@ TEST(FaultPlanParse, GrammarRoundTrip)
     EXPECT_THROW(FaultPlan::parse("p:bogus-action"),
                  std::runtime_error);
     EXPECT_THROW(FaultPlan::parse("p:crash@zero"), std::runtime_error);
+    // Counts parse as spec counts do: digits only, nothing after them.
+    for (const char* bad : {"p:crash_before@-1", "p:crash@2x",
+                            "p:torn*3junk", "seed=12abc"})
+        EXPECT_THROW(FaultPlan::parse(bad), std::runtime_error) << bad;
 }
 
 TEST(FaultPlanFiring, RulesFireOnTheScheduledHitsOnly)

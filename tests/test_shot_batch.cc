@@ -293,9 +293,7 @@ TEST(DecodeBatch, MemoHitsReplayOsdStatsExactly)
             batch.flipDetector(s, dem.numDetectors - 1); // out of span
     }
 
-    BpOptions scalarBp = bp;
-    scalarBp.waveLanes = 1;
-    BpOsdDecoder scalar(dem, scalarBp);
+    BpOsdDecoder scalar(dem, bp);
     std::vector<uint64_t> expected(shots);
     for (size_t s = 0; s < shots; ++s)
         expected[s] = scalar.decode(batch.syndromeOf(s));

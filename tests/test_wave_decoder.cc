@@ -3,14 +3,14 @@
  * Tests for the lane-parallel BP wave kernel: bit-exactness against
  * the scalar decoder (convergence, iteration counts, posteriors and
  * hard decisions, per lane), ragged lane groups, early convergence,
- * max-iteration non-convergence, and the batched decode pipeline at
- * every supported lane width — including its interplay with the
- * zero-syndrome fast path and the duplicate-syndrome memo.
+ * max-iteration non-convergence, and the batched decode pipeline on
+ * every supported rung of the SIMD ladder — including its interplay
+ * with the zero-syndrome fast path and the duplicate-syndrome memo.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -22,24 +22,13 @@
 #include "decoder/decoder_backend.h"
 #include "dem/dem_builder.h"
 #include "dem/dem_sampler.h"
+#include "env_guard.h"
 #include "qec/classical_code.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
 
 namespace cyclone {
 namespace {
-
-/**
- * Skip kernel-driving tests on CPUs that cannot run the wave kernels
- * (x86-64 builds compile them with target("avx2")); the product path
- * falls back to the scalar core there, which test_shot_batch.cc
- * covers.
- */
-#define SKIP_WITHOUT_WAVE_SUPPORT()                                    \
-    do {                                                               \
-        if (!BpWaveDecoder::runtimeSupported())                        \
-            GTEST_SKIP() << "wave kernels unsupported on this CPU";    \
-    } while (0)
 
 /** Hand-built repetition-code DEM: chain of detectors. */
 DetectorErrorModel
@@ -94,23 +83,20 @@ scalarReference(BpDecoder& bp, const BitVec& syndrome)
 }
 
 /**
- * Decode `syndromes` in lane groups through a BpWaveDecoder and
- * require every lane to reproduce the scalar decoder bit-for-bit:
- * convergence flag, iteration count, every posterior float and every
- * hard-decision bit.
+ * Decode `syndromes` in lane groups through a BpWaveDecoder on
+ * `backend` and require every lane to reproduce the scalar decoder
+ * bit-for-bit: convergence flag, iteration count, every posterior
+ * float and every hard-decision bit.
  */
 void
 expectWaveMatchesScalar(const DetectorErrorModel& dem, BpOptions options,
                         const std::vector<BitVec>& syndromes,
-                        const char* label,
-                        const DecoderBackend* backend = nullptr)
+                        const std::string& label,
+                        const DecoderBackend& backend)
 {
     auto graph = std::make_shared<const BpGraph>(dem);
     BpDecoder scalar(graph, options);
-    auto wavePtr = backend != nullptr
-        ? std::make_unique<BpWaveDecoder>(graph, options, *backend)
-        : std::make_unique<BpWaveDecoder>(graph, options);
-    BpWaveDecoder& wave = *wavePtr;
+    BpWaveDecoder wave(graph, options, backend);
     const size_t L = wave.laneWidth();
 
     std::vector<float> lane_posterior;
@@ -154,216 +140,111 @@ sampledSyndromes(const DetectorErrorModel& dem, size_t shots,
     return std::move(sampled.syndromes);
 }
 
-/** Set (or, with nullptr, unset) an env var for one test's scope. */
-class EnvGuard
+/** expectWaveMatchesScalar on every rung this host supports. */
+void
+expectEveryRungMatchesScalar(const DetectorErrorModel& dem,
+                             const BpOptions& options,
+                             const std::vector<BitVec>& syndromes,
+                             const std::string& tag)
 {
-  public:
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        const char* prev = std::getenv(name);
-        had_ = prev != nullptr;
-        if (had_)
-            old_ = prev;
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
+    for (const DecoderBackend* b : decoderBackendRegistry()) {
+        if (b->supported())
+            expectWaveMatchesScalar(dem, options, syndromes,
+                                    tag + " " + b->name, *b);
     }
+}
 
-    ~EnvGuard()
-    {
-        if (had_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_ = false;
-};
-
-TEST(WaveDecoder, ResolvesLaneWidthsPerBackend)
+TEST(WaveDecoder, RegistryHasOneWidthPerRung)
 {
     EnvGuard noOverride(kWaveBackendEnv, nullptr);
 
-    // A request of 1 always means "wave disabled", on every host.
-    EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(1), 1u);
-    EXPECT_STREQ(selectDecoderBackend(1).backend->name, "scalar");
-
-    // The registry ends with the always-available scalar backend, and
-    // every wider rung precedes it.
+    // avx512 (L=16) -> avx2 (L=8) -> generic (L=4) on x86-64 builds,
+    // generic alone elsewhere: widest rung first, one lane width per
+    // rung, and the always-supported generic rung last.
+#if defined(__x86_64__)
+    const std::vector<std::string> expected = {"avx512", "avx2",
+                                               "generic"};
+#else
+    const std::vector<std::string> expected = {"generic"};
+#endif
+    const std::map<std::string, size_t> width = {
+        {"avx512", 16}, {"avx2", 8}, {"generic", 4}};
     const auto& registry = decoderBackendRegistry();
-    ASSERT_FALSE(registry.empty());
-    EXPECT_STREQ(registry.back()->name, "scalar");
-    EXPECT_EQ(registry.back()->kernels, nullptr);
+    ASSERT_EQ(registry.size(), expected.size());
+    for (size_t i = 0; i < registry.size(); ++i) {
+        EXPECT_EQ(registry[i]->name, expected[i]);
+        EXPECT_EQ(registry[i]->kernels()->lanes, width.at(expected[i]));
+        EXPECT_EQ(findDecoderBackend(expected[i]), registry[i]);
+    }
     EXPECT_TRUE(registry.back()->supported());
+    EXPECT_EQ(findDecoderBackend("scalar"), nullptr);
 
-    // resolveLaneWidth returns the widest rung at or below the
-    // request that some supported backend serves; requests below the
-    // narrowest kernel clamp up to it.
-    for (size_t req : {size_t{0}, size_t{2}, size_t{4}, size_t{7},
-                       size_t{8}, size_t{15}, size_t{16}, size_t{64}}) {
-        const DecoderBackendChoice choice = selectDecoderBackend(req);
-        EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(req), choice.lanes);
-        if (choice.lanes > 1) {
-            EXPECT_EQ(choice.lanes,
-                      backendLaneWidth(*choice.backend, req));
-            if (req >= 4)
-                EXPECT_LE(choice.lanes, req);
+    // Auto dispatch takes the first rung this host supports; the
+    // argument of selectDecoderBackend is unread.
+    const DecoderBackend* first = nullptr;
+    for (const DecoderBackend* b : registry) {
+        if (b->supported()) {
+            first = b;
+            break;
         }
     }
-    EXPECT_LE(BpWaveDecoder::resolveLaneWidth(4),
-              BpWaveDecoder::resolveLaneWidth(8));
-    EXPECT_LE(BpWaveDecoder::resolveLaneWidth(8),
-              BpWaveDecoder::resolveLaneWidth(16));
-    // An explicit oversize request rounds down to the widest width
-    // any rung serves; auto (0) takes the dispatched rung's preferred
-    // width, which may be narrower (the generic rung prefers 8 but
-    // serves 16).
-    EXPECT_GE(BpWaveDecoder::resolveLaneWidth(64),
-              BpWaveDecoder::resolveLaneWidth(0));
-
-    const DecoderBackend* avx512 = findDecoderBackend("avx512");
-    const DecoderBackend* avx2 = findDecoderBackend("avx2");
-    const DecoderBackend* generic = findDecoderBackend("generic");
-    if (generic != nullptr) {
-        // Non-x86 build: the generic rung serves every width.
-        EXPECT_EQ(backendLaneWidth(*generic, 0), 8u);
-        EXPECT_EQ(backendLaneWidth(*generic, 16), 16u);
-        EXPECT_EQ(backendLaneWidth(*generic, 4), 4u);
-    }
-    if (avx2 != nullptr && avx2->supported()) {
-        // The AVX2 rung serves L=4 and L=8 but never L=16.
-        EXPECT_EQ(backendLaneWidth(*avx2, 4), 4u);
-        EXPECT_EQ(backendLaneWidth(*avx2, 0), 8u);
-        EXPECT_EQ(backendLaneWidth(*avx2, 16), 8u);
-        EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(8), 8u);
-        EXPECT_STREQ(selectDecoderBackend(8).backend->name, "avx2");
-    }
-    if (avx512 != nullptr && avx512->supported()) {
-        // The AVX-512 rung serves exactly L=16 (one zmm per variable);
-        // narrower requests fall through to the AVX2 rung instead of
-        // running 16 generic-vector lanes.
-        EXPECT_EQ(backendLaneWidth(*avx512, 16), 16u);
-        EXPECT_EQ(backendLaneWidth(*avx512, 8), 0u);
-        EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(0), 16u);
-        EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(16), 16u);
-        EXPECT_STREQ(selectDecoderBackend(16).backend->name, "avx512");
-    } else if (avx2 != nullptr && avx2->supported()) {
-        // An AVX2-only host resolves a 16-lane request to 8.
-        EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(16), 8u);
-    } else if (avx2 != nullptr) {
-        // Pre-AVX2 x86 host: only the scalar rung runs.
-        EXPECT_FALSE(BpWaveDecoder::runtimeSupported());
-        EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(0), 1u);
-        EXPECT_STREQ(selectDecoderBackend(0).backend->name, "scalar");
-    }
+    for (size_t unread : {size_t{0}, size_t{1}, size_t{8}, size_t{16}})
+        EXPECT_EQ(selectDecoderBackend(unread).backend, first);
 }
 
 TEST(WaveDecoder, EnvOverrideForcesDispatch)
 {
-    // Every supported backend can be forced by name through
-    // CYCLONE_WAVE_BACKEND, and bogus or impossible overrides fall
-    // back to auto dispatch instead of stranding the decode.
+    // Every supported rung can be forced by name through
+    // CYCLONE_WAVE_BACKEND, and other values — unknown names,
+    // "scalar" among them, "auto" and "" — fall back to auto dispatch
+    // instead of stranding the decode.
     EnvGuard autoGuard(kWaveBackendEnv, nullptr);
-    const DecoderBackendChoice autoChoice = selectDecoderBackend(0);
+    const DecoderBackend* autoBackend = selectDecoderBackend().backend;
 
     for (const DecoderBackend* b : decoderBackendRegistry()) {
         if (!b->supported())
             continue;
         EnvGuard guard(kWaveBackendEnv, b->name);
-        const DecoderBackendChoice forced = selectDecoderBackend(0);
-        EXPECT_STREQ(forced.backend->name, b->name) << b->name;
-        if (b->kernels == nullptr)
-            EXPECT_EQ(forced.lanes, 1u);
-        else
-            EXPECT_EQ(forced.lanes, backendLaneWidth(*b, 0));
+        EXPECT_EQ(selectDecoderBackend().backend, b) << b->name;
     }
-    {
-        EnvGuard guard(kWaveBackendEnv, "no-such-backend");
-        const DecoderBackendChoice choice = selectDecoderBackend(0);
-        EXPECT_STREQ(choice.backend->name, autoChoice.backend->name);
-        EXPECT_EQ(choice.lanes, autoChoice.lanes);
-    }
-    {
-        EnvGuard guard(kWaveBackendEnv, "auto");
-        const DecoderBackendChoice choice = selectDecoderBackend(0);
-        EXPECT_STREQ(choice.backend->name, autoChoice.backend->name);
-        EXPECT_EQ(choice.lanes, autoChoice.lanes);
-    }
-    const DecoderBackend* avx512 = findDecoderBackend("avx512");
-    const DecoderBackend* avx2 = findDecoderBackend("avx2");
-    if (avx512 != nullptr && avx512->supported() && avx2 != nullptr) {
-        // Forcing avx512 with a width it cannot serve falls back to
-        // auto dispatch (which lands on the avx2 rung for L=8).
-        EnvGuard guard(kWaveBackendEnv, "avx512");
-        const DecoderBackendChoice choice = selectDecoderBackend(8);
-        EXPECT_STREQ(choice.backend->name, "avx2");
-        EXPECT_EQ(choice.lanes, 8u);
-    }
-}
 
-TEST(WaveDecoder, ForcedScalarDisablesWavePath)
-{
-    EnvGuard guard(kWaveBackendEnv, "scalar");
-    EXPECT_FALSE(BpWaveDecoder::runtimeSupported());
-    EXPECT_EQ(BpWaveDecoder::resolveLaneWidth(0), 1u);
-
-    // A decoder constructed under the override uses the scalar batch
-    // core — identical predictions, no wave groups.
     const auto dem = surface13Dem(0.01);
     Rng rng(11);
     ShotBatch batch;
     sampleDemBatch(dem, 96, rng, batch);
-    BpOsdDecoder decoder(dem, BpOptions{});
-    EXPECT_EQ(decoder.waveLaneWidth(), 1u);
-    EXPECT_STREQ(decoder.backendName(), "scalar");
-    std::vector<uint64_t> got;
-    decoder.decodeBatch(batch, got);
-    EXPECT_EQ(decoder.stats().waveGroups, 0u);
-    EXPECT_EQ(decoder.stats().backend, "scalar");
-}
-
-/** expectWaveMatchesScalar on every supported kernel backend, at every
- *  lane width it serves. */
-void
-expectEveryBackendMatchesScalar(const DetectorErrorModel& dem,
-                                const std::vector<BitVec>& syndromes,
-                                BpOptions::Variant variant,
-                                const char* tag)
-{
-    for (const DecoderBackend* b : decoderBackendRegistry()) {
-        if (b->kernels == nullptr || !b->supported())
-            continue;
-        for (size_t lanes : {size_t{4}, size_t{8}, size_t{16}}) {
-            if (b->kernels(lanes) == nullptr)
-                continue;
-            BpOptions options;
-            options.variant = variant;
-            options.waveLanes = lanes;
-            const std::string label = std::string(tag) + " " + b->name +
-                "-L" + std::to_string(lanes);
-            expectWaveMatchesScalar(dem, options, syndromes,
-                                    label.c_str(), b);
-        }
+    for (const char* name : {"no-such-backend", "scalar", "auto", ""}) {
+        EnvGuard guard(kWaveBackendEnv, name);
+        EXPECT_EQ(selectDecoderBackend().backend, autoBackend) << name;
+        BpOsdDecoder decoder(dem, BpOptions{});
+        EXPECT_STREQ(decoder.backendName(), autoBackend->name) << name;
+        std::vector<uint64_t> got;
+        decoder.decodeBatch(batch, got);
+        EXPECT_GT(decoder.stats().waveGroups, 0u) << name;
+        EXPECT_EQ(decoder.stats().backend, autoBackend->name) << name;
     }
 }
 
 TEST(WaveDecoder, BackendMatrixBitExactAgainstScalar)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
-    // Every supported kernel backend, at every lane width it serves,
-    // must reproduce the scalar decoder bit-for-bit under both BP
-    // variants. On an AVX-512 host this covers avx2 L=4/8 and avx512
-    // L=16 in one run; narrower hosts cover what they can.
+    // Every supported rung must reproduce the scalar decoder
+    // bit-for-bit under both BP variants: on an AVX-512 host avx512
+    // L=16, avx2 L=8 and generic L=4 in one run. 48 shots fill whole
+    // groups on every rung; 70 end in a ragged group on each.
     const auto dem = surface13Dem(0.01);
-    const auto syndromes = sampledSyndromes(dem, 48, 0xbead);
     for (const auto variant : {BpOptions::Variant::MinSum,
-                               BpOptions::Variant::ProductSum})
-        expectEveryBackendMatchesScalar(dem, syndromes, variant,
-                                        "surface13");
+                               BpOptions::Variant::ProductSum}) {
+        BpOptions options;
+        options.variant = variant;
+        const std::string tag =
+            variant == BpOptions::Variant::MinSum ? "min-sum"
+                                                  : "product-sum";
+        expectEveryRungMatchesScalar(dem, options,
+                                     sampledSyndromes(dem, 48, 0xbead),
+                                     tag + " surface13-48");
+        expectEveryRungMatchesScalar(dem, options,
+                                     sampledSyndromes(dem, 70, 0xabc),
+                                     tag + " surface13-70");
+    }
 
     // A zero tanh on a check next to saturated rows: a p = 0.5
     // mechanism has a prior of exactly 0, so its first incoming
@@ -374,52 +255,32 @@ TEST(WaveDecoder, BackendMatrixBitExactAgainstScalar)
     auto chain = repetitionDem(24, 1e-9);
     for (size_t i = 0; i < chain.mechanisms.size(); i += 3)
         chain.mechanisms[i].probability = 0.5;
-    expectEveryBackendMatchesScalar(chain,
-                                    sampledSyndromes(chain, 48, 0x2e70),
-                                    BpOptions::Variant::ProductSum,
-                                    "zero-tanh chain");
-}
-
-TEST(WaveDecoder, BitExactAgainstScalarAcrossLaneWidthsAndVariants)
-{
-    SKIP_WITHOUT_WAVE_SUPPORT();
-    const auto dem = surface13Dem(0.01);
-    const auto syndromes = sampledSyndromes(dem, 70, 0xabc);
-    for (const auto variant : {BpOptions::Variant::MinSum,
-                               BpOptions::Variant::ProductSum}) {
-        for (size_t lanes : {4u, 8u, 16u}) {
-            BpOptions options;
-            options.variant = variant;
-            options.waveLanes = lanes;
-            expectWaveMatchesScalar(
-                dem, options, syndromes,
-                variant == BpOptions::Variant::MinSum ? "min-sum"
-                                                      : "product-sum");
-        }
-    }
+    BpOptions productSum;
+    productSum.variant = BpOptions::Variant::ProductSum;
+    expectEveryRungMatchesScalar(chain, productSum,
+                                 sampledSyndromes(chain, 48, 0x2e70),
+                                 "zero-tanh chain");
 }
 
 TEST(WaveDecoder, RaggedGroupsMatchScalarAtEveryCount)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
-    // Every partial lane count from 1 to L-1 must behave exactly like
-    // a full group: idle lanes are frozen from the start and never
-    // perturb real ones.
+    // A partial lane group must behave exactly like a full one: idle
+    // lanes are frozen from the start and never perturb real ones.
+    // 15 shots end in a group of 15, 7 and 3 on the L = 16, 8 and 4
+    // rungs.
     const auto dem = surface13Dem(0.012);
     const auto syndromes = sampledSyndromes(dem, 15, 0x7a9);
     ASSERT_EQ(syndromes.size(), 15u);
-    BpOptions options;
-    options.waveLanes = 16;
-    expectWaveMatchesScalar(dem, options, syndromes, "ragged-15");
+    const BpOptions options;
+    expectEveryRungMatchesScalar(dem, options, syndromes, "ragged-15");
 
     // And a count of 1: the degenerate single-lane wave.
     std::vector<BitVec> one(syndromes.begin(), syndromes.begin() + 1);
-    expectWaveMatchesScalar(dem, options, one, "ragged-1");
+    expectEveryRungMatchesScalar(dem, options, one, "ragged-1");
 }
 
 TEST(WaveDecoder, AllLanesConvergeEarlyFreezeIsExact)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
     // Single-fault syndromes on a repetition chain: BP converges on
     // every lane within a few iterations, at lane-dependent times, so
     // the per-lane freeze logic is exercised while the whole group
@@ -432,26 +293,30 @@ TEST(WaveDecoder, AllLanesConvergeEarlyFreezeIsExact)
             syndrome.set(d, true);
         syndromes.push_back(std::move(syndrome));
     }
-    BpOptions options;
-    options.waveLanes = 8;
-    expectWaveMatchesScalar(dem, options, syndromes, "single-faults");
+    const BpOptions options;
+    expectEveryRungMatchesScalar(dem, options, syndromes, "single-faults");
 
     auto graph = std::make_shared<const BpGraph>(dem);
-    BpWaveDecoder wave(graph, options);
-    const BitVec* lanes[8];
-    for (size_t i = 0; i < 8; ++i)
-        lanes[i] = &syndromes[i + 1];
-    wave.decodeWave(lanes, 8);
-    for (size_t i = 0; i < 8; ++i) {
-        EXPECT_TRUE(wave.laneConverged(i)) << "lane " << i;
-        EXPECT_LT(wave.laneIterations(i), options.maxIterations)
-            << "lane " << i;
+    for (const DecoderBackend* b : decoderBackendRegistry()) {
+        if (!b->supported())
+            continue;
+        BpWaveDecoder wave(graph, options, *b);
+        const size_t L = wave.laneWidth();
+        const BitVec* lanes[16];
+        for (size_t i = 0; i < L; ++i)
+            lanes[i] = &syndromes[i + 1];
+        wave.decodeWave(lanes, L);
+        for (size_t i = 0; i < L; ++i) {
+            EXPECT_TRUE(wave.laneConverged(i))
+                << b->name << " lane " << i;
+            EXPECT_LT(wave.laneIterations(i), options.maxIterations)
+                << b->name << " lane " << i;
+        }
     }
 }
 
 TEST(WaveDecoder, MaxIterationNonConvergenceMatchesScalar)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
     // A starved iteration budget forces the non-convergence epilogue
     // (final posterior pass + last-chance verification) on most lanes.
     const auto dem = surface13Dem(0.02);
@@ -459,8 +324,7 @@ TEST(WaveDecoder, MaxIterationNonConvergenceMatchesScalar)
     for (size_t max_iters : {0u, 1u, 3u}) {
         BpOptions options;
         options.maxIterations = max_iters;
-        options.waveLanes = 8;
-        expectWaveMatchesScalar(dem, options, syndromes, "starved");
+        expectEveryRungMatchesScalar(dem, options, syndromes, "starved");
     }
 }
 
@@ -479,13 +343,11 @@ scalarPredictions(const DetectorErrorModel& dem, const DemShots& shots,
     return out;
 }
 
-TEST(WaveDecoder, DecodeBatchBitIdenticalAcrossLaneWidths)
+TEST(WaveDecoder, DecodeBatchBitIdenticalOnEveryRung)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
     // The full batched pipeline (fast path + memo + wave kernel +
     // OSD fallback) must produce identical predictions AND identical
-    // aggregate statistics at every lane width, including the
-    // wave-disabled width 1.
+    // aggregate statistics to per-shot decoding on every rung.
     const auto dem = surface13Dem(0.008);
     const size_t shots = 180;
     Rng scalar_rng(41);
@@ -505,21 +367,20 @@ TEST(WaveDecoder, DecodeBatchBitIdenticalAcrossLaneWidths)
         EXPECT_EQ(scalar_stats.waveGroups, 0u);
         EXPECT_DOUBLE_EQ(scalar_stats.waveLaneOccupancy(), 0.0);
 
-        for (size_t lanes : {1u, 4u, 8u, 16u}) {
-            bp.waveLanes = lanes;
+        for (const DecoderBackend* b : decoderBackendRegistry()) {
+            if (!b->supported())
+                continue;
+            EnvGuard guard(kWaveBackendEnv, b->name);
             BpOsdDecoder decoder(dem, bp);
-            // Dispatch resolves the request per host (an AVX2-only
-            // host resolves 16 to 8; this must track it exactly).
-            EXPECT_EQ(decoder.waveLaneWidth(),
-                      BpWaveDecoder::resolveLaneWidth(lanes));
-            EXPECT_STREQ(decoder.backendName(),
-                         selectDecoderBackend(lanes).backend->name);
+            const size_t lanes = b->kernels()->lanes;
+            EXPECT_EQ(decoder.waveLaneWidth(), lanes);
+            EXPECT_STREQ(decoder.backendName(), b->name);
             std::vector<uint64_t> got;
             decoder.decodeBatch(batch, got);
             ASSERT_EQ(got.size(), shots);
             for (size_t s = 0; s < shots; ++s)
                 ASSERT_EQ(got[s], expected[s])
-                    << "lanes=" << lanes << " s=" << s;
+                    << b->name << " s=" << s;
 
             const BpOsdStats& st = decoder.stats();
             EXPECT_EQ(st.decodes, scalar_stats.decodes);
@@ -533,23 +394,17 @@ TEST(WaveDecoder, DecodeBatchBitIdenticalAcrossLaneWidths)
             // occupies exactly one filled lane slot.
             const size_t distinct =
                 st.decodes - st.trivialShots - st.memoHits;
-            if (lanes == 1) {
-                EXPECT_EQ(st.waveGroups, 0u);
-                EXPECT_EQ(st.waveLanesFilled, 0u);
-            } else {
-                EXPECT_EQ(st.waveLanesFilled, distinct);
-                EXPECT_EQ(st.waveLaneSlots, st.waveGroups * lanes);
-                EXPECT_GE(st.waveLaneSlots, st.waveLanesFilled);
-                EXPECT_GT(st.waveLaneOccupancy(), 0.0);
-                EXPECT_LE(st.waveLaneOccupancy(), 1.0);
-            }
+            EXPECT_EQ(st.waveLanesFilled, distinct);
+            EXPECT_EQ(st.waveLaneSlots, st.waveGroups * lanes);
+            EXPECT_GE(st.waveLaneSlots, st.waveLanesFilled);
+            EXPECT_GT(st.waveLaneOccupancy(), 0.0);
+            EXPECT_LE(st.waveLaneOccupancy(), 1.0);
         }
     }
 }
 
 TEST(WaveDecoder, DescendingDetectorListsUseExactGatherFallback)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
     // Mechanisms listing their detectors in descending order defeat
     // the scatter form of the wave posterior pass (the streaming
     // order would no longer match the scalar gather order); the graph
@@ -572,15 +427,13 @@ TEST(WaveDecoder, DescendingDetectorListsUseExactGatherFallback)
         std::make_shared<const BpGraph>(repetitionDem(5, 0.1))
             ->varEdgesAscendByCheck);
 
-    const auto syndromes = sampledSyndromes(dem, 40, 0x51);
-    BpOptions options;
-    options.waveLanes = 8;
-    expectWaveMatchesScalar(dem, options, syndromes, "descending");
+    expectEveryRungMatchesScalar(dem, BpOptions{},
+                                 sampledSyndromes(dem, 40, 0x51),
+                                 "descending");
 }
 
 TEST(WaveDecoder, MemoInterplayReplaysWaveOutcomes)
 {
-    SKIP_WITHOUT_WAVE_SUPPORT();
     // Tiny DEM at high p: a 512-shot batch holds only a handful of
     // distinct syndromes, so the wave kernel sees each exactly once
     // and the memo replays its outcome onto every duplicate.
@@ -597,9 +450,7 @@ TEST(WaveDecoder, MemoInterplayReplaysWaveOutcomes)
     const std::vector<uint64_t> expected = scalarPredictions(
         dem, scalar_shots, BpOptions{}, &scalar_stats);
 
-    BpOptions bp;
-    bp.waveLanes = 4;
-    BpOsdDecoder decoder(dem, bp);
+    BpOsdDecoder decoder(dem, BpOptions{});
     std::vector<uint64_t> got;
     decoder.decodeBatch(batch, got);
     for (size_t s = 0; s < shots; ++s)
@@ -614,7 +465,7 @@ TEST(WaveDecoder, MemoInterplayReplaysWaveOutcomes)
               st.decodes - st.trivialShots - st.memoHits);
     // Replaying the same batch with a fresh decoder re-seeds the memo
     // and decodes the same distinct syndromes again.
-    BpOsdDecoder fresh(dem, bp);
+    BpOsdDecoder fresh(dem, BpOptions{});
     std::vector<uint64_t> again;
     fresh.decodeBatch(batch, again);
     EXPECT_EQ(fresh.stats().memoHits, st.memoHits);
@@ -627,7 +478,7 @@ TEST(WaveDecoder, StagedPoolBitIdenticalToPerBatchDecoding)
     // prediction and no per-shot statistic: the decode of a distinct
     // syndrome is a pure function of that syndrome. Only grouping
     // counters (memoHits, waveGroups, occupancy, stagedChunks) may
-    // move. Runs on every host — the scalar fallback stages too.
+    // move.
     const auto dem = surface13Dem(0.012);
     const size_t kChunks = 5;
     const size_t kShots = 48; // Small: ragged per-chunk tail groups.
@@ -638,8 +489,7 @@ TEST(WaveDecoder, StagedPoolBitIdenticalToPerBatchDecoding)
         sampleDemBatch(dem, kShots, rng, batches[k]);
     }
 
-    BpOptions bp;
-    bp.waveLanes = 16;
+    const BpOptions bp;
 
     // Reference: each chunk through its own decodeBatch on a fresh
     // decoder (memo scoped per chunk, like stagingChunks = 1).
@@ -689,15 +539,12 @@ TEST(WaveDecoder, StagedPoolBitIdenticalToPerBatchDecoding)
     // dedupe across chunks, and the pool packs at least as tightly.
     EXPECT_GE(st.memoHits, sum.memoHits);
     EXPECT_EQ(st.stagedChunks, kChunks - 1);
-    if (st.waveLaneSlots != 0) {
-        EXPECT_LE(st.waveGroups, sum.waveGroups);
-        const size_t distinct =
-            st.decodes - st.trivialShots - st.memoHits;
-        EXPECT_EQ(st.waveLanesFilled, distinct);
-        // Full pool, one ragged tail group at most.
-        EXPECT_LE(st.waveLaneSlots - st.waveLanesFilled,
-                  staged.waveLaneWidth() - 1);
-    }
+    EXPECT_LE(st.waveGroups, sum.waveGroups);
+    const size_t distinct = st.decodes - st.trivialShots - st.memoHits;
+    EXPECT_EQ(st.waveLanesFilled, distinct);
+    // Full pool, one ragged tail group at most.
+    EXPECT_LE(st.waveLaneSlots - st.waveLanesFilled,
+              staged.waveLaneWidth() - 1);
 }
 
 TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
@@ -706,8 +553,7 @@ TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
     // each chunk alone counts, and reading chunks through the group
     // must leave the sampler's totals unchanged.
     const auto dem = surface13Dem(0.015);
-    BpOptions bp;
-    bp.waveLanes = 8;
+    const BpOptions bp;
 
     std::vector<ChunkPlan> plans(4);
     for (size_t k = 0; k < plans.size(); ++k) {
