@@ -24,8 +24,7 @@
  * Run: ./campaign_runner [spec-file] [--threads N] [--json FILE]
  *      [--csv FILE] [--checkpoint FILE] [--quiet]
  *      [--spool DIR] [--workers N] [--lease SECONDS]
- *      [--max-claim-reclaims N] [--retry-attempts N]
- *      [--retry-base-ms MS] [--self-execute]
+ *      [--max-claim-reclaims N] [--self-execute]
  *      [--worker] [--worker-id NAME] [--worker-shards N] [--promote]
  *
  * Failover: `--coordinator-takeover --spool DIR` resumes a crashed
@@ -84,8 +83,7 @@ usage(const char* prog)
                  "[--csv FILE] [--checkpoint FILE] [--quiet]\n"
                  "       [--spool DIR] [--workers N] [--lease SECONDS]"
                  " [--max-claim-reclaims N]\n"
-                 "       [--retry-attempts N] [--retry-base-ms MS] "
-                 "[--self-execute]\n"
+                 "       [--self-execute]\n"
                  "       %s --worker --spool DIR [--threads N] "
                  "[--worker-id NAME] [--worker-shards N] [--promote]\n"
                  "       %s --coordinator-takeover --spool DIR "
@@ -147,8 +145,6 @@ main(int argc, char** argv)
     bool takeover = false;
     bool self_execute = false;
     std::optional<size_t> max_claim_reclaims;
-    std::optional<size_t> retry_attempts;
-    std::optional<double> retry_base_ms;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -198,14 +194,6 @@ main(int argc, char** argv)
             self_execute = true;
         } else if (arg == "--max-claim-reclaims") {
             max_claim_reclaims = count();
-        } else if (arg == "--retry-attempts") {
-            retry_attempts = numericFlag(
-                "--retry-attempts", next(), parseCount,
-                [](double v) { return v >= 1.0; }, "must be >= 1");
-        } else if (arg == "--retry-base-ms") {
-            retry_base_ms = numericFlag(
-                "--retry-base-ms", next(), parseReal,
-                [](double v) { return v >= 0.0; }, "must be >= 0");
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -293,8 +281,6 @@ main(int argc, char** argv)
     spec.leaseSeconds = lease_override.value_or(spec.leaseSeconds);
     spec.maxClaimReclaims =
         max_claim_reclaims.value_or(spec.maxClaimReclaims);
-    spec.retryAttempts = retry_attempts.value_or(spec.retryAttempts);
-    spec.retryBaseMs = retry_base_ms.value_or(spec.retryBaseMs);
     if (takeover) {
         // A takeover must be able to finish alone: the workers that
         // served the dead coordinator may be gone too.
@@ -314,8 +300,11 @@ main(int argc, char** argv)
                          checkpoint_path.c_str());
     }
 
-    // Incremental checkpointing: re-save after every finished task.
+    // Incremental checkpointing: re-save after every finished task. A
+    // save that fails is reported once; the run goes on and writes its
+    // results, then exits 1, since nothing is left to resume from.
     CampaignResult partial;
+    bool checkpoint_failed = false;
     auto on_task_done = [&](const TaskResult& t) {
         if (!quiet)
             std::fprintf(
@@ -334,7 +323,12 @@ main(int argc, char** argv)
                     : (t.stoppedEarly ? " (early stop)" : ""));
         if (!checkpoint_path.empty()) {
             partial.tasks.push_back(t);
-            saveCheckpoint(partial, checkpoint_path);
+            if (!saveCheckpoint(partial, checkpoint_path) &&
+                !checkpoint_failed) {
+                checkpoint_failed = true;
+                std::fprintf(stderr, "error: cannot write checkpoint %s\n",
+                             checkpoint_path.c_str());
+            }
         }
     };
 
@@ -461,5 +455,5 @@ main(int argc, char** argv)
     for (const TaskResult& t : result.tasks)
         if (!t.error.empty())
             ++failures;
-    return failures > 0 ? 1 : 0;
+    return failures > 0 || checkpoint_failed ? 1 : 0;
 }

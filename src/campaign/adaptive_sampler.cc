@@ -48,19 +48,33 @@ runChunk(const DetectorErrorModel& dem, const ChunkPlan& plan,
     return outcome;
 }
 
+namespace {
+
+/** Sample chunk k of plans[0..count) into batches[k] from its own RNG
+ *  stream, exactly as runChunk would. */
+void
+sampleChunks(const DetectorErrorModel& dem, const ChunkPlan* plans,
+             size_t count, std::vector<ShotBatch>& batches)
+{
+    if (batches.size() < count)
+        batches.resize(count);
+    for (size_t k = 0; k < count; ++k) {
+        Rng rng(plans[k].seed);
+        sampleDemBatch(dem, plans[k].shots, rng, batches[k]);
+    }
+}
+
+} // namespace
+
 ChunkOutcome
 runChunkGroup(const DetectorErrorModel& dem, const ChunkPlan* plans,
               size_t count, BpOsdDecoder& decoder,
               std::vector<ShotBatch>& batches)
 {
-    if (batches.size() < count)
-        batches.resize(count);
+    sampleChunks(dem, plans, count, batches);
     decoder.beginStaged();
-    for (size_t k = 0; k < count; ++k) {
-        Rng rng(plans[k].seed);
-        sampleDemBatch(dem, plans[k].shots, rng, batches[k]);
+    for (size_t k = 0; k < count; ++k)
         decoder.stageBatch(batches[k]);
-    }
     decoder.flushStaged();
 
     ChunkOutcome outcome;
@@ -82,14 +96,11 @@ runChunkGroupStreamed(const DetectorErrorModel& dem,
                       StreamDecoder& stream,
                       std::vector<ShotBatch>& batches)
 {
-    if (batches.size() < count)
-        batches.resize(count);
+    sampleChunks(dem, plans, count, batches);
     size_t total = 0;
     std::vector<size_t> base(count);
     for (size_t k = 0; k < count; ++k) {
         base[k] = total;
-        Rng rng(plans[k].seed);
-        sampleDemBatch(dem, plans[k].shots, rng, batches[k]);
         total += plans[k].shots;
     }
 

@@ -34,11 +34,12 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
 }
 
 /**
- * Map a task's StreamSpec onto StreamDecoderOptions. The deadline
- * defaults to one window period — rounds x the task's (compiled or
- * explicit) round latency, the time the hardware takes to produce
- * the next window — so deadline misses mean "the decoder fell behind
- * the machine". Requires built artifacts (rt.latencyUs).
+ * Map a task's StreamSpec onto StreamDecoderOptions. The deadline is
+ * one window period — rounds x the task's (compiled or explicit)
+ * round latency, the time the hardware takes to produce the next
+ * window — so deadline misses mean "the decoder fell behind the
+ * machine"; the deadline policy flushes after half of it (the
+ * StreamDecoder default). Requires built artifacts (rt.latencyUs).
  */
 StreamDecoderOptions
 streamOptionsFor(const ResolvedTask& rt)
@@ -49,33 +50,11 @@ streamOptionsFor(const ResolvedTask& rt)
     o.roundsPerWindow = rt.rounds > 0 ? rt.rounds : 1;
     o.policy = ss.deadlineFlush ? FlushPolicy::Deadline
                                 : FlushPolicy::FullWave;
-    o.deadlineUs = ss.deadlineUs > 0.0
-        ? ss.deadlineUs
-        : rt.latencyUs * static_cast<double>(o.roundsPerWindow);
-    o.flushAfterUs = ss.flushAfterUs;
+    o.deadlineUs = rt.latencyUs * static_cast<double>(o.roundsPerWindow);
     o.capacityChunks =
         std::max<size_t>(size_t{1}, rt.spec->stop.stagingChunks);
     return o;
 }
-
-/** Per-worker sampling context: decoder state plus reusable packed
- *  shot buffers for the batch pipeline (one per staged chunk), and —
- *  for streaming tasks — the worker's streaming front-end wrapping
- *  the same decoder. */
-struct WorkerCtx
-{
-    BpOsdDecoder decoder;
-    std::vector<ShotBatch> batches;
-    std::unique_ptr<StreamDecoder> stream;
-
-    explicit WorkerCtx(const ResolvedTask& rt)
-        : decoder(*rt.dem, rt.spec->bp)
-    {
-        if (rt.spec->stream.enabled)
-            stream = std::make_unique<StreamDecoder>(
-                decoder, rt.dem->numDetectors, streamOptionsFor(rt));
-    }
-};
 
 /**
  * The in-process executor: each build and each staging group runs as
@@ -115,28 +94,9 @@ class LocalExecutor final : public CampaignExecutor
     submit(size_t task, std::vector<ChunkPlan> range) override
     {
         pool_.submit([this, task, plans = std::move(range)] {
-            const auto c0 = std::chrono::steady_clock::now();
-            const ResolvedTask& rt = (*tasks_)[task].rt;
-            const int w = ThreadPool::workerIndex();
-            auto& ctx = contexts_[task][w >= 0 ? static_cast<size_t>(w) : 0];
-            Completion c{.task = task};
-            c.error = errorOf([&] {
-                if (!ctx)
-                    ctx = std::make_unique<WorkerCtx>(rt);
-                c.outcome = ctx->stream
-                    ? runChunkGroupStreamed(*rt.dem, plans.data(),
-                                            plans.size(), *ctx->stream,
-                                            ctx->batches)
-                    : runChunkGroup(*rt.dem, plans.data(), plans.size(),
-                                    ctx->decoder, ctx->batches);
-            });
-            if (ctx) {
-                c.decoder = ctx->decoder.takeStats();
-                if (ctx->stream)
-                    c.stream = ctx->stream->takeStats();
-            }
-            c.seconds = elapsedSeconds(c0);
-            push(std::move(c));
+            push(runStagingGroup(task, (*tasks_)[task].rt,
+                                 contexts_[task], plans.data(),
+                                 plans.size()));
         });
     }
 
@@ -164,8 +124,8 @@ class LocalExecutor final : public CampaignExecutor
 
     ThreadPool& pool_;
     ArtifactCache& cache_;
-    /** [task][pool worker] decoder contexts, created on first use. */
-    std::vector<std::vector<std::unique_ptr<WorkerCtx>>> contexts_;
+    /** [task][pool worker] decoder contexts, kept for the run. */
+    std::vector<ThreadContexts> contexts_;
     /** Completions from pool jobs to the driver. */
     std::mutex mutex_;
     std::condition_variable cv_;
@@ -199,7 +159,9 @@ taskContentHash(const ResolvedTask& rt)
     if (t.bp.variant == BpOptions::Variant::ProductSum)
         h.absorb(std::string("bp_math"));
     h.absorb(uint64_t{t.bp.maxIterations});
-    h.absorb(t.bp.minSumScale).absorb(t.bp.clamp);
+    // kMinSumScale and kBpMessageClamp, absorbed as the doubles every
+    // key has absorbed, so no checkpoint or spool record re-keys.
+    h.absorb(0.9).absorb(50.0);
     h.absorb(uint64_t{t.stop.chunkShots});
     h.absorb(uint64_t{t.stop.chunksPerWave});
     h.absorb(uint64_t{t.stop.maxShots});
@@ -210,6 +172,42 @@ taskContentHash(const ResolvedTask& rt)
 }
 
 } // namespace
+
+DecodeContext::DecodeContext(const ResolvedTask& rt)
+    : decoder(*rt.dem, rt.spec->bp)
+{
+    if (rt.spec->stream.enabled)
+        stream = std::make_unique<StreamDecoder>(
+            decoder, rt.dem->numDetectors, streamOptionsFor(rt));
+}
+
+Completion
+runStagingGroup(size_t task, const ResolvedTask& rt,
+                ThreadContexts& contexts, const ChunkPlan* plans,
+                size_t count)
+{
+    const auto c0 = std::chrono::steady_clock::now();
+    const int w = ThreadPool::workerIndex();
+    std::unique_ptr<DecodeContext>& ctx =
+        contexts[w >= 0 ? static_cast<size_t>(w) : 0];
+    Completion c{.task = task};
+    c.error = errorOf([&] {
+        if (!ctx)
+            ctx = std::make_unique<DecodeContext>(rt);
+        c.outcome = ctx->stream
+            ? runChunkGroupStreamed(*rt.dem, plans, count, *ctx->stream,
+                                    ctx->batches)
+            : runChunkGroup(*rt.dem, plans, count, ctx->decoder,
+                            ctx->batches);
+    });
+    if (ctx) {
+        c.decoder = ctx->decoder.takeStats();
+        if (ctx->stream)
+            c.stream = ctx->stream->takeStats();
+    }
+    c.seconds = elapsedSeconds(c0);
+    return c;
+}
 
 CssCode
 resolveCampaignCode(const std::string& name)
@@ -334,6 +332,9 @@ buildTaskArtifacts(ResolvedTask& rt, ArtifactCache& cache)
         latency = rt.compiled->execTimeUs;
     }
     latency *= t.latencyScale;
+    // The DEM below gets idle noise only when latency > 0: a NaN or
+    // negative latency would run without it, silently.
+    validateLatencyUs(latency, "task round latency");
     rt.latencyUs = latency;
 
     // Schedule-derived per-qubit idle twirls: explicit ones win;

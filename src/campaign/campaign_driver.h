@@ -12,9 +12,10 @@
  * executor (campaign.cc) builds and decodes on a local pool, the
  * spool executor (coordinator.cc) prebuilds into the spool's artifact
  * store and hands each range to worker processes as a shard. Both
- * report through Completion, so the driver merges shots, failures,
- * seconds and decoder counters the same way for both, and fires the
- * coord.* fault milestones (fault_plan.h) for both.
+ * decode every staging group through runStagingGroup and report
+ * through Completion, so the driver merges shots, failures, seconds
+ * and decoder counters the same way for both, and fires the coord.*
+ * fault milestones (fault_plan.h) for both.
  */
 
 #ifndef CYCLONE_CAMPAIGN_CAMPAIGN_DRIVER_H
@@ -22,6 +23,7 @@
 
 #include <cstddef>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,6 +77,37 @@ errorOf(Fn&& fn)
     }
     return {};
 }
+
+/**
+ * A pool thread's decode state for one task: the decoder, its
+ * reusable shot buffers (one per staged chunk) and, for a streamed
+ * task, the streaming front-end around the same decoder.
+ */
+struct DecodeContext
+{
+    BpOsdDecoder decoder;
+    std::vector<ShotBatch> batches;
+    std::unique_ptr<StreamDecoder> stream;
+
+    /** Needs the task's built artifacts. */
+    explicit DecodeContext(const ResolvedTask& rt);
+};
+
+/** One decode context per pool thread, built on first use. */
+using ThreadContexts = std::vector<std::unique_ptr<DecodeContext>>;
+
+/**
+ * Sample and decode plans[0..count) of `task` as one staging group
+ * on the calling pool thread's slot of `contexts` (sized to the
+ * pool; the context is built on first use, then reused). Returns the
+ * group's completion: its outcome, the seconds it took, the decoder
+ * and streaming counters it added, and what it threw. Both executors
+ * run every staging group through here; they differ only in how long
+ * `contexts` lives: a run in-process, a shard in the spool.
+ */
+Completion runStagingGroup(size_t task, const ResolvedTask& rt,
+                           ThreadContexts& contexts,
+                           const ChunkPlan* plans, size_t count);
 
 /** Where a campaign's builds and chunk ranges run. */
 class CampaignExecutor

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -326,9 +327,15 @@ parseCount(const std::string& text)
 double
 parseReal(const std::string& text)
 {
-    return parseWhole(text, [](const std::string& t, size_t* pos) {
+    // stod reads "nan" and "inf" (but rejects "1e999"): no spec key or
+    // flag means either.
+    const double v = parseWhole(text, [](const std::string& t, size_t* pos) {
         return std::stod(t, pos);
     });
+    if (!std::isfinite(v))
+        throw std::invalid_argument("expected a finite number, got '" +
+                                    text + "'");
+    return v;
 }
 
 std::string
@@ -582,16 +589,6 @@ parseCampaignSpec(const std::string& text)
             } else if (key == "max_claim_reclaims")
                 spec.maxClaimReclaims =
                     parseSpecCount(lineno, key, value);
-            else if (key == "retry_attempts") {
-                spec.retryAttempts = parseSpecCount(lineno, key, value);
-                if (spec.retryAttempts == 0)
-                    specError(lineno, "retry_attempts must be >= 1");
-            } else if (key == "retry_base_ms") {
-                spec.retryBaseMs = parseSpecReal(lineno, key, value);
-                if (spec.retryBaseMs < 0.0)
-                    specError(lineno, "retry_base_ms must be >= 0");
-            } else if (key == "fault_plan")
-                spec.faultPlan = value;
             else
                 specError(lineno,
                           "unknown campaign key '" + key + "'");
@@ -660,8 +657,6 @@ parseCampaignSpec(const std::string& text)
             t.stop.stagingChunks = parseSpecCount(lineno, key, value);
             if (t.stop.stagingChunks == 0)
                 specError(lineno, "staging_chunks must be >= 1");
-        } else if (key == "shard_chunks") {
-            t.stop.shardChunks = parseSpecCount(lineno, key, value);
         } else if (key == "streaming") {
             if (value == "on" || value == "true")
                 t.stream.enabled = true;
@@ -682,15 +677,6 @@ parseCampaignSpec(const std::string& text)
             else
                 specError(lineno,
                           "stream_flush must be full-wave or deadline");
-        } else if (key == "stream_deadline_us") {
-            t.stream.deadlineUs = parseSpecReal(lineno, key, value);
-            if (t.stream.deadlineUs < 0.0)
-                specError(lineno, "stream_deadline_us must be >= 0");
-        } else if (key == "stream_flush_after_us") {
-            t.stream.flushAfterUs = parseSpecReal(lineno, key, value);
-            if (t.stream.flushAfterUs < 0.0)
-                specError(lineno,
-                          "stream_flush_after_us must be >= 0");
         } else if (key == "seed") {
             t.seed = parseSpecCount(lineno, key, value);
         } else if (key == "bp") {

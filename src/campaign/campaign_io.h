@@ -77,8 +77,9 @@ bool loadCheckpoint(const std::string& path, CampaignCheckpoint& out);
  *  what is wrong with `text`. */
 size_t parseCount(const std::string& text);
 
-/** Parse a real number as spec files and runner flags take it: nothing
- *  after it. Throws std::invalid_argument saying what is wrong. */
+/** Parse a real number as spec files and runner flags take it: finite
+ *  (no nan or inf), nothing after it. Throws std::invalid_argument
+ *  saying what is wrong. */
 double parseReal(const std::string& text);
 
 /** Parse a spec document; throws std::runtime_error with a line. */

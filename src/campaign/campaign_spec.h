@@ -66,20 +66,11 @@ struct StoppingRule
      * (never any prediction) can change. A perf knob: deliberately
      * excluded from the task content hash, like the SIMD rung.
      * 1 = stage nothing (one chunk per decode job, the default).
+     * Distributed runs cut each wave into shards of about a quarter
+     * wave, rounded up to a multiple of this (effectiveShardChunks in
+     * coordinator.h).
      */
     size_t stagingChunks = 1;
-
-    /**
-     * Chunks per spool shard in distributed runs (see coordinator.h).
-     * The coordinator slices every wave into contiguous shards of
-     * this many chunks and publishes each as one claimable unit of
-     * work. Rounded up to a multiple of `stagingChunks` so worker-
-     * side staging groups coincide exactly with a single-process
-     * run's. Like stagingChunks, a pure scheduling knob: excluded
-     * from the task content hash, never changes any result.
-     * 0 = auto (about four shards per wave).
-     */
-    size_t shardChunks = 0;
 };
 
 /**
@@ -93,7 +84,9 @@ struct StoppingRule
  * Predictions — and therefore the LER — are bit-identical to offline
  * decoding, so every field here is a serving knob excluded from the
  * task content hash; what changes is the latency/occupancy telemetry
- * reported in TaskResult::stream. Streaming tasks currently run
+ * reported in TaskResult::stream. A window's deadline, for miss
+ * accounting, is one window period: rounds x the task's (compiled
+ * or explicit) round latency. Streaming tasks currently run
  * in-process only (the spool coordinator rejects them).
  */
 struct StreamSpec
@@ -103,17 +96,9 @@ struct StreamSpec
     /** Concurrent logical-qubit streams. */
     size_t streams = 8;
 
-    /** false = flush on full slab only; true = also flush when the
-     *  oldest ready window has waited flushAfterUs. */
+    /** false = flush on full slab only; true = also flush once the
+     *  oldest ready window has waited half its deadline. */
     bool deadlineFlush = false;
-
-    /** Per-window ready->commit deadline in us for miss accounting.
-     *  0 = auto: rounds x the task's (compiled or explicit) round
-     *  latency — one window period. */
-    double deadlineUs = 0.0;
-
-    /** Deadline-policy flush timeout in us. 0 = deadline / 2. */
-    double flushAfterUs = 0.0;
 };
 
 /** One experiment point of a campaign. */
@@ -197,7 +182,12 @@ struct TaskSpec
     uint64_t seed = 0;
 };
 
-/** A batch of tasks executed on one pool with shared caches. */
+/**
+ * A batch of tasks executed on one pool with shared caches. Spool
+ * I/O retries follow RetryPolicy's defaults (retry_policy.h), and a
+ * fault plan is armed through CYCLONE_FAULT_PLAN or installFaultPlan
+ * (fault_plan.h), never by the spec.
+ */
 struct CampaignSpec
 {
     std::string name = "campaign";
@@ -239,26 +229,6 @@ struct CampaignSpec
      * livelocking the fleet on it forever.
      */
     size_t maxClaimReclaims = 5;
-
-    /**
-     * Attempt budget for transient spool I/O failures (EIO, ENOSPC,
-     * EAGAIN, ...): each filesystem operation is tried up to this
-     * many times with jittered exponential backoff before the run
-     * fails with a typed error naming the path and operation.
-     */
-    size_t retryAttempts = 4;
-
-    /** Base delay of the retry backoff, milliseconds (doubles per
-     *  attempt, +-25% deterministic jitter, capped at 50x). */
-    double retryBaseMs = 5.0;
-
-    /**
-     * Deterministic fault-injection plan (see fault_plan.h for the
-     * grammar), applied by distributed coordinators and workers when
-     * the CYCLONE_FAULT_PLAN environment variable is not set. Test
-     * and chaos-CI hook; leave empty in production specs.
-     */
-    std::string faultPlan;
 
     std::vector<TaskSpec> tasks;
 };

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
@@ -59,38 +58,6 @@ sleepSeconds(double s)
     std::this_thread::sleep_for(std::chrono::duration<double>(s));
 }
 
-/** Install the spec's fault plan unless the environment already
- *  provided one (the env var wins so CI can inject without editing
- *  spec files). */
-void
-maybeInstallSpecFaultPlan(const CampaignSpec& spec)
-{
-    if (!spec.faultPlan.empty() &&
-        std::getenv("CYCLONE_FAULT_PLAN") == nullptr)
-        installFaultPlan(FaultPlan::parse(spec.faultPlan));
-}
-
-/** Build a retry policy from spec/manifest knobs. */
-RetryPolicy
-retryPolicyFrom(size_t attempts, double baseMs)
-{
-    RetryPolicy p;
-    p.maxAttempts = std::max<size_t>(1, attempts);
-    p.baseDelaySeconds = std::max(0.0, baseMs) / 1000.0;
-    return p;
-}
-
-/** Per-pool-thread decode contexts, rebuilt per shard so every
- *  record's decoder counters cover exactly that shard's groups. */
-struct ShardCtx
-{
-    BpOsdDecoder decoder;
-    std::vector<ShotBatch> batches;
-    ShardCtx(const DetectorErrorModel& dem, const BpOptions& bp)
-        : decoder(dem, bp)
-    {}
-};
-
 /**
  * Execute one claimed shard on `pool` and publish its record —
  * the one shard-execution path, shared by worker loops and
@@ -113,40 +80,31 @@ executeShardChunks(Spool& spool, const std::string& id,
     for (size_t k = 0; k < d.numChunks; ++k)
         plans[k] = planChunk(rule, d.taskSeed, d.firstChunk + k);
 
-    std::vector<std::unique_ptr<ShardCtx>> ctxs(pool.size());
-    std::mutex mutex;
-    ChunkOutcome total;
-    double seconds = 0.0;
-    std::exception_ptr error;
+    // Contexts live for this shard only: a worker holds no decoder
+    // between shards, whichever task the next one belongs to.
+    ThreadContexts contexts(pool.size());
+    ShardRecord rec;
+    rec.task = d.task;
+    rec.shard = d.shard;
+    rec.contentHash = d.contentHash;
+    std::string error;
+    std::mutex mutex; // guards rec and error
     std::atomic<size_t> pending{0};
 
     for (size_t g = 0; g < plans.size(); g += staging) {
         const size_t count = std::min(staging, plans.size() - g);
         pending.fetch_add(1);
         pool.submit([&, g, count] {
-            const auto c0 = std::chrono::steady_clock::now();
-            try {
-                const int w = ThreadPool::workerIndex();
-                auto& ctx = ctxs[w >= 0 ? static_cast<size_t>(w) : 0];
-                if (!ctx)
-                    ctx = std::make_unique<ShardCtx>(*rt.dem,
-                                                     rt.spec->bp);
-                const ChunkOutcome out = runChunkGroup(
-                    *rt.dem, plans.data() + g, count, ctx->decoder,
-                    ctx->batches);
-                std::lock_guard<std::mutex> lock(mutex);
-                total.shots += out.shots;
-                total.failures += out.failures;
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!error)
-                    error = std::current_exception();
-            }
+            Completion c = runStagingGroup(d.task, rt, contexts,
+                                           plans.data() + g, count);
             {
                 std::lock_guard<std::mutex> lock(mutex);
-                seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - c0)
-                               .count();
+                rec.shots += c.outcome.shots;
+                rec.failures += c.outcome.failures;
+                rec.seconds += c.seconds;
+                mergeStats(rec.decoder, c.decoder);
+                if (error.empty())
+                    error = std::move(c.error);
             }
             // Last, outside the lock: once pending reaches 0 the caller
             // returns and destroys the mutex and everything else here.
@@ -162,19 +120,8 @@ executeShardChunks(Spool& spool, const std::string& id,
             extraHeartbeat();
         sleepSeconds(std::min(0.05, leaseSeconds / 8.0));
     }
-    if (error)
-        std::rethrow_exception(error);
-
-    ShardRecord rec;
-    rec.task = d.task;
-    rec.shard = d.shard;
-    rec.contentHash = d.contentHash;
-    rec.shots = total.shots;
-    rec.failures = total.failures;
-    rec.seconds = seconds;
-    for (const auto& ctx : ctxs)
-        if (ctx)
-            mergeStats(rec.decoder, ctx->decoder.stats());
+    if (!error.empty())
+        throw std::runtime_error(error);
     spool.completeShard(id, rec);
     return rec;
 }
@@ -254,14 +201,10 @@ SpoolExecutor::SpoolExecutor(const CampaignSpec& spec,
                  : "pid" + std::to_string(::getpid())),
       t0_(std::chrono::steady_clock::now()), spool_(spec.spool)
 {
-    spool_.setRetryPolicy(
-        retryPolicyFrom(spec.retryAttempts, spec.retryBaseMs));
     SpoolManifest manifest;
     manifest.name = spec.name;
     manifest.seed = spec.seed;
     manifest.leaseSeconds = spec.leaseSeconds;
-    manifest.retryAttempts = spec.retryAttempts;
-    manifest.retryBaseMs = spec.retryBaseMs;
     spool_.initialize(manifest, specText);
 
     // Become THE coordinator: create the lease, or wait out a live
@@ -536,16 +479,13 @@ SpoolExecutor::finish(CampaignResult& result)
 size_t
 effectiveShardChunks(const StoppingRule& rule)
 {
+    // About four claimable shards per wave, so a handful of workers
+    // can share even a single-task campaign's wave, rounded up to a
+    // staging-group multiple: worker-side groups then coincide exactly
+    // with a single-process run's wave partition.
     const size_t staging = std::max<size_t>(1, rule.stagingChunks);
-    size_t chunks = rule.shardChunks;
-    if (chunks == 0) {
-        // Auto: about four claimable shards per wave, so a handful of
-        // workers can share even a single-task campaign's wave.
-        const size_t wave = std::max<size_t>(1, rule.chunksPerWave);
-        chunks = (wave + 3) / 4;
-    }
-    // Round up to a staging-group multiple: worker-side groups then
-    // coincide exactly with a single-process run's wave partition.
+    const size_t wave = std::max<size_t>(1, rule.chunksPerWave);
+    const size_t chunks = (wave + 3) / 4;
     return ((chunks + staging - 1) / staging) * staging;
 }
 
@@ -567,7 +507,6 @@ runDistributedCampaign(const CampaignSpec& spec,
                 "does not support (drop the spool, or disable "
                 "streaming)");
     }
-    maybeInstallSpecFaultPlan(spec);
 
     SpoolExecutor exec(spec, specText, options);
     CampaignResult result = driveCampaign(spec, exec, resume, onTaskDone);
@@ -609,10 +548,7 @@ runSpoolWorker(const WorkerOptions& opts)
         sleepSeconds(opts.pollSeconds);
 
     const SpoolManifest manifest = spool.readManifest();
-    spool.setRetryPolicy(retryPolicyFrom(manifest.retryAttempts,
-                                         manifest.retryBaseMs));
     const CampaignSpec spec = parseCampaignSpec(spool.readSpecText());
-    maybeInstallSpecFaultPlan(spec);
     std::vector<ResolvedTask> resolved = resolveTaskIdentities(spec);
     std::vector<bool> built(resolved.size(), false);
 

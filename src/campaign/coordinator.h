@@ -54,10 +54,9 @@
 namespace cyclone {
 
 /**
- * Effective chunks-per-shard for a stopping rule: `shardChunks`
- * rounded up to a multiple of `stagingChunks` (so worker-side staging
- * groups coincide exactly with a single-process run's), or about a
- * quarter wave when 0 (auto).
+ * Chunks per shard for a stopping rule: about a quarter wave, rounded
+ * up to a multiple of `stagingChunks` (so worker-side staging groups
+ * coincide exactly with a single-process run's).
  */
 size_t effectiveShardChunks(const StoppingRule& rule);
 

@@ -10,8 +10,8 @@
  * against it. With no plan installed (the production default) the
  * call is a single relaxed atomic load.
  *
- * Plan text grammar (env var CYCLONE_FAULT_PLAN or the campaign spec
- * key `fault_plan`); rules are ';'-separated:
+ * Plan text grammar (env var CYCLONE_FAULT_PLAN, or FaultPlan::parse
+ * for installFaultPlan); rules are ';'-separated:
  *
  *     point:action[@HIT][*COUNT]
  *     seed=N

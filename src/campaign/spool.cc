@@ -47,8 +47,6 @@ const StatField<ShardRecord> kRecordFields[] = {
 const StatField<SpoolManifest> kManifestFields[] = {
     {"name", &SpoolManifest::name},
     {"lease_seconds", &SpoolManifest::leaseSeconds},
-    {"retry_attempts", &SpoolManifest::retryAttempts},
-    {"retry_base_ms", &SpoolManifest::retryBaseMs},
 };
 
 /** The first record tagged `tag` of a parsed document. */

@@ -13,8 +13,7 @@
  * Layout:
  *
  *     spool/
- *       manifest.txt       campaign name, seed, spec hash, lease,
- *                          retry knobs
+ *       manifest.txt       campaign name, seed, spec hash, lease
  *       spec.ini           verbatim campaign spec text
  *       cache/             shared artifact store (see ArtifactCache)
  *       open/<shard>       unclaimed shard descriptors
@@ -126,9 +125,6 @@ struct SpoolManifest
     /** Content hash of the verbatim spec text (spec.ini). */
     uint64_t specHash = 0;
     double leaseSeconds = 30.0;
-    /** Transient-I/O retry knobs, shared with workers. */
-    size_t retryAttempts = 4;
-    double retryBaseMs = 5.0;
 };
 
 /** Stable shard id, e.g. "t0003-s00017". */
@@ -152,7 +148,9 @@ std::string formatShardRecord(const ShardRecord& r);
  *  malformed fields. */
 ShardRecord parseShardRecord(const std::string& text);
 
-/** Text round-trip of the spool manifest (CRC-protected). */
+/** Text round-trip of the spool manifest (CRC-protected). Unknown
+ *  keys are skipped, so the retry keys older builds wrote still
+ *  read. */
 std::string formatManifest(const SpoolManifest& m);
 /** Throws CorruptRecordError on a bad checksum, std::runtime_error on
  *  malformed input. */
@@ -174,14 +172,9 @@ class Spool
 
     const std::string& dir() const { return dir_; }
 
-    /** Replace the transient-I/O retry policy (default: 4 attempts,
-     *  5 ms base delay). */
-    void setRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
-
-    /** The active retry policy. */
-    const RetryPolicy& retryPolicy() const { return retry_; }
-
-    /** Transient I/O failures retried by this handle so far. */
+    /** Transient I/O failures retried by this handle so far (each
+     *  filesystem operation retries under RetryPolicy's defaults:
+     *  4 attempts, 5 ms base delay). */
     size_t transientRetries() const
     {
         return transientRetries_.load(std::memory_order_relaxed);
@@ -381,7 +374,7 @@ class Spool
                    Fn&& fn) const -> decltype(fn())
     {
         return runWithRetry(
-            retry_, op, path, std::forward<Fn>(fn),
+            RetryPolicy{}, op, path, std::forward<Fn>(fn),
             [this](size_t) {
                 transientRetries_.fetch_add(
                     1, std::memory_order_relaxed);
@@ -389,7 +382,6 @@ class Spool
     }
 
     std::string dir_;
-    RetryPolicy retry_;
     mutable std::atomic<size_t> transientRetries_{0};
 
     struct AgeObservation

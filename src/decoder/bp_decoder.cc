@@ -42,9 +42,7 @@ BpDecoder::BpDecoder(const DetectorErrorModel& dem, BpOptions options)
 
 BpDecoder::BpDecoder(std::shared_ptr<const BpGraph> graph,
                      BpOptions options)
-    : graph_(std::move(graph)), options_(options),
-      clamp_(static_cast<float>(options.clamp)),
-      minSumScale_(static_cast<float>(options.minSumScale))
+    : graph_(std::move(graph)), options_(options)
 {
     msgCheckToVar_.assign(graph_->numEdges, 0.0f);
     posterior_.assign(graph_->numVars, 0.0f);
@@ -105,8 +103,9 @@ BpDecoder::checkToVarUpdate(const BitVec& syndrome)
         // every gather for this check has read it.
         for (size_t s = begin; s < end; ++s) {
             const float total = posterior_[g.checkEdgeVar[s]];
-            msgScratch_[s - begin] = std::clamp(
-                total - msgCheckToVar_[s], -clamp_, clamp_);
+            msgScratch_[s - begin] =
+                std::clamp(total - msgCheckToVar_[s], -kBpMessageClamp,
+                           kBpMessageClamp);
         }
         if (min_sum) {
             // Track the two smallest magnitudes and the sign product.
@@ -131,8 +130,7 @@ BpDecoder::checkToVarUpdate(const BitVec& syndrome)
                 const float mag = s == argmin ? min2 : min1;
                 const float sign =
                     sign_product * (m < 0.0f ? -1.0f : 1.0f);
-                msgCheckToVar_[s] =
-                    sign * minSumScale_ * mag;
+                msgCheckToVar_[s] = sign * kMinSumScale * mag;
             }
         } else {
             // Product-sum via the two-pass tanh-product trick: one
@@ -173,7 +171,7 @@ BpDecoder::checkToVarUpdate(const BitVec& syndrome)
                 const float sign =
                     sign_product * (m < 0.0f ? -1.0f : 1.0f);
                 msgCheckToVar_[s] = std::clamp(
-                    sign * out, -clamp_, clamp_);
+                    sign * out, -kBpMessageClamp, kBpMessageClamp);
             }
         }
     }

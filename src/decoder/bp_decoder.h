@@ -48,10 +48,6 @@ struct BpOptions
      */
     Variant variant = Variant::ProductSum;
     size_t maxIterations = 32;
-    /** Normalization factor for min-sum check messages. */
-    double minSumScale = 0.9;
-    /** Message clamp magnitude. */
-    double clamp = 50.0;
 };
 
 /** Belief-propagation decoder core. */
@@ -94,8 +90,6 @@ class BpDecoder
 
     std::shared_ptr<const BpGraph> graph_;
     BpOptions options_;
-    float clamp_ = 50.0f;
-    float minSumScale_ = 0.9f;
 
     // Only check-to-var messages are stored, in check-CSR order so the
     // check pass streams sequentially; the posterior pass gathers them

@@ -1,9 +1,12 @@
 /**
  * @file
- * The product-sum check pass's tanh and log as plain functions: the
- * float instantiations of bp_math.inl's templates, which every wave
- * rung instantiates on its lane vectors. Within 1 ulp of the correctly
- * rounded float, and the same bits on every host and every rung.
+ * The float arithmetic BP shares op-for-op between the scalar core
+ * and every wave rung: the product-sum check pass's tanh and log as
+ * plain functions (the float instantiations of bp_math.inl's
+ * templates, which every wave rung instantiates on its lane vectors;
+ * within 1 ulp of the correctly rounded float, and the same bits on
+ * every host and every rung), and the two message constants of both
+ * BP rules.
  */
 
 #ifndef CYCLONE_DECODER_BP_MATH_H
@@ -25,6 +28,12 @@ float bpLog(float x);
  * rows, once BP messages grow (see checkToVarUpdateWave).
  */
 inline constexpr float kBpTanhSaturated = 9.1f;
+
+/** Normalization factor of min-sum check messages. */
+inline constexpr float kMinSumScale = 0.9f;
+
+/** Every BP message is clamped to [-kBpMessageClamp, kBpMessageClamp]. */
+inline constexpr float kBpMessageClamp = 50.0f;
 
 } // namespace cyclone
 

@@ -12,9 +12,7 @@ BpWaveDecoder::BpWaveDecoder(std::shared_ptr<const BpGraph> graph,
                              BpOptions options,
                              const DecoderBackend& backend)
     : graph_(std::move(graph)), options_(options), backend_(&backend),
-      kernels_(backend.kernels()), laneWidth_(kernels_->lanes),
-      clamp_(static_cast<float>(options.clamp)),
-      minSumScale_(static_cast<float>(options.minSumScale))
+      kernels_(backend.kernels()), laneWidth_(kernels_->lanes)
 {
     CYCLONE_ASSERT(backend.supported(),
                    "backend '" << backend.name
@@ -56,8 +54,6 @@ BpWaveDecoder::kernelCtx()
     ctx.msgScratch = msgScratch_.data();
     ctx.tanhScratch = tanhScratch_.data();
     ctx.laneActive = laneActive_.data();
-    ctx.clamp = clamp_;
-    ctx.minSumScale = minSumScale_;
     return ctx;
 }
 

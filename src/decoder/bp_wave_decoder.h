@@ -109,8 +109,6 @@ class BpWaveDecoder
     const DecoderBackend* backend_ = nullptr;
     const WaveKernelTable* kernels_ = nullptr;
     size_t laneWidth_ = 0;
-    float clamp_ = 50.0f;
-    float minSumScale_ = 0.9f;
 
     // Lane-major state: element i*L + l is lane l's value of entity i.
     // Min-sum waves on rungs with minSumCompressed store messages

@@ -64,8 +64,6 @@ struct WaveKernelCtx
     float* msgScratch = nullptr;   ///< maxCheckDegree x L.
     float* tanhScratch = nullptr;  ///< maxCheckDegree x L.
     const uint32_t* laneActive = nullptr;  ///< L entries: ~0u or 0.
-    float clamp = 50.0f;
-    float minSumScale = 0.9f;
     // Compressed min-sum state (min-sum variant only).
     float* checkMin1 = nullptr;  ///< numChecks x L: scale x min1.
     float* checkMin2 = nullptr;  ///< numChecks x L: scale x min2.

@@ -620,6 +620,22 @@ TEST(Campaign, PerQubitIdleWithoutCompileFails)
               std::string::npos);
 }
 
+TEST(Campaign, NegativeRoundLatencyFails)
+{
+    // latency > 0 is what adds idle noise, so a negative (or NaN)
+    // latency must fail its task rather than run without idle noise.
+    CampaignSpec spec;
+    spec.threads = 1;
+    TaskSpec task = surfaceTask(0.02, 100);
+    task.roundLatencyUs = -5.0;
+    spec.tasks.push_back(std::move(task));
+    const CampaignResult result = runCampaign(spec);
+    ASSERT_EQ(result.tasks.size(), 1u);
+    EXPECT_NE(result.tasks[0].error.find("latency"), std::string::npos)
+        << result.tasks[0].error;
+    EXPECT_EQ(result.tasks[0].logicalErrorRate.trials, 0u);
+}
+
 TEST(Campaign, PerQubitIdleDegeneratesToUniformOnEqualWindows)
 {
     // Identical idle windows must reproduce the uniform-latency model
@@ -692,31 +708,15 @@ TEST(Campaign, SpecParsesSpoolAndShardKeys)
         "workers = 3\n"
         "lease_seconds = 12.5\n"
         "[task]\n"
-        "code = surface3\n"
-        "shard_chunks = 8\n");
+        "code = surface3\n");
     EXPECT_EQ(spec.spool, "/tmp/my-spool");
     EXPECT_EQ(spec.workers, 3u);
     EXPECT_EQ(spec.leaseSeconds, 12.5);
     ASSERT_EQ(spec.tasks.size(), 1u);
-    EXPECT_EQ(spec.tasks[0].stop.shardChunks, 8u);
 
     EXPECT_THROW(parseCampaignSpec("name = x\nlease_seconds = 0\n"
                                    "[task]\ncode = surface3\n"),
                  std::runtime_error);
-}
-
-TEST(Campaign, ShardChunksIsAPerfKnobNotAnIdentity)
-{
-    // Like staging_chunks, shard_chunks only changes how distributed
-    // waves are sliced — never which results come out — so it must
-    // not perturb the task content hash that keys checkpoints.
-    CampaignSpec a;
-    a.tasks.push_back(surfaceTask(0.02, 100));
-    CampaignSpec b = a;
-    b.tasks[0].stop.shardChunks = 16;
-    const uint64_t ha = resolveTaskIdentities(a)[0].contentHash;
-    const uint64_t hb = resolveTaskIdentities(b)[0].contentHash;
-    EXPECT_EQ(ha, hb);
 }
 
 TEST(Campaign, ContentHashGoldenPerBpVariant)
@@ -738,8 +738,8 @@ TEST(Campaign, ContentHashGoldenPerBpVariant)
 TEST(Campaign, SpecRejectsUnknownKeysWithLineNumbers)
 {
     // New campaign/task keys must never be silently ignored: a typo'd
-    // "spool" or "shard_chunks" would otherwise quietly run the whole
-    // sweep in the wrong mode.
+    // "spool" or "staging_chunks" would otherwise quietly run the
+    // whole sweep in the wrong mode.
     try {
         parseCampaignSpec("name = x\nspoool = /tmp/z\n"
                           "[task]\ncode = surface3\n");
@@ -754,13 +754,37 @@ TEST(Campaign, SpecRejectsUnknownKeysWithLineNumbers)
     }
     try {
         parseCampaignSpec("name = x\n[task]\ncode = surface3\n"
-                          "shard_chunk = 4\n");
+                          "staging_chunk = 4\n");
         FAIL() << "expected unknown-key error";
     } catch (const std::runtime_error& ex) {
         EXPECT_NE(std::string(ex.what()).find("line 4"),
                   std::string::npos)
             << ex.what();
     }
+
+    // Keys of deleted settings (each had one value in use, now fixed)
+    // are unknown too: a stale spec fails, naming the key, instead of
+    // running without what it asked for.
+    auto expectUnknown = [](const std::string& text, const char* key,
+                            const char* line) {
+        try {
+            parseCampaignSpec(text);
+            FAIL() << "expected unknown-key error for " << key;
+        } catch (const std::runtime_error& ex) {
+            const std::string what = ex.what();
+            EXPECT_NE(what.find(line), std::string::npos) << what;
+            EXPECT_NE(what.find(key), std::string::npos) << what;
+        }
+    };
+    for (const char* key : {"retry_attempts", "retry_base_ms", "fault_plan"})
+        expectUnknown(std::string("name = x\n") + key +
+                          " = 1\n[task]\ncode = surface3\n",
+                      key, "line 2");
+    for (const char* key :
+         {"shard_chunks", "stream_deadline_us", "stream_flush_after_us"})
+        expectUnknown(std::string("name = x\n[task]\ncode = surface3\n") +
+                          key + " = 1\n",
+                      key, "line 4");
 }
 
 TEST(Campaign, SpecParsesStreamingKeys)
@@ -771,23 +795,18 @@ TEST(Campaign, SpecParsesStreamingKeys)
         "code = surface3\n"
         "streaming = on\n"
         "streams = 12\n"
-        "stream_flush = deadline\n"
-        "stream_deadline_us = 250\n"
-        "stream_flush_after_us = 80\n");
+        "stream_flush = deadline\n");
     ASSERT_EQ(spec.tasks.size(), 1u);
     const StreamSpec& s = spec.tasks[0].stream;
     EXPECT_TRUE(s.enabled);
     EXPECT_EQ(s.streams, 12u);
     EXPECT_TRUE(s.deadlineFlush);
-    EXPECT_DOUBLE_EQ(s.deadlineUs, 250.0);
-    EXPECT_DOUBLE_EQ(s.flushAfterUs, 80.0);
 
-    // Defaults: off, full-wave, auto deadline.
+    // Defaults: off, full-wave.
     const CampaignSpec plain =
         parseCampaignSpec("name = x\n[task]\ncode = surface3\n");
     EXPECT_FALSE(plain.tasks[0].stream.enabled);
     EXPECT_FALSE(plain.tasks[0].stream.deadlineFlush);
-    EXPECT_DOUBLE_EQ(plain.tasks[0].stream.deadlineUs, 0.0);
 
     EXPECT_THROW(parseCampaignSpec("name = x\n[task]\n"
                                    "code = surface3\nstreaming = up\n"),
@@ -988,15 +1007,30 @@ TEST(Campaign, SpecNumericErrorsNameLineAndKey)
         EXPECT_NE(what.find("threads"), std::string::npos) << what;
     }
 
-    // Out-of-range reals keep the same diagnostic shape.
+    // Out-of-range and non-finite reals keep the same diagnostic
+    // shape: stod reads "inf" and "nan", which no key means.
+    for (const char* value : {"1e999", "inf", "nan"}) {
+        try {
+            parseCampaignSpec(std::string("name = x\n[task]\n"
+                                          "code = surface3\n"
+                                          "latency_us = ") +
+                              value + "\n");
+            FAIL() << "expected out-of-range error for " << value;
+        } catch (const std::runtime_error& ex) {
+            const std::string what = ex.what();
+            EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+            EXPECT_NE(what.find("latency_us"), std::string::npos)
+                << what;
+        }
+    }
     try {
-        parseCampaignSpec("name = x\n[task]\ncode = surface3\n"
-                          "latency_us = 1e999\n");
-        FAIL() << "expected out-of-range error";
+        parseCampaignSpec("name = x\nlease_seconds = inf\n"
+                          "[task]\ncode = surface3\n");
+        FAIL() << "expected non-finite error";
     } catch (const std::runtime_error& ex) {
         const std::string what = ex.what();
-        EXPECT_NE(what.find("line 4"), std::string::npos) << what;
-        EXPECT_NE(what.find("latency_us"), std::string::npos) << what;
+        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("lease_seconds"), std::string::npos) << what;
     }
 
     // Bad items inside a p-list get the list's line and key too.

@@ -290,15 +290,11 @@ TEST(SpoolSerde, ManifestRoundTrip)
     m.seed = 0xabcdef;
     m.specHash = 0x1122334455667788ull;
     m.leaseSeconds = 2.5;
-    m.retryAttempts = 9;
-    m.retryBaseMs = 12.5;
     const SpoolManifest p = parseManifest(formatManifest(m));
     EXPECT_EQ(p.name, m.name);
     EXPECT_EQ(p.seed, m.seed);
     EXPECT_EQ(p.specHash, m.specHash);
     EXPECT_EQ(p.leaseSeconds, m.leaseSeconds);
-    EXPECT_EQ(p.retryAttempts, m.retryAttempts);
-    EXPECT_EQ(p.retryBaseMs, m.retryBaseMs);
 }
 
 TEST(SpoolSerde, WorkerStatsRoundTrip)
@@ -334,10 +330,7 @@ TEST(SpoolSerde, ShardPlanningHelpers)
     rule.chunksPerWave = 8;
     rule.maxShots = 1050;
     rule.stagingChunks = 3;
-    rule.shardChunks = 4;
-    // 4 rounded up to a multiple of staging (3) is 6.
-    EXPECT_EQ(effectiveShardChunks(rule), 6u);
-    rule.shardChunks = 0; // auto: ceil(8/4)=2 -> rounded to 3
+    // ceil(8/4)=2 -> rounded to 3
     EXPECT_EQ(effectiveShardChunks(rule), 3u);
     rule.stagingChunks = 1;
     EXPECT_EQ(effectiveShardChunks(rule), 2u);
