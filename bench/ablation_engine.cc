@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation study over the compiler-engine design choices DESIGN.md
- * calls out (not a paper figure; supports the modelling decisions):
+ * Ablation study over the compiler-engine design choices (not a
+ * paper figure; supports the modelling decisions):
  *
  *  - EJF candidate window: 1 is the faithful Earliest-Job-First
  *    policy; wider windows add lookahead and quantify how much of the

@@ -54,14 +54,6 @@ windowBudget()
     return 1024;
 }
 
-double
-nowSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /**
  * Decoder configuration for the serving rows AND the offline
  * bit-identity reference (they must match exactly). BP is capped at

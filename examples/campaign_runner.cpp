@@ -140,7 +140,6 @@ main(int argc, char** argv)
     std::optional<double> lease_override;
     size_t worker_shards = 0;
     bool worker_mode = false;
-    bool die_after_claim = false;
     bool promote = false;
     bool takeover = false;
     bool self_execute = false;
@@ -182,10 +181,6 @@ main(int argc, char** argv)
             worker_id = next();
         } else if (arg == "--worker-shards") {
             worker_shards = count();
-        } else if (arg == "--die-after-claim") {
-            // Undocumented test hook: claim one shard, then exit
-            // without completing it (exercises lease reclaim).
-            die_after_claim = true;
         } else if (arg == "--promote") {
             promote = true;
         } else if (arg == "--coordinator-takeover") {
@@ -219,7 +214,6 @@ main(int argc, char** argv)
         opts.threads = threads_override.value_or(0);
         opts.workerId = worker_id;
         opts.maxShards = worker_shards;
-        opts.dieAfterClaim = die_after_claim;
         opts.promote = promote;
         try {
             const WorkerReport report = runSpoolWorker(opts);

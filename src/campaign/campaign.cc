@@ -59,23 +59,21 @@ streamOptionsFor(const ResolvedTask& rt)
 /**
  * The in-process executor: each build and each staging group runs as
  * one job on the engine's pool and reports through an event queue.
- * One decoder context per task and pool thread is reused across
- * waves (a fresh decoder per group costs measurably more on large
- * DEMs); a job hands the driver the counters it added.
+ * Each pool thread keeps one decoder context for the run, reused
+ * while the thread stays on a task (a fresh decoder per group costs
+ * measurably more on large DEMs) and rebuilt when it takes up
+ * another; a job hands the driver the counters it added.
  */
 class LocalExecutor final : public CampaignExecutor
 {
   public:
     LocalExecutor(ThreadPool& pool, ArtifactCache& cache)
-        : pool_(pool), cache_(cache)
+        : pool_(pool), cache_(cache), contexts_(pool.size())
     {}
 
     void
     build(const std::vector<size_t>& tasks) override
     {
-        contexts_.resize(tasks_->size());
-        for (auto& perWorker : contexts_)
-            perWorker.resize(pool_.size());
         for (const size_t i : tasks)
             pool_.submit([this, i] {
                 push({.task = i, .error = errorOf([&] {
@@ -94,9 +92,8 @@ class LocalExecutor final : public CampaignExecutor
     submit(size_t task, std::vector<ChunkPlan> range) override
     {
         pool_.submit([this, task, plans = std::move(range)] {
-            push(runStagingGroup(task, (*tasks_)[task].rt,
-                                 contexts_[task], plans.data(),
-                                 plans.size()));
+            push(runStagingGroup(task, (*tasks_)[task].rt, contexts_,
+                                 plans.data(), plans.size()));
         });
     }
 
@@ -124,8 +121,7 @@ class LocalExecutor final : public CampaignExecutor
 
     ThreadPool& pool_;
     ArtifactCache& cache_;
-    /** [task][pool worker] decoder contexts, kept for the run. */
-    std::vector<ThreadContexts> contexts_;
+    ThreadContexts contexts_;
     /** Completions from pool jobs to the driver. */
     std::mutex mutex_;
     std::condition_variable cv_;
@@ -173,8 +169,8 @@ taskContentHash(const ResolvedTask& rt)
 
 } // namespace
 
-DecodeContext::DecodeContext(const ResolvedTask& rt)
-    : decoder(*rt.dem, rt.spec->bp)
+DecodeContext::DecodeContext(size_t task, const ResolvedTask& rt)
+    : task(task), decoder(*rt.dem, rt.spec->bp)
 {
     if (rt.spec->stream.enabled)
         stream = std::make_unique<StreamDecoder>(
@@ -192,8 +188,10 @@ runStagingGroup(size_t task, const ResolvedTask& rt,
         contexts[w >= 0 ? static_cast<size_t>(w) : 0];
     Completion c{.task = task};
     c.error = errorOf([&] {
-        if (!ctx)
-            ctx = std::make_unique<DecodeContext>(rt);
+        if (!ctx || ctx->task != task) {
+            ctx.reset(); // before the build, so two never coexist
+            ctx = std::make_unique<DecodeContext>(task, rt);
+        }
         c.outcome = ctx->stream
             ? runChunkGroupStreamed(*rt.dem, plans, count, *ctx->stream,
                                     ctx->batches)

@@ -85,25 +85,36 @@ errorOf(Fn&& fn)
  */
 struct DecodeContext
 {
+    /** The task this context was built for. */
+    size_t task;
     BpOsdDecoder decoder;
     std::vector<ShotBatch> batches;
     std::unique_ptr<StreamDecoder> stream;
 
     /** Needs the task's built artifacts. */
-    explicit DecodeContext(const ResolvedTask& rt);
+    DecodeContext(size_t task, const ResolvedTask& rt);
 };
 
-/** One decode context per pool thread, built on first use. */
+/**
+ * One decode context per pool thread, sized to the pool and owned by
+ * whoever owns the pool: the in-process executor for a run, a spool
+ * worker or a self-executing coordinator for its whole life. Decoder
+ * memory thus grows with threads, not with tasks x threads.
+ */
 using ThreadContexts = std::vector<std::unique_ptr<DecodeContext>>;
 
 /**
  * Sample and decode plans[0..count) of `task` as one staging group
- * on the calling pool thread's slot of `contexts` (sized to the
- * pool; the context is built on first use, then reused). Returns the
- * group's completion: its outcome, the seconds it took, the decoder
- * and streaming counters it added, and what it threw. Both executors
- * run every staging group through here; they differ only in how long
- * `contexts` lives: a run in-process, a shard in the spool.
+ * on the calling pool thread's slot of `contexts`. The slot's context
+ * is reused while the thread stays on `task`; when the thread takes
+ * up another task, the old context is freed before the new one is
+ * built, so a thread never holds two. Nothing a context carries
+ * outlives a group (the memo, the OSD slabs, the counters taken here,
+ * the streaming windows finish() drains), so a rebuilt context
+ * decodes exactly as a reused one. Returns the group's completion:
+ * its outcome, the seconds it took, the decoder and streaming
+ * counters it added, and what it threw. Both executors run every
+ * staging group through here.
  */
 Completion runStagingGroup(size_t task, const ResolvedTask& rt,
                            ThreadContexts& contexts,

@@ -3,8 +3,8 @@
  * Declarative description of a Monte-Carlo campaign.
  *
  * A campaign is a batch of logical-error-rate experiment points — the
- * raw material of every LER figure in the paper (Figs. 5, 14, 15, 19,
- * 21) — executed together on one shared work-stealing pool with shared
+ * raw material of every LER figure in the paper (Figs. 5, 14, 15) —
+ * executed together on one shared work-stealing pool with shared
  * compile/DEM caches and per-task adaptive shot allocation. Each
  * TaskSpec names a code, an architecture (or an explicit round
  * latency), a physical error rate, a round count, and a stopping rule;

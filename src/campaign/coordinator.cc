@@ -62,13 +62,16 @@ sleepSeconds(double s)
  * Execute one claimed shard on `pool` and publish its record —
  * the one shard-execution path, shared by worker loops and
  * self-executing coordinators so both produce byte-identical
- * records. Heartbeats the claim (and `extraHeartbeat`, e.g. the
- * coordinator lease) while the pool decodes.
+ * records. Decodes on `contexts`, the pool's per-thread contexts,
+ * which the caller keeps across shards. Heartbeats the claim (and
+ * `extraHeartbeat`, e.g. the coordinator lease) while the pool
+ * decodes.
  */
 ShardRecord
 executeShardChunks(Spool& spool, const std::string& id,
                    const ShardDescriptor& d, const ResolvedTask& rt,
-                   ThreadPool& pool, double leaseSeconds,
+                   ThreadPool& pool, ThreadContexts& contexts,
+                   double leaseSeconds,
                    const std::function<void()>& extraHeartbeat)
 {
     const StoppingRule& rule = rt.spec->stop;
@@ -80,9 +83,6 @@ executeShardChunks(Spool& spool, const std::string& id,
     for (size_t k = 0; k < d.numChunks; ++k)
         plans[k] = planChunk(rule, d.taskSeed, d.firstChunk + k);
 
-    // Contexts live for this shard only: a worker holds no decoder
-    // between shards, whichever task the next one belongs to.
-    ThreadContexts contexts(pool.size());
     ShardRecord rec;
     rec.task = d.task;
     rec.shard = d.shard;
@@ -190,6 +190,8 @@ class SpoolExecutor final : public CampaignExecutor
     std::map<std::string, ShardDescriptor> pending_;
     std::deque<Completion> ready_;
     std::unique_ptr<ThreadPool> selfPool_;
+    /** selfPool_'s decode contexts, kept across the shards it runs. */
+    ThreadContexts selfContexts_;
 };
 
 SpoolExecutor::SpoolExecutor(const CampaignSpec& spec,
@@ -392,11 +394,14 @@ SpoolExecutor::pass()
                 spool_.retireClaim(id);
                 continue;
             }
-            if (!selfPool_)
+            if (!selfPool_) {
                 selfPool_ = std::make_unique<ThreadPool>(options_.threads);
+                selfContexts_.resize(selfPool_->size());
+            }
             std::string error = errorOf([&] {
                 executeShardChunks(spool_, id, d, (*tasks_)[d.task].rt,
-                                   *selfPool_, spec_.leaseSeconds,
+                                   *selfPool_, selfContexts_,
+                                   spec_.leaseSeconds,
                                    [&] { spool_.heartbeatCoordinator(); });
             });
             if (!error.empty())
@@ -555,9 +560,9 @@ runSpoolWorker(const WorkerOptions& opts)
     ArtifactCache cache;
     cache.attachStore(spool.cacheDir());
     ThreadPool pool(opts.threads);
+    ThreadContexts contexts(pool.size());
 
     WorkerReport report;
-    bool dying = false;
 
     const std::string workerId = !opts.workerId.empty()
         ? opts.workerId
@@ -588,18 +593,13 @@ runSpoolWorker(const WorkerOptions& opts)
     };
     double leaseAbsentSince = -1.0;
 
-    while (!spool.done() && !dying) {
+    while (!spool.done()) {
         bool claimed = false;
         for (const std::string& id : spool.openShards()) {
             ShardDescriptor d;
             if (!spool.claimShard(id, d))
                 continue;
             claimed = true;
-            if (opts.dieAfterClaim) {
-                // Leave the claim dangling, as a killed worker would.
-                dying = true;
-                break;
-            }
             if (d.task >= resolved.size() ||
                 resolved[d.task].contentHash != d.contentHash)
                 throw std::runtime_error(
@@ -611,8 +611,8 @@ runSpoolWorker(const WorkerOptions& opts)
                 built[d.task] = true;
             }
             const ShardRecord rec =
-                executeShardChunks(spool, id, d, resolved[d.task],
-                                   pool, manifest.leaseSeconds,
+                executeShardChunks(spool, id, d, resolved[d.task], pool,
+                                   contexts, manifest.leaseSeconds,
                                    nullptr);
             ++report.shardsRun;
             report.shots += rec.shots;
@@ -649,6 +649,9 @@ runSpoolWorker(const WorkerOptions& opts)
             }
             if (coordinatorDead) {
                 ++report.promotions;
+                // The promoted coordinator decodes on a pool of its
+                // own; free this loop's decoders first.
+                contexts = ThreadContexts(pool.size());
                 CampaignSpec promoted = spec;
                 promoted.spool = opts.spool;
                 CoordinatorOptions copts;
@@ -666,13 +669,9 @@ runSpoolWorker(const WorkerOptions& opts)
 
     report.cache = cache.stats();
     report.transientRetries = spool.transientRetries();
-    if (!opts.dieAfterClaim) {
-        writeHealth(report.transientRetries > 0 ? "degraded"
-                                                : "done");
-        spool.writeFile("stats-" + workerId + ".txt",
-                        formatWorkerStats(report),
-                        "spool.stats.commit");
-    }
+    writeHealth(report.transientRetries > 0 ? "degraded" : "done");
+    spool.writeFile("stats-" + workerId + ".txt",
+                    formatWorkerStats(report), "spool.stats.commit");
     return report;
 }
 

@@ -123,12 +123,6 @@ struct WorkerOptions
      * campaign with selfExecute on.
      */
     bool promote = false;
-    /**
-     * Test hook: exit the loop immediately after the first successful
-     * claim without completing the shard (simulates a worker killed
-     * mid-shard, for lease-reclaim tests).
-     */
-    bool dieAfterClaim = false;
 };
 
 /** What one worker loop did (also written to the spool as

@@ -374,6 +374,7 @@ Spool::claimShard(const std::string& id, ShardDescriptor& out)
     const std::string to = dir_ + "/claimed/" + id;
     if (std::rename(from.c_str(), to.c_str()) != 0)
         return false;
+    faultMilestone("spool.shard.claimed");
     try {
         out = parseShardDescriptor(withRetry(
             "read", to, [&] { return spoolReadFile(to,

@@ -213,7 +213,9 @@ class Spool
      * Try to claim the named shard (rename open/<id> -> claimed/<id>).
      * Returns the descriptor on success; false return means another
      * worker won, the shard vanished, or its descriptor was corrupt
-     * (in which case it is quarantined, not executed).
+     * (in which case it is quarantined, not executed). Fires the
+     * `spool.shard.claimed` fault milestone once the rename lands, so
+     * a fault plan can kill a worker that holds a claim.
      */
     bool claimShard(const std::string& id, ShardDescriptor& out);
 

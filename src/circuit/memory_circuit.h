@@ -52,7 +52,8 @@ struct MemoryCircuitOptions
  *
  * @param code the CSS code under test
  * @param schedule per-round CX ordering; its slices are projected onto
- *        the X phase and the Z phase (see DESIGN.md)
+ *        the X phase and the Z phase (each phase keeps a slice's gates
+ *        of its stabilizer kind and skips slices left empty)
  * @param options rounds and noise
  */
 Circuit buildZMemoryCircuit(const CssCode& code,

@@ -85,10 +85,25 @@ TEST(Campaign, FixedBudgetRunsExactly)
 
 TEST(Campaign, DeterministicAcrossThreadCounts)
 {
+    // Besides three surface13 points: a DEM of another size
+    // (surface5), the min-sum rule, and the streaming front-end. The
+    // one-thread run's single decode context is rebuilt each time its
+    // thread takes up another task, so it crosses all three.
     CampaignSpec spec;
     spec.seed = 99;
     for (double p : {0.01, 0.03, 0.08})
         spec.tasks.push_back(surfaceTask(p, 600, 0.25));
+    TaskSpec surface5 = surfaceTask(0.03, 600, 0.25);
+    surface5.code = nullptr;
+    surface5.codeName = "surface5";
+    spec.tasks.push_back(surface5);
+    TaskSpec minSum = surfaceTask(0.03, 600, 0.25);
+    minSum.bp.variant = BpOptions::Variant::MinSum;
+    spec.tasks.push_back(minSum);
+    TaskSpec streamed = surfaceTask(0.03, 600, 0.25);
+    streamed.stream.enabled = true;
+    streamed.stream.streams = 4;
+    spec.tasks.push_back(streamed);
 
     spec.threads = 1;
     const CampaignResult one = runCampaign(spec);
@@ -111,7 +126,14 @@ TEST(Campaign, DeterministicAcrossThreadCounts)
                                         four.tasks[i].decoder),
                   "")
             << "task " << i;
+        EXPECT_EQ(one.tasks[i].stream.windows,
+                  four.tasks[i].stream.windows)
+            << "task " << i;
     }
+    EXPECT_NE(one.tasks[3].demDetectors, one.tasks[0].demDetectors);
+    EXPECT_TRUE(one.tasks[5].streamed);
+    EXPECT_EQ(one.tasks[5].stream.windows,
+              one.tasks[5].logicalErrorRate.trials);
 }
 
 TEST(Campaign, StagedPoolingIsDeterministicAndBitExact)
@@ -217,9 +239,10 @@ TEST(Campaign, AdaptiveUsesFewerShotsThanFixedAtEqualWidth)
     // The point that needed the full budget replays the same chunk
     // streams in the fixed run: identical estimate, not just close.
     for (size_t i = 0; i < a.tasks.size(); ++i) {
-        if (a.tasks[i].logicalErrorRate.trials == hardest)
+        if (a.tasks[i].logicalErrorRate.trials == hardest) {
             EXPECT_EQ(a.tasks[i].logicalErrorRate.successes,
                       f.tasks[i].logicalErrorRate.successes);
+        }
     }
 }
 

@@ -89,10 +89,12 @@ bp = minsum
 )";
 
 /** Fork `count` worker processes against `spool`. Children never
- *  return: they run the worker loop and _exit. */
+ *  return: they run the worker loop and _exit. With crashAfterClaim
+ *  each crashes (exit kFaultCrashExitCode) right after its first claim
+ *  lands, leaving the claim dangling as a killed worker would. */
 std::vector<pid_t>
 forkWorkers(const std::string& spool, size_t count,
-            double startDelaySeconds = 0.0, bool dieAfterClaim = false)
+            double startDelaySeconds = 0.0, bool crashAfterClaim = false)
 {
     std::vector<pid_t> pids;
     for (size_t w = 0; w < count; ++w) {
@@ -101,12 +103,14 @@ forkWorkers(const std::string& spool, size_t count,
             if (startDelaySeconds > 0.0)
                 std::this_thread::sleep_for(
                     std::chrono::duration<double>(startDelaySeconds));
+            if (crashAfterClaim)
+                installFaultPlan(FaultPlan::parse(
+                    "spool.shard.claimed:crash_after@1"));
             WorkerOptions opts;
             opts.spool = spool;
             opts.threads = 2;
             opts.workerId = "w" + std::to_string(::getpid());
             opts.pollSeconds = 0.01;
-            opts.dieAfterClaim = dieAfterClaim;
             int rc = 0;
             try {
                 runSpoolWorker(opts);
@@ -121,15 +125,13 @@ forkWorkers(const std::string& spool, size_t count,
 }
 
 void
-reapWorkers(const std::vector<pid_t>& pids, bool expectClean = true)
+reapWorkers(const std::vector<pid_t>& pids, int exitCode = 0)
 {
     for (const pid_t pid : pids) {
         int status = 0;
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-        if (expectClean) {
-            EXPECT_TRUE(WIFEXITED(status));
-            EXPECT_EQ(WEXITSTATUS(status), 0);
-        }
+        EXPECT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), exitCode);
     }
 }
 
@@ -880,11 +882,11 @@ TEST(DistributedCampaign, LeaseExpiryReclaimsKilledWorkersShard)
     dspec.spool = scratch.path;
     dspec.leaseSeconds = 0.5;
 
-    // Worker A claims the first shard it sees and dies without
+    // Worker A claims the first shard it sees and crashes without
     // completing or heartbeating it. Worker B starts 2s later (after
     // A's lease lapsed) and drains the whole spool.
     const std::vector<pid_t> dying =
-        forkWorkers(scratch.path, 1, 0.0, /*dieAfterClaim=*/true);
+        forkWorkers(scratch.path, 1, 0.0, /*crashAfterClaim=*/true);
     const std::vector<pid_t> healthy =
         forkWorkers(scratch.path, 1, 2.0);
 
@@ -898,7 +900,7 @@ TEST(DistributedCampaign, LeaseExpiryReclaimsKilledWorkersShard)
             ::waitpid(pid, nullptr, 0);
         throw;
     }
-    reapWorkers(dying);
+    reapWorkers(dying, kFaultCrashExitCode);
     reapWorkers(healthy);
 
     EXPECT_GE(dist.spool.shardsReclaimed, 1u)
@@ -1063,7 +1065,7 @@ bp = minsum
     spec.maxClaimReclaims = 0;
 
     const std::vector<pid_t> dying =
-        forkWorkers(scratch.path, 1, 0.0, /*dieAfterClaim=*/true);
+        forkWorkers(scratch.path, 1, 0.0, /*crashAfterClaim=*/true);
     CampaignResult dist;
     try {
         dist = runDistributedCampaign(spec, spec_text);
@@ -1072,7 +1074,7 @@ bp = minsum
             ::waitpid(pid, nullptr, 0);
         throw;
     }
-    reapWorkers(dying);
+    reapWorkers(dying, kFaultCrashExitCode);
 
     EXPECT_EQ(dist.spool.shardsPoisoned, 1u);
     ASSERT_EQ(dist.tasks.size(), 1u);
