@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -59,41 +60,38 @@ compileArch(const CssCode& code, const SyndromeSchedule& schedule,
 }
 
 /**
- * Run a latency-coupled memory experiment and attach LER counters to
- * a benchmark state.
+ * Run a latency-coupled memory experiment: `n_shots` shots at
+ * physical error `p` with `latency_us` of idle decoherence per round,
+ * as a one-task campaign. Throws if the task fails.
  */
-inline MemoryExperimentResult
+inline TaskResult
 runPoint(const CssCode& code, const SyndromeSchedule& schedule,
          double p, double latency_us, size_t n_shots,
          uint64_t seed = 0xc0de)
 {
-    MemoryExperimentConfig exp;
-    exp.physicalError = p;
-    exp.roundLatencyUs = latency_us;
-    exp.shots = n_shots;
-    exp.seed = seed;
+    TaskSpec task;
+    task.code = std::make_shared<const CssCode>(code);
+    task.schedule = std::make_shared<const SyndromeSchedule>(schedule);
+    task.compileLatency = false;
+    task.roundLatencyUs = latency_us;
+    task.physicalError = p;
+    task.stop.maxShots = n_shots;
     // Min-sum BP: cheaper per edge than the product-sum default
     // (default_over_minsum in BENCH_decoder.json), and in paired
     // comparisons on the same shots neither rule left fewer failures
     // at every point (README.md, "Product-sum and min-sum").
-    exp.bp.variant = BpOptions::Variant::MinSum;
-    return runZMemoryExperiment(code, schedule, exp);
+    task.bp.variant = BpOptions::Variant::MinSum;
+    CampaignSpec spec;
+    spec.seed = seed;
+    spec.tasks.push_back(std::move(task));
+    TaskResult result = runCampaign(spec).tasks.front();
+    if (!result.error.empty())
+        throw std::runtime_error("memory experiment failed: " +
+                                 result.error);
+    return result;
 }
 
 /** Attach the standard LER counters to a state. */
-inline void
-setLerCounters(benchmark::State& state,
-               const MemoryExperimentResult& r)
-{
-    state.counters["LER"] = r.logicalErrorRate.rate;
-    state.counters["LER_err"] = wilsonHalfWidth(
-        r.logicalErrorRate.successes, r.logicalErrorRate.trials);
-    state.counters["shots"] =
-        static_cast<double>(r.logicalErrorRate.trials);
-    state.counters["rounds"] = static_cast<double>(r.rounds);
-}
-
-/** Campaign-task flavour of the standard LER counters. */
 inline void
 setLerCounters(benchmark::State& state, const TaskResult& r)
 {

@@ -51,9 +51,7 @@ runCapacity(benchmark::State& state, size_t capacity, bool with_ler)
             auto coarse = runPoint(code, schedule, 5e-4, r.execTimeUs,
                                    shots(150));
             state.counters["LER_5e4"] = coarse.logicalErrorRate.rate;
-            state.counters["LER_5e4_err"] = wilsonHalfWidth(
-                coarse.logicalErrorRate.successes,
-                coarse.logicalErrorRate.trials);
+            state.counters["LER_5e4_err"] = coarse.wilson;
         }
     }
 }

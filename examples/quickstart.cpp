@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "core/cyclone.h"
@@ -57,21 +58,31 @@ main(int argc, char** argv)
                 baseline.spacetimeCost() / cyclone_r.spacetimeCost());
 
     // ---- Memory experiments with latency-coupled noise. ----
+    // Each is a one-task campaign at that round latency.
     const double p = 1e-3;
-    MemoryExperimentConfig exp;
-    exp.physicalError = p;
-    exp.shots = 400;
-    exp.seed = 7;
-
-    exp.roundLatencyUs = baseline.execTimeUs;
-    auto baseline_mem = runZMemoryExperiment(code, schedule, exp);
-    exp.roundLatencyUs = cyclone_r.execTimeUs;
-    auto cyclone_mem = runZMemoryExperiment(code, schedule, exp);
+    const size_t shots = 400;
+    auto memory = [&](double latency_us) {
+        TaskSpec task;
+        task.codeName = name;
+        task.compileLatency = false;
+        task.roundLatencyUs = latency_us;
+        task.physicalError = p;
+        task.stop.maxShots = shots;
+        CampaignSpec spec;
+        spec.seed = 7;
+        spec.tasks.push_back(task);
+        TaskResult r = runCampaign(spec).tasks.front();
+        if (!r.error.empty())
+            throw std::runtime_error("memory experiment failed: " +
+                                     r.error);
+        return r;
+    };
+    const TaskResult baseline_mem = memory(baseline.execTimeUs);
+    const TaskResult cyclone_mem = memory(cyclone_r.execTimeUs);
 
     std::printf("Memory experiment at p = %.0e (%zu rounds, %zu "
                 "shots):\n",
-                p, baseline_mem.rounds,
-                exp.shots);
+                p, baseline_mem.rounds, shots);
     std::printf("  baseline grid LER = %.4f +- %.4f\n",
                 baseline_mem.logicalErrorRate.rate,
                 baseline_mem.logicalErrorRate.stderr);

@@ -16,6 +16,7 @@
 #include "campaign/content_hash.h"
 #include "campaign/fault_plan.h"
 #include "circuit/memory_circuit.h"
+#include "compiler/compiler.h"
 #include "dem/dem_builder.h"
 #include "noise/noise_model.h"
 #include "noise/schedule_noise.h"
@@ -343,6 +344,13 @@ buildTaskArtifacts(ResolvedTask& rt, ArtifactCache& cache)
     std::vector<PauliTwirl> perQubitIdle;
     if (t.idleNoise == IdleNoiseMode::PerQubitSchedule) {
         perQubitIdle = t.perQubitIdle;
+        if (!perQubitIdle.empty() &&
+            perQubitIdle.size() != rt.code->numQubits()) {
+            throw std::invalid_argument(
+                "perQubitIdle must hold one twirl per data qubit (have " +
+                std::to_string(perQubitIdle.size()) + ", need " +
+                std::to_string(rt.code->numQubits()) + ")");
+        }
         if (perQubitIdle.empty()) {
             if (!rt.compiled) {
                 throw std::invalid_argument(

@@ -705,15 +705,4 @@ parseCampaignSpec(const std::string& text)
     return spec;
 }
 
-CampaignSpec
-loadCampaignSpec(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open campaign spec: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parseCampaignSpec(buffer.str());
-}
-
 } // namespace cyclone

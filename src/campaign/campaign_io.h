@@ -85,9 +85,6 @@ double parseReal(const std::string& text);
 /** Parse a spec document; throws std::runtime_error with a line. */
 CampaignSpec parseCampaignSpec(const std::string& text);
 
-/** Read and parse a spec file; throws on missing file or bad spec. */
-CampaignSpec loadCampaignSpec(const std::string& path);
-
 } // namespace cyclone
 
 #endif // CYCLONE_CAMPAIGN_CAMPAIGN_IO_H

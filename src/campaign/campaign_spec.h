@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/codesign.h"
+#include "compiler/architecture.h"
 #include "decoder/bp_decoder.h"
 #include "noise/noise_model.h"
 #include "noise/pauli_twirl.h"

@@ -1,9 +1,8 @@
 /**
  * @file
  * The hardware/software codesigns evaluated in the paper, as a
- * compiler-layer enumeration with name parsing. The compiler registry
- * (compiler/compiler.h) is keyed by this enum; core/codesign.h
- * re-exports it for the top-level evaluation API.
+ * compiler-layer enumeration with name parsing. compileCodesign
+ * (compiler/compiler.h) switches over this enum.
  */
 
 #ifndef CYCLONE_COMPILER_ARCHITECTURE_H

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "compiler/baseline2.h"
-#include "compiler/baseline3.h"
 #include "compiler/dynamic_grid.h"
 #include "compiler/mesh_junction.h"
 #include "qccd/topology_builders.h"
@@ -22,136 +20,43 @@ gridSide(const CssCode& code)
         std::ceil(std::sqrt(static_cast<double>(code.numQubits()))));
 }
 
-struct BaselineGridCompiler final : Compiler
-{
-    Architecture architecture() const override
-    {
-        return Architecture::BaselineGrid;
-    }
-
-    CompileResult
-    compile(const CssCode& code, const SyndromeSchedule& schedule,
-            const CodesignConfig& config) const override
-    {
-        const size_t l = gridSide(code);
-        Topology grid = buildBaselineGrid(l, l, config.gridCapacity);
-        EjfOptions ejf = config.ejf;
-        ejf.name = "baseline-ejf";
-        return compileEjf(code, schedule, grid, ejf);
-    }
-};
-
-struct AlternateGridCompiler final : Compiler
-{
-    Architecture architecture() const override
-    {
-        return Architecture::AlternateGrid;
-    }
-
-    CompileResult
-    compile(const CssCode& code, const SyndromeSchedule& schedule,
-            const CodesignConfig& config) const override
-    {
-        const size_t l = gridSide(code);
-        Topology grid = buildAlternateGrid(l, l, config.gridCapacity);
-        EjfOptions ejf = config.ejf;
-        ejf.name = "alternate-grid-ejf";
-        return compileEjf(code, schedule, grid, ejf);
-    }
-};
-
-struct DynamicGridCompiler final : Compiler
-{
-    Architecture architecture() const override
-    {
-        return Architecture::DynamicGrid;
-    }
-
-    CompileResult
-    compile(const CssCode& code, const SyndromeSchedule& schedule,
-            const CodesignConfig& config) const override
-    {
-        const size_t l = gridSide(code);
-        Topology grid = buildBaselineGrid(l, l, config.gridCapacity);
-        EjfOptions ejf = config.ejf;
-        ejf.name = "dynamic-grid";
-        return compileDynamicGrid(code, schedule, grid, ejf);
-    }
-};
-
-struct RingEjfCompiler final : Compiler
-{
-    Architecture architecture() const override
-    {
-        return Architecture::RingEjf;
-    }
-
-    CompileResult
-    compile(const CssCode& code, const SyndromeSchedule& schedule,
-            const CodesignConfig& config) const override
-    {
-        const size_t x = std::max(code.numXStabs(), code.numZStabs());
-        const size_t capacity =
-            (code.numQubits() + x - 1) / x +
-            (code.numStabs() + x - 1) / x + 1;
-        Topology ring = buildRing(x, capacity);
-        EjfOptions ejf = config.ejf;
-        ejf.name = "ring-ejf";
-        ejf.dataPerTrap = (code.numQubits() + x - 1) / x;
-        return compileEjf(code, schedule, ring, ejf);
-    }
-};
-
-struct MeshJunctionCompiler final : Compiler
-{
-    Architecture architecture() const override
-    {
-        return Architecture::MeshJunction;
-    }
-
-    CompileResult
-    compile(const CssCode& code, const SyndromeSchedule& schedule,
-            const CodesignConfig& config) const override
-    {
-        EjfOptions ejf = config.ejf;
-        ejf.name = "mesh-junction";
-        return compileMeshJunction(code, schedule, ejf);
-    }
-};
-
-struct CycloneCompiler final : Compiler
-{
-    Architecture architecture() const override
-    {
-        return Architecture::Cyclone;
-    }
-
-    CompileResult
-    compile(const CssCode& code, const SyndromeSchedule&,
-            const CodesignConfig& config) const override
-    {
-        return compileCyclone(code, config.cyclone);
-    }
-};
-
 } // namespace
 
-const Compiler&
-compilerFor(Architecture arch)
+CompileResult
+compileCodesign(const CssCode& code, const SyndromeSchedule& schedule,
+                const CodesignConfig& config)
 {
-    static const BaselineGridCompiler baseline_grid;
-    static const AlternateGridCompiler alternate_grid;
-    static const DynamicGridCompiler dynamic_grid;
-    static const RingEjfCompiler ring_ejf;
-    static const MeshJunctionCompiler mesh_junction;
-    static const CycloneCompiler cyclone_compiler;
-    switch (arch) {
-      case Architecture::BaselineGrid: return baseline_grid;
-      case Architecture::AlternateGrid: return alternate_grid;
-      case Architecture::DynamicGrid: return dynamic_grid;
-      case Architecture::RingEjf: return ring_ejf;
-      case Architecture::MeshJunction: return mesh_junction;
-      case Architecture::Cyclone: return cyclone_compiler;
+    const size_t l = gridSide(code);
+    EjfOptions ejf = config.ejf;
+    switch (config.architecture) {
+      case Architecture::BaselineGrid:
+        ejf.name = "baseline-ejf";
+        return compileEjf(code, schedule,
+                          buildBaselineGrid(l, l, config.gridCapacity),
+                          ejf);
+      case Architecture::AlternateGrid:
+        ejf.name = "alternate-grid-ejf";
+        return compileEjf(code, schedule,
+                          buildAlternateGrid(l, l, config.gridCapacity),
+                          ejf);
+      case Architecture::DynamicGrid:
+        ejf.name = "dynamic-grid";
+        return compileDynamicGrid(
+            code, schedule, buildBaselineGrid(l, l, config.gridCapacity),
+            ejf);
+      case Architecture::RingEjf: {
+        const size_t x = std::max(code.numXStabs(), code.numZStabs());
+        const size_t capacity = (code.numQubits() + x - 1) / x +
+            (code.numStabs() + x - 1) / x + 1;
+        ejf.name = "ring-ejf";
+        ejf.dataPerTrap = (code.numQubits() + x - 1) / x;
+        return compileEjf(code, schedule, buildRing(x, capacity), ejf);
+      }
+      case Architecture::MeshJunction:
+        ejf.name = "mesh-junction";
+        return compileMeshJunction(code, schedule, ejf);
+      case Architecture::Cyclone:
+        return compileCyclone(code, config.cyclone);
     }
     CYCLONE_FATAL("unknown architecture");
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * The unified compiler interface and registry.
+ * Compile one syndrome round under a codesign.
  *
- * Every architecture's compiler sits behind one interface: build the
- * matching topology for the code, compile one syndrome round, and
- * return a CompileResult whose summary derives from the TimedSchedule
- * IR the compiler emitted. The registry keys the six singleton
- * compilers by Architecture, so dispatch sites (core/codesign, the
- * campaign engine, benches) need no per-architecture switch.
+ * CodesignConfig picks the architecture and its tuning; compileCodesign
+ * builds the matching topology for the code, runs that architecture's
+ * compiler and returns a CompileResult whose summary derives from the
+ * TimedSchedule IR the compiler emitted. Dispatch is one switch over
+ * Architecture: a new architecture adds one case, and -Wswitch flags
+ * an enumerator without one.
  */
 
 #ifndef CYCLONE_COMPILER_COMPILER_H
@@ -39,27 +39,14 @@ struct CodesignConfig
     size_t gridCapacity = 5;
 };
 
-/** One architecture's compiler. */
-class Compiler
-{
-  public:
-    virtual ~Compiler() = default;
-
-    /** The architecture this compiler serves. */
-    virtual Architecture architecture() const = 0;
-
-    /**
-     * Compile one syndrome round of `code`, building the matching
-     * topology internally. The result carries the TimedSchedule IR
-     * with its summary derived from it.
-     */
-    virtual CompileResult compile(const CssCode& code,
-                                  const SyndromeSchedule& schedule,
-                                  const CodesignConfig& config) const = 0;
-};
-
-/** The singleton compiler registered for an architecture. */
-const Compiler& compilerFor(Architecture arch);
+/**
+ * Compile one syndrome round of `code` under the chosen codesign,
+ * building the matching topology internally. The Cyclone compiler
+ * derives its rotation from the code and does not read `schedule`.
+ */
+CompileResult compileCodesign(const CssCode& code,
+                              const SyndromeSchedule& schedule,
+                              const CodesignConfig& config);
 
 } // namespace cyclone
 

@@ -42,18 +42,20 @@
 #ifndef CYCLONE_DECODER_BPOSD_DECODER_H
 #define CYCLONE_DECODER_BPOSD_DECODER_H
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitvec.h"
 #include "common/stat_fields.h"
 #include "decoder/bp_decoder.h"
 #include "decoder/bp_wave_decoder.h"
-#include "decoder/decoder.h"
 #include "decoder/decoder_backend.h"
 #include "decoder/osd.h"
+#include "dem/shot_batch.h"
 
 namespace cyclone {
 
@@ -128,7 +130,7 @@ struct BpOsdStats
 };
 
 /** BP + OSD-0 decoder over a detector error model. */
-class BpOsdDecoder : public Decoder
+class BpOsdDecoder
 {
   public:
     /**
@@ -141,7 +143,7 @@ class BpOsdDecoder : public Decoder
                           BpOptions options = {});
 
     /** Decode one shot (thin wrapper over the scalar decode core). */
-    uint64_t decode(const BitVec& syndrome) override;
+    uint64_t decode(const BitVec& syndrome);
 
     /**
      * Decode a packed batch: zero-syndrome fast path, per-batch
@@ -151,7 +153,7 @@ class BpOsdDecoder : public Decoder
      * beginStaged(); stageBatch(batch); flushStaged().
      */
     void decodeBatch(const ShotBatch& batch,
-                     std::vector<uint64_t>& predicted) override;
+                     std::vector<uint64_t>& predicted);
 
     // ------------------------------------------------------------------
     // Staged decoding: pool several batches' distinct syndromes into

@@ -10,13 +10,16 @@
 #ifndef CYCLONE_DECODER_EXHAUSTIVE_DECODER_H
 #define CYCLONE_DECODER_EXHAUSTIVE_DECODER_H
 
-#include "decoder/decoder.h"
+#include <cstddef>
+#include <cstdint>
+
+#include "common/bitvec.h"
 #include "dem/dem.h"
 
 namespace cyclone {
 
 /** Exhaustive subset-enumeration decoder (test oracle). */
-class ExhaustiveDecoder : public Decoder
+class ExhaustiveDecoder
 {
   public:
     /**
@@ -25,7 +28,8 @@ class ExhaustiveDecoder : public Decoder
      */
     ExhaustiveDecoder(const DetectorErrorModel& dem, size_t max_weight);
 
-    uint64_t decode(const BitVec& syndrome) override;
+    /** Predicted observable flip mask of the most likely subset. */
+    uint64_t decode(const BitVec& syndrome);
 
     /** True if the last decode found a subset matching the syndrome. */
     bool lastDecodeMatched() const { return lastMatched_; }

@@ -112,16 +112,6 @@ surface(size_t distance)
 }
 
 std::vector<CssCode>
-allHgpCodes()
-{
-    std::vector<CssCode> out;
-    out.push_back(hgp225());
-    out.push_back(hgp400());
-    out.push_back(hgp625());
-    return out;
-}
-
-std::vector<CssCode>
 allBbCodes()
 {
     std::vector<CssCode> out;

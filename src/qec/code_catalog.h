@@ -51,9 +51,6 @@ CssCode bb288();
  */
 CssCode surface(size_t distance);
 
-/** The HGP codes of the paper, smallest first. */
-std::vector<CssCode> allHgpCodes();
-
 /** The BB codes of the paper, smallest first. */
 std::vector<CssCode> allBbCodes();
 

@@ -6,13 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/codesign.h"
+#include "compiler/compiler.h"
 #include "core/explorer.h"
 #include "core/overhead.h"
 #include "qec/classical_code.h"
 #include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
+#include "run_task.h"
 
 namespace cyclone {
 namespace {
@@ -89,21 +90,23 @@ TEST(Codesign, AlternateGridBetweenBaselineAndCyclone)
     EXPECT_LT(alt, bl);
 }
 
-TEST(Codesign, EvaluateCouplesLatencyIntoNoise)
+TEST(Codesign, CompiledLatencyCouplesIntoNoise)
 {
+    // compileLatency: the task compiles one Cyclone round and runs its
+    // memory experiment at that round's makespan.
     CssCode code = makeHgpCode(ClassicalCode::repetition(3), 3);
     SyndromeSchedule sched = makeXThenZSchedule(code);
     CodesignConfig cfg;
     cfg.architecture = Architecture::Cyclone;
-    MemoryExperimentConfig exp;
-    exp.shots = 150;
-    exp.physicalError = 2e-3;
-    exp.rounds = 3;
-    exp.seed = 3;
-    CodesignEvaluation eval = evaluateCodesign(code, sched, cfg, exp);
-    EXPECT_GT(eval.compiled.execTimeUs, 0.0);
-    EXPECT_EQ(eval.memory.logicalErrorRate.trials, 150u);
-    EXPECT_GT(eval.spacetimeCost, 0.0);
+    const CompileResult compiled = compileCodesign(code, sched, cfg);
+    TaskSpec task = memoryTask("surface3", 2e-3, 3, 150);
+    task.compileLatency = true;
+    task.architecture = Architecture::Cyclone;
+    const TaskResult r = runTask(task, 3);
+    EXPECT_GT(r.roundLatencyUs, 0.0);
+    EXPECT_EQ(r.roundLatencyUs, compiled.execTimeUs);
+    EXPECT_EQ(r.logicalErrorRate.trials, 150u);
+    EXPECT_GT(compiled.spacetimeCost(), 0.0);
 }
 
 TEST(Codesign, CycloneLowerLerThanBaselineUnderLatency)
@@ -112,21 +115,10 @@ TEST(Codesign, CycloneLowerLerThanBaselineUnderLatency)
     // baseline's longer rounds inject more decoherence, so its LER is
     // higher. Use the small surface code for fast Monte Carlo, with
     // latencies in the regime where decoherence dominates.
-    CssCode code = makeHgpCode(ClassicalCode::repetition(3), 3);
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig exp;
-    exp.shots = 1500;
-    exp.physicalError = 1e-3;
-    exp.rounds = 3;
-    exp.seed = 11;
-
-    MemoryExperimentConfig fast = exp;
-    fast.roundLatencyUs = 60000.0;  // Cyclone-like round
-    MemoryExperimentConfig slow = exp;
-    slow.roundLatencyUs = 600000.0; // heavily roadblocked round
-
-    auto fast_r = runZMemoryExperiment(code, sched, fast);
-    auto slow_r = runZMemoryExperiment(code, sched, slow);
+    const TaskResult fast_r = runTask(
+        memoryTask("surface3", 1e-3, 3, 1500, 60000.0), 11); // Cyclone-like
+    const TaskResult slow_r = runTask(
+        memoryTask("surface3", 1e-3, 3, 1500, 600000.0), 11); // roadblocked
     EXPECT_LT(fast_r.logicalErrorRate.rate,
               slow_r.logicalErrorRate.rate);
 }

@@ -8,12 +8,12 @@
 
 #include "circuit/frame_simulator.h"
 #include "circuit/memory_circuit.h"
-#include "core/codesign.h"
-#include "memory/memory_experiment.h"
+#include "compiler/compiler.h"
 #include "qec/classical_code.h"
 #include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
+#include "run_task.h"
 
 namespace cyclone {
 namespace {
@@ -88,32 +88,20 @@ TEST(XMemory, ZErrorsCauseLogicalFailures)
     // In X memory, logical-Z-type noise (phase flips) is what kills
     // the logical state; a Z-biased channel must raise the X-memory
     // LER above the Z-memory LER under the same bias.
-    CssCode code = makeHgpCode(ClassicalCode::repetition(3), 3);
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 400;
-    cfg.physicalError = 0.02;
-    cfg.rounds = 3;
-    cfg.seed = 21;
-    cfg.xBasis = true;
-    auto x_result = runZMemoryExperiment(code, sched, cfg);
+    TaskSpec task = memoryTask("surface3", 0.02, 3, 400);
+    task.xBasis = true;
+    const TaskResult x_result = runTask(task, 21);
     EXPECT_GT(x_result.logicalErrorRate.rate, 0.0);
     EXPECT_EQ(x_result.logicalErrorRate.trials, 400u);
 }
 
 TEST(XMemory, MonotoneInPhysicalError)
 {
-    CssCode code = makeHgpCode(ClassicalCode::repetition(3), 3);
-    SyndromeSchedule sched = makeXThenZSchedule(code);
     double prev = -1.0;
     for (double p : {0.003, 0.03}) {
-        MemoryExperimentConfig cfg;
-        cfg.shots = 400;
-        cfg.physicalError = p;
-        cfg.rounds = 3;
-        cfg.seed = 23;
-        cfg.xBasis = true;
-        auto r = runZMemoryExperiment(code, sched, cfg);
+        TaskSpec task = memoryTask("surface3", p, 3, 400);
+        task.xBasis = true;
+        const TaskResult r = runTask(task, 23);
         EXPECT_GE(r.logicalErrorRate.rate, prev);
         prev = r.logicalErrorRate.rate;
     }

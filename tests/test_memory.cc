@@ -1,36 +1,19 @@
 /**
  * @file
- * Integration tests for the Monte-Carlo memory experiment runner.
+ * Integration tests for the Monte-Carlo memory experiment: one
+ * fixed-budget TaskSpec per point, run as a one-task campaign.
  */
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
-#include "memory/memory_experiment.h"
-#include "qec/classical_code.h"
-#include "qec/code_catalog.h"
-#include "qec/hgp_code.h"
-#include "qec/schedule.h"
+#include "run_task.h"
 
 namespace cyclone {
 namespace {
 
-CssCode
-surface13()
-{
-    return makeHgpCode(ClassicalCode::repetition(3), 3);
-}
-
 TEST(MemoryExperiment, NoNoiseNoFailures)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 50;
-    cfg.physicalError = 0.0;
-    cfg.rounds = 3;
-    auto result = runZMemoryExperiment(code, sched, cfg);
+    const TaskResult result = runTask(memoryTask("surface3", 0.0, 3, 50));
     EXPECT_EQ(result.logicalErrorRate.successes, 0u);
     EXPECT_EQ(result.logicalErrorRate.trials, 50u);
     EXPECT_EQ(result.decoder.decodes, 50u);
@@ -38,16 +21,10 @@ TEST(MemoryExperiment, NoNoiseNoFailures)
 
 TEST(MemoryExperiment, LerIncreasesWithPhysicalError)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
     double previous = -1.0;
     for (double p : {0.002, 0.02, 0.08}) {
-        MemoryExperimentConfig cfg;
-        cfg.shots = 600;
-        cfg.physicalError = p;
-        cfg.rounds = 3;
-        cfg.seed = 77;
-        auto result = runZMemoryExperiment(code, sched, cfg);
+        const TaskResult result =
+            runTask(memoryTask("surface3", p, 3, 600), 77);
         EXPECT_GE(result.logicalErrorRate.rate, previous)
             << "LER not monotone at p = " << p;
         previous = result.logicalErrorRate.rate;
@@ -57,42 +34,25 @@ TEST(MemoryExperiment, LerIncreasesWithPhysicalError)
 
 TEST(MemoryExperiment, LatencyRaisesLer)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig fast;
-    fast.shots = 800;
-    fast.physicalError = 2e-3;
-    fast.rounds = 3;
-    fast.seed = 99;
-    MemoryExperimentConfig slow = fast;
+    const TaskSpec fast = memoryTask("surface3", 2e-3, 3, 800);
+    TaskSpec slow = fast;
     slow.roundLatencyUs = 400000.0; // 0.4 s per round
-    auto fast_result = runZMemoryExperiment(code, sched, fast);
-    auto slow_result = runZMemoryExperiment(code, sched, slow);
+    const TaskResult fast_result = runTask(fast, 99);
+    const TaskResult slow_result = runTask(slow, 99);
     EXPECT_GT(slow_result.logicalErrorRate.rate,
               fast_result.logicalErrorRate.rate);
 }
 
 TEST(MemoryExperiment, DefaultsRoundsToDistance)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 10;
-    cfg.physicalError = 1e-3;
-    auto result = runZMemoryExperiment(code, sched, cfg);
+    const TaskResult result = runTask(memoryTask("surface3", 1e-3, 0, 10));
     EXPECT_EQ(result.rounds, 3u);
 }
 
 TEST(MemoryExperiment, PerRoundRateBelowPerShot)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 500;
-    cfg.physicalError = 0.03;
-    cfg.rounds = 4;
-    cfg.seed = 13;
-    auto result = runZMemoryExperiment(code, sched, cfg);
+    const TaskResult result =
+        runTask(memoryTask("surface3", 0.03, 4, 500), 13);
     EXPECT_GT(result.logicalErrorRate.rate, 0.0);
     EXPECT_LT(result.perRoundErrorRate,
               result.logicalErrorRate.rate + 1e-12);
@@ -100,58 +60,42 @@ TEST(MemoryExperiment, PerRoundRateBelowPerShot)
 
 TEST(MemoryExperiment, DeterministicWithSeed)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 200;
-    cfg.physicalError = 0.02;
-    cfg.rounds = 2;
-    cfg.seed = 4242;
-    cfg.threads = 2;
-    auto a = runZMemoryExperiment(code, sched, cfg);
-    auto b = runZMemoryExperiment(code, sched, cfg);
+    const TaskSpec task = memoryTask("surface3", 0.02, 2, 200);
+    const TaskResult a = runTask(task, 4242);
+    const TaskResult b = runTask(task, 4242);
     EXPECT_EQ(a.logicalErrorRate.successes,
               b.logicalErrorRate.successes);
 }
 
 TEST(MemoryExperiment, SingleVsMultiThreadSameDem)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 100;
-    cfg.physicalError = 0.01;
-    cfg.rounds = 2;
-    cfg.threads = 1;
-    auto single = runZMemoryExperiment(code, sched, cfg);
-    cfg.threads = 2;
-    auto multi = runZMemoryExperiment(code, sched, cfg);
+    const TaskSpec task = memoryTask("surface3", 0.01, 2, 100);
+    const TaskResult single = runTask(task, CampaignSpec{}.seed, 1);
+    const TaskResult multi = runTask(task, CampaignSpec{}.seed, 2);
     EXPECT_EQ(single.demMechanisms, multi.demMechanisms);
     EXPECT_EQ(single.demDetectors, multi.demDetectors);
 }
 
-TEST(MemoryExperiment, ChunkShotsMustBePositive)
+TEST(MemoryExperiment, ZeroChunkShotsMeansTheDefaultChunk)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 10;
-    cfg.chunkShots = 0;
-    EXPECT_THROW(runZMemoryExperiment(code, sched, cfg),
-                 std::invalid_argument);
+    // stop.chunkShots = 0 selects the StoppingRule default, so it
+    // samples and decodes the very same chunks.
+    TaskSpec zero = memoryTask("surface3", 0.02, 2, 300);
+    zero.stop.chunkShots = 0;
+    const TaskSpec standard = memoryTask("surface3", 0.02, 2, 300);
+    const TaskResult a = runTask(zero, 8);
+    const TaskResult b = runTask(standard, 8);
+    EXPECT_EQ(a.logicalErrorRate.trials, 300u);
+    EXPECT_EQ(a.chunks, b.chunks);
+    EXPECT_EQ(a.logicalErrorRate.successes, b.logicalErrorRate.successes);
+    EXPECT_EQ(a.decoder.bpIterations, b.decoder.bpIterations);
 }
 
 TEST(MemoryExperiment, CustomChunkShotsRunsFullBudget)
 {
-    CssCode code = surface13();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig cfg;
-    cfg.shots = 250;
-    cfg.chunkShots = 100; // 3 chunks, last one short
-    cfg.physicalError = 0.02;
-    cfg.rounds = 2;
-    cfg.seed = 55;
-    auto result = runZMemoryExperiment(code, sched, cfg);
+    TaskSpec task = memoryTask("surface3", 0.02, 2, 250);
+    task.stop.chunkShots = 100; // 3 chunks, last one short
+    const TaskResult result = runTask(task, 55);
     EXPECT_EQ(result.logicalErrorRate.trials, 250u);
     EXPECT_EQ(result.decoder.decodes, 250u);
 }
@@ -161,16 +105,9 @@ TEST(MemoryExperiment, Bb72SubThresholdSanity)
     // At p = 5e-4 with no latency, [[72,12,6]] should have a low but
     // measurable failure rate envelope; at p = 5e-3 it must be much
     // worse.
-    CssCode code = catalog::bb72();
-    SyndromeSchedule sched = makeXThenZSchedule(code);
-    MemoryExperimentConfig low;
-    low.shots = 200;
-    low.physicalError = 5e-4;
-    low.seed = 5;
-    MemoryExperimentConfig high = low;
-    high.physicalError = 5e-3;
-    auto low_r = runZMemoryExperiment(code, sched, low);
-    auto high_r = runZMemoryExperiment(code, sched, high);
+    const TaskResult low_r = runTask(memoryTask("bb72", 5e-4, 0, 200), 5);
+    const TaskResult high_r =
+        runTask(memoryTask("bb72", 5e-3, 0, 200), 5);
     EXPECT_GT(high_r.logicalErrorRate.rate,
               low_r.logicalErrorRate.rate);
     EXPECT_GT(high_r.logicalErrorRate.rate, 0.05);

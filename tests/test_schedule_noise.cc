@@ -2,7 +2,7 @@
  * @file
  * Tests for schedule-derived per-qubit idle noise: twirl derivation
  * from the IR, degeneration to the uniform-latency model when idle
- * windows coincide, circuit-builder plumbing, and the noise/config
+ * windows coincide, circuit-builder plumbing, and the noise and task
  * input validation.
  */
 
@@ -11,15 +11,16 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "circuit/memory_circuit.h"
-#include "core/codesign.h"
-#include "memory/memory_experiment.h"
 #include "noise/schedule_noise.h"
 #include "qec/classical_code.h"
 #include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
+#include "run_task.h"
 
 namespace cyclone {
 namespace {
@@ -148,24 +149,17 @@ TEST(ScheduleNoise, UnequalIdleChangesTheCircuit)
     EXPECT_NE(a.toString(), b.toString());
 }
 
-TEST(ScheduleNoise, EvaluateCodesignDerivesPerQubitIdle)
+TEST(ScheduleNoise, CompiledTaskDerivesPerQubitIdle)
 {
     // End-to-end: compile -> IR -> per-qubit twirls -> circuit -> DEM
-    // -> decode, through the campaign engine underneath.
-    const CssCode code = surface13();
-    const SyndromeSchedule schedule = makeXThenZSchedule(code);
-    CodesignConfig config;
-    config.architecture = Architecture::Cyclone;
-    MemoryExperimentConfig experiment;
-    experiment.shots = 120;
-    experiment.physicalError = 2e-3;
-    experiment.rounds = 3;
-    experiment.seed = 17;
-    experiment.idleNoise = IdleNoiseMode::PerQubitSchedule;
-    const CodesignEvaluation eval =
-        evaluateCodesign(code, schedule, config, experiment);
-    EXPECT_EQ(eval.memory.logicalErrorRate.trials, 120u);
-    EXPECT_GT(eval.memory.demMechanisms, 0u);
+    // -> decode, in one campaign task.
+    TaskSpec task = memoryTask("surface3", 2e-3, 3, 120);
+    task.compileLatency = true;
+    task.architecture = Architecture::Cyclone;
+    task.idleNoise = IdleNoiseMode::PerQubitSchedule;
+    const TaskResult r = runTask(task, 17);
+    EXPECT_EQ(r.logicalErrorRate.trials, 120u);
+    EXPECT_GT(r.demMechanisms, 0u);
 }
 
 TEST(ScheduleNoise, InputValidation)
@@ -207,38 +201,42 @@ TEST(NoiseValidation, WithLatencyRejectsBadInputs)
     EXPECT_THROW(NoiseModel::uniform(1.0), std::invalid_argument);
 }
 
-TEST(NoiseValidation, MemoryExperimentConfigRejectsBadInputs)
+TEST(NoiseValidation, BadTaskInputsFailTheTask)
 {
-    const CssCode code = surface13();
-    const SyndromeSchedule schedule = makeXThenZSchedule(code);
-    MemoryExperimentConfig config;
-    config.shots = 10;
+    // Each bad input fails its own task with an error: no throw out of
+    // runCampaign, no abort, and the good task beside them runs clean.
+    const size_t n = surface13().numQubits();
+    std::vector<TaskSpec> bad;
+    for (double p : {-1e-3, 1.0, std::nan("")})
+        bad.push_back(memoryTask("surface3", p, 0, 10));
+    for (double latency : {-10.0, std::nan("")})
+        bad.push_back(memoryTask("surface3", 1e-3, 0, 10, latency));
+    // Per-qubit mode needs a compiled round or one twirl per qubit.
+    for (size_t twirls : {size_t{0}, size_t{5}}) {
+        TaskSpec task = memoryTask("surface3", 1e-3, 0, 10);
+        task.idleNoise = IdleNoiseMode::PerQubitSchedule;
+        task.perQubitIdle.resize(twirls);
+        bad.push_back(task);
+    }
+    TaskSpec good = memoryTask("surface3", 1e-3, 0, 10);
+    good.idleNoise = IdleNoiseMode::PerQubitSchedule;
+    good.perQubitIdle.resize(n);
 
-    config.physicalError = -1e-3;
-    EXPECT_THROW(runZMemoryExperiment(code, schedule, config),
-                 std::invalid_argument);
-    config.physicalError = 1.0;
-    EXPECT_THROW(runZMemoryExperiment(code, schedule, config),
-                 std::invalid_argument);
-    config.physicalError = std::nan("");
-    EXPECT_THROW(runZMemoryExperiment(code, schedule, config),
-                 std::invalid_argument);
-
-    config.physicalError = 1e-3;
-    config.roundLatencyUs = -10.0;
-    EXPECT_THROW(runZMemoryExperiment(code, schedule, config),
-                 std::invalid_argument);
-    config.roundLatencyUs = std::nan("");
-    EXPECT_THROW(runZMemoryExperiment(code, schedule, config),
-                 std::invalid_argument);
-
-    config.roundLatencyUs = 0.0;
-    config.idleNoise = IdleNoiseMode::PerQubitSchedule;
-    // Per-qubit mode without (correctly sized) twirls is an error.
-    EXPECT_THROW(runZMemoryExperiment(code, schedule, config),
-                 std::invalid_argument);
-    config.perQubitIdle.resize(code.numQubits());
-    EXPECT_NO_THROW(runZMemoryExperiment(code, schedule, config));
+    CampaignSpec spec;
+    spec.threads = 2;
+    spec.tasks = bad;
+    spec.tasks.push_back(good);
+    CampaignResult result;
+    ASSERT_NO_THROW(result = runCampaign(spec));
+    ASSERT_EQ(result.tasks.size(), bad.size() + 1);
+    for (size_t i = 0; i < bad.size(); ++i)
+        EXPECT_NE(result.tasks[i].error, "") << "task " << i;
+    const std::string& miscounted = result.tasks[bad.size() - 1].error;
+    EXPECT_NE(miscounted.find("have 5, need " + std::to_string(n)),
+              std::string::npos)
+        << miscounted;
+    EXPECT_EQ(result.tasks.back().error, "");
+    EXPECT_EQ(result.tasks.back().logicalErrorRate.trials, 10u);
 }
 
 } // namespace

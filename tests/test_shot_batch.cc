@@ -13,7 +13,6 @@
 #include "common/bit_transpose.h"
 #include "common/rng.h"
 #include "decoder/bposd_decoder.h"
-#include "decoder/exhaustive_decoder.h"
 #include "dem/dem_builder.h"
 #include "dem/dem_sampler.h"
 #include "qec/classical_code.h"
@@ -346,27 +345,6 @@ TEST(DecodeBatch, ZeroDetectorDemDecodesToZero)
     // Scalar path agrees on the empty syndrome.
     BpOsdDecoder scalar(dem);
     EXPECT_EQ(scalar.decode(BitVec(0)), 0u);
-}
-
-TEST(DecodeBatch, DefaultImplementationCoversSimpleDecoders)
-{
-    // ExhaustiveDecoder does not override decodeBatch: the base-class
-    // fallback must unpack and agree with per-shot decoding.
-    const auto dem = repetitionDem(6, 0.1);
-    const size_t shots = 90;
-    Rng scalar_rng(29);
-    Rng batch_rng(29);
-    const DemShots scalar_shots = sampleDem(dem, shots, scalar_rng);
-    ShotBatch batch;
-    sampleDemBatch(dem, shots, batch_rng, batch);
-
-    ExhaustiveDecoder oracle(dem, 3);
-    std::vector<uint64_t> got;
-    oracle.decodeBatch(batch, got);
-    ExhaustiveDecoder scalar(dem, 3);
-    ASSERT_EQ(got.size(), shots);
-    for (size_t s = 0; s < shots; ++s)
-        ASSERT_EQ(got[s], scalar.decode(scalar_shots.syndromes[s]));
 }
 
 TEST(DecodeBatch, RunChunkMatchesHandRolledScalarChunk)

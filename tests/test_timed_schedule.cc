@@ -2,18 +2,19 @@
  * @file
  * Tests for the TimedSchedule IR: structural validity of every
  * compiler's emitted timeline, exact agreement between the IR-derived
- * summary and the CompileResult fields, the compiler registry, and
- * TimeBreakdown / architecture-name plumbing.
+ * summary and the CompileResult fields, the compiler each
+ * architecture dispatches to, and TimeBreakdown / architecture-name
+ * plumbing.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "compiler/architecture.h"
 #include "compiler/compiler.h"
 #include "compiler/ideal.h"
-#include "core/codesign.h"
 #include "qec/classical_code.h"
 #include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
@@ -225,12 +226,21 @@ TEST_P(IrOnCodes, AllSixArchitecturesEmitValidExactIr)
         ? makeHgpCode(ClassicalCode::repetition(3), 3)
         : catalog::byName(GetParam());
     const SyndromeSchedule schedule = makeXThenZSchedule(code);
-    for (Architecture arch : kAllArchitectures) {
+    // The compiler each case of compileCodesign's switch runs.
+    const char* const compilerNames[] = {
+        "baseline-ejf", "alternate-grid-ejf", "dynamic-grid",
+        "ring-ejf",     "mesh-junction",      "cyclone",
+    };
+    static_assert(std::size(compilerNames) == kAllArchitectures.size());
+    for (size_t i = 0; i < kAllArchitectures.size(); ++i) {
+        const Architecture arch = kAllArchitectures[i];
         CodesignConfig config;
         config.architecture = arch;
         const CompileResult r = compileCodesign(code, schedule, config);
-        expectSummaryMatchesIr(
-            r, GetParam() + "/" + architectureName(arch));
+        const std::string label =
+            GetParam() + "/" + architectureName(arch);
+        EXPECT_EQ(r.compilerName, compilerNames[i]) << label;
+        expectSummaryMatchesIr(r, label);
         EXPECT_GT(r.execTimeUs, 0.0);
         EXPECT_GE(r.serialized.total(), r.execTimeUs * 0.999);
     }
@@ -239,28 +249,6 @@ TEST_P(IrOnCodes, AllSixArchitecturesEmitValidExactIr)
 INSTANTIATE_TEST_SUITE_P(Codes, IrOnCodes,
                          ::testing::Values("bb72", "surface13",
                                            "hgp225"));
-
-TEST(CompilerRegistry, ServesEveryArchitecture)
-{
-    for (Architecture arch : kAllArchitectures)
-        EXPECT_EQ(compilerFor(arch).architecture(), arch);
-}
-
-TEST(CompilerRegistry, DispatchMatchesCompileCodesign)
-{
-    const CssCode code = catalog::bb72();
-    const SyndromeSchedule schedule = makeXThenZSchedule(code);
-    CodesignConfig config;
-    config.architecture = Architecture::BaselineGrid;
-    const CompileResult via_registry =
-        compilerFor(config.architecture).compile(code, schedule, config);
-    const CompileResult via_codesign =
-        compileCodesign(code, schedule, config);
-    EXPECT_EQ(via_registry.compilerName, via_codesign.compilerName);
-    EXPECT_EQ(via_registry.execTimeUs, via_codesign.execTimeUs);
-    EXPECT_EQ(via_registry.schedule.ops.size(),
-              via_codesign.schedule.ops.size());
-}
 
 TEST(IdealIr, MakespanIsParallelTimeAndBreakdownIsSerialTime)
 {
