@@ -44,9 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -113,15 +111,19 @@ numericFlag(const char* flag, const char* text, Parse parse,
     std::exit(2);
 }
 
-std::string
-readWholeFile(const std::string& path)
+/** Write a result file atomically; false, after one error line, when
+ *  it cannot be written. */
+bool
+writeOutput(const std::string& path, const std::string& text)
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open campaign spec: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    try {
+        writeFileAtomic(path, text);
+    } catch (const std::exception& ex) {
+        std::fprintf(stderr, "error: cannot write %s: %s\n", path.c_str(),
+                     ex.what());
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -431,19 +433,13 @@ main(int argc, char** argv)
     }
 
     const std::string json = campaignResultToJson(result);
-    if (json_path.empty()) {
+    if (json_path.empty())
         std::fputs(json.c_str(), stdout);
-    } else if (!writeTextFile(json_path, json)) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     json_path.c_str());
+    else if (!writeOutput(json_path, json))
         return 1;
-    }
     if (!csv_path.empty() &&
-        !writeTextFile(csv_path, campaignResultToCsv(result))) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     csv_path.c_str());
+        !writeOutput(csv_path, campaignResultToCsv(result)))
         return 1;
-    }
 
     int failures = 0;
     for (const TaskResult& t : result.tasks)

@@ -4,14 +4,11 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include <unistd.h>
-
-#include "campaign/fault_plan.h"
+#include "campaign/atomic_file.h"
 #include "common/crc32.h"
 
 namespace cyclone {
@@ -124,89 +121,14 @@ checkHeader(ByteReader& r, uint32_t kind)
             "artifact blob payload checksum mismatch");
 }
 
+/** File name of the store blob of `kind` under `key`. */
 std::string
-storePath(const std::string& dir, const char* kind, uint64_t key)
+blobName(const char* kind, uint64_t key)
 {
     char name[64];
     std::snprintf(name, sizeof name, "%s-%016llx.bin", kind,
                   static_cast<unsigned long long>(key));
-    return dir + "/" + name;
-}
-
-bool
-readWholeFile(const std::string& path, std::string& out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        return false;
-    out = std::move(data);
-    return true;
-}
-
-bool
-writeFileAtomicBinary(const std::string& path, const std::string& data)
-{
-    const FaultDecision f = faultPoint("cache.blob.commit");
-    if (f.transient)
-        return false; // publish skipped; the blob stays local-only
-    // Unique tmp name: concurrent processes publishing the same key
-    // must not clobber each other's partial writes.
-    char suffix[32];
-    std::snprintf(suffix, sizeof suffix, ".tmp-%ld",
-                  static_cast<long>(::getpid()));
-    const std::string tmp = path + suffix;
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(data.data(),
-                  static_cast<std::streamsize>(data.size()));
-        if (!out)
-            return false;
-    }
-    if (f.torn) {
-        // A non-atomic writer dying mid-write: truncated bytes on
-        // the final path. Readers catch this via the header crc.
-        const size_t n =
-            faultTornLength("cache.blob.commit", data.size());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(data.data(), static_cast<std::streamsize>(n));
-        out.flush();
-        std::remove(tmp.c_str());
-        faultCrash("cache.blob.commit");
-    }
-    if (f.crashBefore)
-        faultCrash("cache.blob.commit");
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (f.crashAfter)
-        faultCrash("cache.blob.commit");
-    return true;
-}
-
-/**
- * Move a corrupt store blob aside to <store>/quarantine/ so the
- * rebuild that follows republishes fresh bytes instead of racing a
- * file every reader knows is bad — and so operators can inspect what
- * went wrong. Best effort: another process may quarantine first.
- */
-void
-quarantineBlob(const std::string& store, const char* kind,
-               uint64_t key)
-{
-    const std::string path = storePath(store, kind, key);
-    const std::string dir = store + "/quarantine";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const size_t slash = path.find_last_of('/');
-    std::rename(path.c_str(),
-                (dir + "/" + path.substr(slash + 1)).c_str());
+    return name;
 }
 
 } // namespace
@@ -409,16 +331,22 @@ ArtifactCache::getOrBuild(
         // these bytes. A corrupt or foreign blob is quarantined and
         // falls through to a local rebuild, which publishes fresh
         // bytes under the original name.
+        const std::string name = blobName(kind, key);
         if (!store.empty()) {
-            std::string blob;
-            if (readWholeFile(storePath(store, kind, key), blob)) {
+            std::optional<std::string> blob;
+            try {
+                blob = readWholeFile(store + "/" + name);
+            } catch (const std::exception&) {
+                // No blob (or an unreadable one): build it.
+            }
+            if (blob) {
                 try {
-                    value = std::make_shared<const T>(deserialize(blob));
-                    valueBytes = blob.size();
+                    value = std::make_shared<const T>(deserialize(*blob));
+                    valueBytes = blob->size();
                     fromStore = true;
                 } catch (const std::exception&) {
                     value.reset();
-                    quarantineBlob(store, kind, key);
+                    moveToQuarantine(store, name);
                     quarantined = true;
                 }
             }
@@ -427,9 +355,15 @@ ArtifactCache::getOrBuild(
             value = std::make_shared<const T>(build());
             const std::string blob = serialize(*value);
             valueBytes = blob.size();
-            if (!store.empty())
-                writeFileAtomicBinary(storePath(store, kind, key),
-                                      blob);
+            if (!store.empty()) {
+                try {
+                    writeFileAtomic(store + "/" + name, blob,
+                                    "cache.blob.commit");
+                } catch (const std::exception&) {
+                    // Best effort: the artifact stays local-only and
+                    // the next process to miss builds and publishes it.
+                }
+            }
         }
     } catch (...) {
         error = std::current_exception();
@@ -498,22 +432,6 @@ ArtifactCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-size_t
-ArtifactCache::entryCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return compiles_.size() + dems_.size();
-}
-
-void
-ArtifactCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    compiles_.clear();
-    dems_.clear();
-    stats_ = CacheStats{};
 }
 
 } // namespace cyclone

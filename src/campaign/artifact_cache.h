@@ -13,12 +13,13 @@
  * campaign on the pool.
  *
  * With attachStore(dir) the cache additionally persists every artifact
- * under its content hash as a binary file (atomic rename publish) and
- * consults the directory before building. N coordinator/worker
- * processes pointing at one store directory therefore compile each
- * distinct (code, architecture) point once fleet-wide: whichever
- * process resolves it first publishes the bytes, everyone else
- * deserializes them. Serialization round-trips every double bit-
+ * under its content hash as a binary file (published by
+ * writeFileAtomic, atomic_file.h) and consults the directory before
+ * building. N coordinator/worker processes pointing at one store
+ * directory therefore compile each distinct (code, architecture)
+ * point once fleet-wide: whichever process resolves it first
+ * publishes the bytes, everyone else deserializes them.
+ * Serialization round-trips every double bit-
  * exactly (including the TimedSchedule IR, whose content hash keys
  * per-qubit idle DEMs), so a loaded artifact is indistinguishable from
  * a locally built one.
@@ -115,10 +116,12 @@ class ArtifactCache
      * Attach a shared artifact store directory (created if missing).
      * Subsequent misses first try to deserialize
      * `dir/compile-<hash>.bin` / `dir/dem-<hash>.bin`; builds publish
-     * their bytes there via atomic rename, so concurrent processes
-     * never observe a partial file. Blobs carry a payload CRC-32 in
-     * their header; a blob that fails its checksum (or framing) is
-     * moved to `dir/quarantine/`, counted in
+     * their bytes there through writeFileAtomic (atomic_file.h), so
+     * concurrent processes never observe a partial file. Publishing is
+     * best effort: one that fails (a full disk, a file-size limit)
+     * leaves no file and the artifact local-only. Blobs carry a
+     * payload CRC-32 in their header; a blob that fails its checksum
+     * (or framing) is moved to `dir/quarantine/`, counted in
      * CacheStats::quarantinedBlobs, and rebuilt — the rebuild
      * republishes fresh bytes under the original name. Pass "" to
      * detach.
@@ -130,13 +133,6 @@ class ArtifactCache
 
     /** Snapshot of the accounting counters. */
     CacheStats stats() const;
-
-    /** Number of completed entries in both layers. */
-    size_t entryCount() const;
-
-    /** Drop all in-memory entries and reset the counters (the
-     *  attached store, if any, is left untouched). */
-    void clear();
 
   private:
     template <typename T>

@@ -4,15 +4,13 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <variant>
 #include <vector>
 
-#include <unistd.h>
-
+#include "campaign/atomic_file.h"
 #include "common/kv_record.h"
 #include "common/stats.h"
 #include "compiler/architecture.h"
@@ -454,26 +452,6 @@ campaignResultToCsv(const CampaignResult& result)
     return out.str();
 }
 
-bool
-writeTextFile(const std::string& path, const std::string& content)
-{
-    // Pid-unique tmp name: concurrent writers of the same path (two
-    // coordinators racing a checkpoint during a failover window)
-    // never interleave into one tmp file, and the rename publishes
-    // whichever finished last, complete.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << content;
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
 std::string
 formatCheckpoint(const std::vector<TaskResult>& tasks)
 {
@@ -517,19 +495,20 @@ parseCheckpoint(const std::string& text)
 bool
 saveCheckpoint(const CampaignResult& result, const std::string& path)
 {
-    return writeTextFile(path, formatCheckpoint(result.tasks));
+    try {
+        writeFileAtomic(path, formatCheckpoint(result.tasks));
+    } catch (const std::exception&) {
+        return false;
+    }
+    return true;
 }
 
 bool
 loadCheckpoint(const std::string& path, CampaignCheckpoint& out)
 {
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream text;
-    text << in.rdbuf();
     try {
-        for (auto& [hash, task] : parseCheckpoint(text.str()).tasks)
+        for (auto& [hash, task] :
+             parseCheckpoint(readWholeFile(path)).tasks)
             out.tasks[hash] = std::move(task);
     } catch (const std::exception&) {
         return false;

@@ -43,9 +43,6 @@ std::string campaignResultToJson(const CampaignResult& result);
 /** Serialize the per-task table as CSV with a header row. */
 std::string campaignResultToCsv(const CampaignResult& result);
 
-/** Write a string to a file (atomically via rename). */
-bool writeTextFile(const std::string& path, const std::string& content);
-
 /**
  * The checkpoint document of every successfully completed task of
  * `tasks`: counts, the fields a restore copies back, and the decoder
@@ -59,8 +56,9 @@ std::string formatCheckpoint(const std::vector<TaskResult>& tasks);
 CampaignCheckpoint parseCheckpoint(const std::string& text);
 
 /**
- * Save every successfully completed task of `result` as a checkpoint.
- * Returns false on I/O failure.
+ * Save every successfully completed task of `result` as a checkpoint,
+ * through writeFileAtomic (atomic_file.h): a save that fails returns
+ * false and leaves the previous checkpoint as it was.
  */
 bool saveCheckpoint(const CampaignResult& result, const std::string& path);
 

@@ -183,10 +183,11 @@ struct TaskSpec
 };
 
 /**
- * A batch of tasks executed on one pool with shared caches. Spool
- * I/O retries follow RetryPolicy's defaults (retry_policy.h), and a
- * fault plan is armed through CYCLONE_FAULT_PLAN or installFaultPlan
- * (fault_plan.h), never by the spec.
+ * A batch of tasks executed on one pool with shared caches. Every file
+ * a campaign persists goes through writeFileAtomic (atomic_file.h),
+ * spool I/O retries follow the fixed RetryPolicy (retry_policy.h), and
+ * a fault plan is armed through CYCLONE_FAULT_PLAN or installFaultPlan
+ * (fault_plan.h); the spec sets none of them.
  */
 struct CampaignSpec
 {

@@ -3,23 +3,22 @@
  * Bounded jittered-exponential-backoff retries for transient spool
  * filesystem failures.
  *
- * The spool classifies I/O errors: errno values that plausibly clear
- * on their own (EIO, ENOSPC, EAGAIN, EINTR, ESTALE — the NFS hiccup
- * family) surface as TransientIoError, everything else as a plain
- * runtime_error. runWithRetry() retries only the transient kind, with
- * deterministic seeded jitter (so backoff timing is unit-testable
- * without sleeping), and after the attempt budget throws SpoolIoError
- * naming the operation and path — campaigns fail with "write
- * spool/results/t0001-s00002.rec failed after 4 attempts", not a
- * bare EIO from somewhere in a 500-line merge loop.
+ * The file primitives (atomic_file.h) classify I/O errors: errno
+ * values that plausibly clear on their own (EIO, ENOSPC, EAGAIN,
+ * EINTR, ESTALE — the NFS hiccup family) surface as TransientIoError,
+ * everything else as a plain runtime_error. runWithRetry() retries
+ * only the transient kind, under one fixed schedule with deterministic
+ * jitter (so backoff timing is unit-testable without sleeping), and
+ * after the attempt budget throws SpoolIoError naming the operation
+ * and path — campaigns fail with "write spool/results/
+ * t0001-s00002.rec failed after 4 attempts", not a bare EIO from
+ * somewhere in a 500-line merge loop.
  */
 
 #ifndef CYCLONE_CAMPAIGN_RETRY_POLICY_H
 #define CYCLONE_CAMPAIGN_RETRY_POLICY_H
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -55,53 +54,50 @@ struct SpoolIoError : public std::runtime_error
     size_t attempts;
 };
 
-/** Backoff schedule: delay(k) = min(cap, base * 2^(k-1)) +- jitter. */
+/** The one backoff schedule every spool handle retries under:
+ *  delay(k) = min(cap, base * 2^(k-1)) +- jitter. */
 struct RetryPolicy
 {
-    /** Total tries, including the first (>= 1). */
-    size_t maxAttempts = 4;
-    double baseDelaySeconds = 0.005;
-    double maxDelaySeconds = 0.25;
-    /** Relative jitter amplitude in [0, 1]. */
-    double jitterFraction = 0.25;
-    /** Seed of the deterministic jitter stream. */
-    uint64_t seed = 0x9e3779b97f4a7c15ull;
+    /** Total tries, including the first. */
+    static constexpr size_t kMaxAttempts = 4;
+    static constexpr double kBaseDelaySeconds = 0.005;
+    static constexpr double kMaxDelaySeconds = 0.25;
+    /** Relative jitter amplitude. */
+    static constexpr double kJitterFraction = 0.25;
 
     /**
      * Delay in seconds before retry attempt `attempt` (1-based: the
-     * delay after the attempt'th failure). Pure — same (policy,
-     * attempt) always yields the same delay.
+     * delay after the attempt'th failure). Pure — the same attempt
+     * always yields the same delay.
      */
-    double delayFor(size_t attempt) const;
+    static double delayFor(size_t attempt);
 };
 
 /** Sleep helper shared by retry loops (seconds, sub-second ok). */
 void retrySleep(double seconds);
 
 /**
- * Run `fn`, retrying on TransientIoError per `policy`. `onRetry` (if
- * set) observes each transient failure (called with the 1-based
+ * Run `fn`, retrying on TransientIoError per RetryPolicy. `onRetry`
+ * (if set) observes each transient failure (called with the 1-based
  * attempt number) before the backoff sleep. Non-transient exceptions
  * propagate immediately; exhausting the budget throws SpoolIoError.
  */
 template <typename Fn>
 auto
-runWithRetry(const RetryPolicy& policy, const char* operation,
-             const std::string& path, Fn&& fn,
+runWithRetry(const char* operation, const std::string& path, Fn&& fn,
              const std::function<void(size_t)>& onRetry = nullptr)
     -> decltype(fn())
 {
-    const size_t budget = std::max<size_t>(1, policy.maxAttempts);
     for (size_t attempt = 1;; ++attempt) {
         try {
             return fn();
         } catch (const TransientIoError& ex) {
             if (onRetry)
                 onRetry(attempt);
-            if (attempt >= budget)
+            if (attempt >= RetryPolicy::kMaxAttempts)
                 throw SpoolIoError(operation, path, ex.what(),
                                    attempt);
-            retrySleep(policy.delayFor(attempt));
+            retrySleep(RetryPolicy::delayFor(attempt));
         }
     }
 }

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include <dirent.h>
@@ -14,6 +12,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "campaign/atomic_file.h"
 #include "campaign/content_hash.h"
 #include "campaign/fault_plan.h"
 
@@ -61,30 +60,6 @@ recordTagged(std::vector<KvRecord> records, const char* tag,
                              " record");
 }
 
-/** Errno values worth retrying: the transient I/O family (flaky
- *  disks, NFS hiccups, brief out-of-space). */
-bool
-transientErrno(int err)
-{
-    return err == EIO || err == ENOSPC || err == EAGAIN ||
-           err == EINTR || err == ESTALE
-#ifdef EDQUOT
-           || err == EDQUOT
-#endif
-        ;
-}
-
-[[noreturn]] void
-throwIo(const std::string& message, int err)
-{
-    std::string full = message;
-    if (err != 0)
-        full += " (" + std::string(std::strerror(err)) + ")";
-    if (transientErrno(err))
-        throw TransientIoError(full);
-    throw std::runtime_error(full);
-}
-
 void
 makeDir(const std::string& path)
 {
@@ -105,7 +80,7 @@ listDir(const std::string& path)
         if (name == "." || name == "..")
             continue;
         // Skip in-flight tmp files from concurrent atomic writers.
-        // spoolWriteAtomic dot-prefixes its temp names, but match
+        // writeFileAtomic dot-prefixes its temp names, but match
         // anywhere so a stray suffix-style tmp can never be claimed
         // and executed as if it were a published shard.
         if (name.find(".tmp-") != std::string::npos ||
@@ -132,6 +107,19 @@ hex(uint64_t v)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** One attempt of a spool-directory write: the generic
+ *  `spool.io.write` fault point, then the atomic writer with the
+ *  caller's commit point. */
+void
+spoolWrite(const std::string& path, const std::string& text,
+           const char* point = nullptr)
+{
+    if (faultPoint("spool.io.write").transient)
+        throw TransientIoError("injected transient write fault: " +
+                               path);
+    writeFileAtomic(path, text, point);
 }
 
 double
@@ -222,80 +210,6 @@ parseManifest(const std::string& text)
     return m;
 }
 
-void
-spoolWriteAtomic(const std::string& path, const std::string& text,
-                 const char* point)
-{
-    if (faultPoint("spool.io.write").transient)
-        throw TransientIoError("injected transient write fault: " +
-                               path);
-    FaultDecision f;
-    if (point != nullptr) {
-        f = faultPoint(point);
-        if (f.transient)
-            throw TransientIoError(
-                std::string("injected transient fault at ") + point +
-                ": " + path);
-    }
-    // The temp name must be a DOT-PREFIXED basename in the same
-    // directory: directory scans (listDir) skip dotted tmp entries,
-    // so an in-flight publish can never be claimed before its final
-    // rename lands, and rename stays same-filesystem atomic.
-    char prefix[32];
-    std::snprintf(prefix, sizeof prefix, ".tmp-%ld-",
-                  static_cast<long>(::getpid()));
-    const size_t slash = path.find_last_of('/');
-    const std::string tmp = slash == std::string::npos
-        ? prefix + path
-        : path.substr(0, slash + 1) + prefix + path.substr(slash + 1);
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throwIo("cannot open for write: " + tmp, errno);
-        out << text;
-        out.flush();
-        if (!out) {
-            const int err = errno;
-            std::remove(tmp.c_str());
-            throwIo("write failed: " + tmp, err);
-        }
-    }
-    if (f.torn) {
-        // Model a non-atomic writer dying mid-write: a truncated
-        // prefix of the payload lands on the FINAL path and the
-        // process is gone. Readers must detect this via the crc.
-        const size_t n = faultTornLength(point, text.size());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(text.data(), static_cast<std::streamsize>(n));
-        out.flush();
-        std::remove(tmp.c_str());
-        faultCrash(point);
-    }
-    if (f.crashBefore)
-        faultCrash(point);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        std::remove(tmp.c_str());
-        throwIo("rename failed: " + tmp + " -> " + path, err);
-    }
-    if (f.crashAfter)
-        faultCrash(point);
-}
-
-std::string
-spoolReadFile(const std::string& path, const char* point)
-{
-    if (point != nullptr && faultPoint(point).transient)
-        throw TransientIoError("injected transient read fault: " +
-                               path);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throwIo("cannot read: " + path, errno);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
-
 Spool::Spool(std::string dir) : dir_(std::move(dir)) {}
 
 void
@@ -377,7 +291,7 @@ Spool::claimShard(const std::string& id, ShardDescriptor& out)
     faultMilestone("spool.shard.claimed");
     try {
         out = parseShardDescriptor(withRetry(
-            "read", to, [&] { return spoolReadFile(to,
+            "read", to, [&] { return readWholeFile(to,
                                                    "spool.io.read"); }));
     } catch (const SpoolIoError&) {
         throw;
@@ -462,7 +376,7 @@ Spool::bumpReclaimCount(const std::string& id)
     const std::string path = dir_ + "/reclaims/" + id;
     size_t count = reclaimCount(id) + 1;
     try {
-        spoolWriteAtomic(path, std::to_string(count) + "\n");
+        spoolWrite(path, std::to_string(count) + "\n");
     } catch (const std::exception&) {
         // Best effort: a lost counter update only delays poison
         // detection by one reclaim.
@@ -478,7 +392,7 @@ Spool::reclaimCount(const std::string& id) const
         return 0;
     try {
         return static_cast<size_t>(
-            std::stoull(spoolReadFile(path)));
+            std::stoull(readWholeFile(path)));
     } catch (const std::exception&) {
         return 0;
     }
@@ -487,12 +401,8 @@ Spool::reclaimCount(const std::string& id) const
 bool
 Spool::quarantineShard(const std::string& id)
 {
-    makeDir(dir_ + "/quarantine");
-    const std::string q = dir_ + "/quarantine/" + id;
-    if (std::rename((dir_ + "/claimed/" + id).c_str(), q.c_str()) == 0)
-        return true;
-    return std::rename((dir_ + "/open/" + id).c_str(), q.c_str()) ==
-           0;
+    return moveToQuarantine(dir_, "claimed/" + id) ||
+           moveToQuarantine(dir_, "open/" + id);
 }
 
 bool
@@ -504,13 +414,7 @@ Spool::quarantineRecord(const std::string& id)
 bool
 Spool::quarantineFile(const std::string& relative)
 {
-    makeDir(dir_ + "/quarantine");
-    const size_t slash = relative.find_last_of('/');
-    const std::string base = slash == std::string::npos
-        ? relative
-        : relative.substr(slash + 1);
-    return std::rename((dir_ + "/" + relative).c_str(),
-                       (dir_ + "/quarantine/" + base).c_str()) == 0;
+    return moveToQuarantine(dir_, relative);
 }
 
 std::vector<std::string>
@@ -623,7 +527,7 @@ Spool::releaseCoordinatorLease(const std::string& owner)
 {
     const std::string path = dir_ + "/" + kLeaseFile;
     try {
-        const std::string text = spoolReadFile(path);
+        const std::string text = readWholeFile(path);
         if (text.rfind("owner " + owner + "\n", 0) != 0)
             return; // someone stole it; not ours to remove
     } catch (const std::exception&) {
@@ -653,7 +557,7 @@ Spool::writeFile(const std::string& relative, const std::string& text,
 {
     const std::string path = dir_ + "/" + relative;
     withRetry("write", path,
-              [&] { spoolWriteAtomic(path, text, point); });
+              [&] { spoolWrite(path, text, point); });
 }
 
 std::string
@@ -661,7 +565,7 @@ Spool::readFile(const std::string& relative) const
 {
     const std::string path = dir_ + "/" + relative;
     return withRetry("read", path, [&] {
-        return spoolReadFile(path, "spool.io.read");
+        return readWholeFile(path, "spool.io.read");
     });
 }
 

@@ -173,7 +173,7 @@ class Spool
     const std::string& dir() const { return dir_; }
 
     /** Transient I/O failures retried by this handle so far (each
-     *  filesystem operation retries under RetryPolicy's defaults:
+     *  filesystem operation retries under the fixed RetryPolicy:
      *  4 attempts, 5 ms base delay). */
     size_t transientRetries() const
     {
@@ -330,14 +330,16 @@ class Spool
     bool readJournal(std::string& out) const;
 
     /**
-     * Retry-wrapped atomic write of a spool-relative file
-     * (stats, worker health, result.json). `point` names the fault
-     * point for injection; may be null.
+     * Retry-wrapped writeFileAtomic (atomic_file.h) of a
+     * spool-relative file (stats, worker health, result.json). Each
+     * attempt fires the generic `spool.io.write` fault point, then
+     * `point` (may be null) at the commit.
      */
     void writeFile(const std::string& relative, const std::string& text,
                    const char* point = nullptr);
 
-    /** Retry-wrapped whole read of a spool-relative file. */
+    /** Retry-wrapped readWholeFile of a spool-relative file; each
+     *  attempt fires the `spool.io.read` fault point. */
     std::string readFile(const std::string& relative) const;
 
     /** True if a spool-relative file exists. */
@@ -376,8 +378,7 @@ class Spool
                    Fn&& fn) const -> decltype(fn())
     {
         return runWithRetry(
-            RetryPolicy{}, op, path, std::forward<Fn>(fn),
-            [this](size_t) {
+            op, path, std::forward<Fn>(fn), [this](size_t) {
                 transientRetries_.fetch_add(
                     1, std::memory_order_relaxed);
             });
@@ -394,23 +395,6 @@ class Spool
     mutable std::mutex agesMutex_;
     mutable std::unordered_map<std::string, AgeObservation> ages_;
 };
-
-/**
- * Write `text` to `path` atomically: tmp file (suffixed with the pid
- * so concurrent writers never collide) + rename. `point` names the
- * fault-injection site guarding the commit (see fault_plan.h); null
- * disables per-site injection (the generic "spool.io.write" transient
- * point still applies). Throws TransientIoError on retryable errno
- * values, std::runtime_error otherwise.
- */
-void spoolWriteAtomic(const std::string& path, const std::string& text,
-                      const char* point = nullptr);
-
-/** Read a whole file; throws TransientIoError on retryable errno
- *  values, std::runtime_error otherwise. `point` as above (generic
- *  point: "spool.io.read"). */
-std::string spoolReadFile(const std::string& path,
-                          const char* point = nullptr);
 
 } // namespace cyclone
 

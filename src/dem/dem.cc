@@ -1,7 +1,5 @@
 #include "dem/dem.h"
 
-#include <algorithm>
-
 namespace cyclone {
 
 double
@@ -11,15 +9,6 @@ DetectorErrorModel::expectedErrorsPerShot() const
     for (const DemMechanism& m : mechanisms)
         total += m.probability;
     return total;
-}
-
-size_t
-DetectorErrorModel::maxMechanismDegree() const
-{
-    size_t deg = 0;
-    for (const DemMechanism& m : mechanisms)
-        deg = std::max(deg, m.detectors.size());
-    return deg;
 }
 
 } // namespace cyclone

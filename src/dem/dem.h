@@ -38,9 +38,6 @@ struct DetectorErrorModel
 
     /** Sum of mechanism probabilities (expected error count/shot). */
     double expectedErrorsPerShot() const;
-
-    /** Largest number of detectors any mechanism flips. */
-    size_t maxMechanismDegree() const;
 };
 
 } // namespace cyclone

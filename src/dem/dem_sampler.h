@@ -35,9 +35,9 @@ DemShots sampleDem(const DetectorErrorModel& dem, size_t shots, Rng& rng);
  * Sample into a reusable buffer.
  *
  * Resizes and zeroes `out` without releasing its storage, so a chunked
- * sampling loop (e.g. the campaign engine's adaptive sampler) reuses
- * one allocation per worker instead of churning a fresh vector of
- * BitVecs per batch.
+ * sampling loop (the decoder benches collecting syndromes) reuses one
+ * allocation instead of churning a fresh vector of BitVecs per batch.
+ * The campaign's sampler fills packed batches with sampleDemBatch.
  */
 void sampleDemInto(const DetectorErrorModel& dem, size_t shots, Rng& rng,
                    DemShots& out);

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "campaign/atomic_file.h"
 #include "campaign/campaign.h"
 #include "campaign/campaign_io.h"
 #include "campaign/thread_pool.h"
@@ -380,7 +381,7 @@ TEST(Campaign, CheckpointRecordsAreSelfDescribing)
     const std::string path = "test_checkpoint_format.tmp";
     const char* magic = "cyclone-campaign-checkpoint v2";
     auto load = [&](const std::string& text, CampaignCheckpoint& out) {
-        EXPECT_TRUE(writeTextFile(path, text));
+        EXPECT_NO_THROW(writeFileAtomic(path, text));
         const bool loaded = loadCheckpoint(path, out);
         std::remove(path.c_str());
         return loaded;

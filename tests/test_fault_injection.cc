@@ -2,29 +2,37 @@
  * @file
  * Crash-safety tests for the campaign stack: FaultPlan grammar and
  * firing semantics, retry-policy backoff bounds, CRC-protected
- * artifact blobs, and — the core of the suite — a seeded chaos
- * harness that kills a self-executing coordinator at every commit
- * point of the spool protocol and asserts that a takeover coordinator
- * finishes the campaign with results byte-identical to an
- * uninterrupted single-process run; an in-process run killed after a
- * finalize resumes from its checkpoint the same way.
+ * artifact blobs, atomic writes that fail under a file-size cap
+ * (nothing truncated is published), and — the core of the suite — a
+ * seeded chaos harness that kills a self-executing coordinator at
+ * every commit point of the spool protocol and asserts that a
+ * takeover coordinator finishes the campaign with results
+ * byte-identical to an uninterrupted single-process run; an
+ * in-process run killed after a finalize resumes from its checkpoint
+ * the same way.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "campaign/artifact_cache.h"
+#include "campaign/atomic_file.h"
 #include "campaign/campaign.h"
 #include "campaign/campaign_io.h"
 #include "campaign/coordinator.h"
@@ -58,6 +66,62 @@ struct ScratchDir
         std::system(cmd.c_str());
     }
 };
+
+/** Every entry of `dir`, dot files included, sorted. */
+std::vector<std::string>
+dirEntries(const std::string& dir)
+{
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/**
+ * Run `body` in a forked child whose files cannot grow past `cap`
+ * bytes: a soft RLIMIT_FSIZE with SIGXFSZ ignored, so a write past the
+ * cap fails with EFBIG instead of killing the process. Forking keeps
+ * the limit away from the other tests. Returns what `body` reports
+ * went wrong, "" when nothing did.
+ */
+std::string
+underFileSizeCap(rlim_t cap, const std::function<std::string()>& body)
+{
+    int fds[2];
+    if (::pipe(fds) != 0)
+        return "pipe failed";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::close(fds[0]);
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit lim;
+        ::getrlimit(RLIMIT_FSIZE, &lim);
+        lim.rlim_cur = cap;
+        std::string what = "cannot set RLIMIT_FSIZE";
+        if (::setrlimit(RLIMIT_FSIZE, &lim) == 0) {
+            try {
+                what = body();
+            } catch (const std::exception& ex) {
+                what = std::string("unexpected throw: ") + ex.what();
+            }
+        }
+        (void)!::write(fds[1], what.data(), what.size());
+        ::_exit(0);
+    }
+    ::close(fds[1]);
+    std::string what;
+    char buf[256];
+    ssize_t n;
+    while ((n = ::read(fds[0], buf, sizeof buf)) > 0)
+        what.append(buf, static_cast<size_t>(n));
+    ::close(fds[0]);
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0)
+        what += " (the capped child died)";
+    return what;
+}
 
 /** Disarm the process-global fault plan when a test scope exits, so
  *  a failing assertion can never leak faults into later tests. */
@@ -279,51 +343,36 @@ TEST(FaultPlanFiring, TornLengthIsDeterministicAndShort)
 
 TEST(RetryPolicy, DelaysAreBoundedAndDeterministic)
 {
-    RetryPolicy p;
-    p.baseDelaySeconds = 0.004;
-    p.maxDelaySeconds = 0.1;
-    p.jitterFraction = 0.25;
-
+    using P = RetryPolicy;
+    const double ceiling = P::kMaxDelaySeconds * (1.0 + P::kJitterFraction);
     for (size_t attempt = 1; attempt <= 40; ++attempt) {
-        const double d = p.delayFor(attempt);
+        const double d = P::delayFor(attempt);
         EXPECT_GE(d, 0.0);
-        EXPECT_LE(d, p.maxDelaySeconds * (1.0 + p.jitterFraction))
-            << "attempt " << attempt;
-        EXPECT_EQ(d, p.delayFor(attempt)) << "must be pure";
+        EXPECT_LE(d, ceiling) << "attempt " << attempt;
+        EXPECT_EQ(d, P::delayFor(attempt)) << "must be pure";
     }
 
     // Attempt 1 is the base +- jitter; attempt 2 doubles it.
-    const double d1 = p.delayFor(1);
-    EXPECT_GE(d1, p.baseDelaySeconds * (1.0 - p.jitterFraction));
-    EXPECT_LE(d1, p.baseDelaySeconds * (1.0 + p.jitterFraction));
-    const double d2 = p.delayFor(2);
-    EXPECT_GE(d2, 2.0 * p.baseDelaySeconds * (1.0 - p.jitterFraction));
-    EXPECT_LE(d2, 2.0 * p.baseDelaySeconds * (1.0 + p.jitterFraction));
+    const double d1 = P::delayFor(1);
+    EXPECT_GE(d1, P::kBaseDelaySeconds * (1.0 - P::kJitterFraction));
+    EXPECT_LE(d1, P::kBaseDelaySeconds * (1.0 + P::kJitterFraction));
+    const double d2 = P::delayFor(2);
+    EXPECT_GE(d2, 2.0 * P::kBaseDelaySeconds * (1.0 - P::kJitterFraction));
+    EXPECT_LE(d2, 2.0 * P::kBaseDelaySeconds * (1.0 + P::kJitterFraction));
 
-    // Jitter varies across attempts (same policy, different draw).
-    EXPECT_NE(p.delayFor(1) * 2.0, p.delayFor(2));
-
-    // A different seed draws different jitter.
-    RetryPolicy q = p;
-    q.seed ^= 0x1234;
-    EXPECT_NE(p.delayFor(1), q.delayFor(1));
+    // Jitter varies across attempts.
+    EXPECT_NE(P::delayFor(1) * 2.0, P::delayFor(2));
 
     // Huge attempt numbers must not overflow the exponent.
-    EXPECT_LE(p.delayFor(100000),
-              p.maxDelaySeconds * (1.0 + p.jitterFraction));
+    EXPECT_LE(P::delayFor(100000), ceiling);
 }
 
 TEST(RetryPolicy, RunWithRetryRecoversWithinBudget)
 {
-    RetryPolicy p;
-    p.maxAttempts = 4;
-    p.baseDelaySeconds = 0.0; // no sleeping in tests
-    p.maxDelaySeconds = 0.0;
-
     size_t calls = 0;
     size_t retries = 0;
     const int got = runWithRetry(
-        p, "read", "/spool/x",
+        "read", "/spool/x",
         [&] {
             if (++calls < 3)
                 throw TransientIoError("EIO");
@@ -337,23 +386,18 @@ TEST(RetryPolicy, RunWithRetryRecoversWithinBudget)
 
 TEST(RetryPolicy, RunWithRetryGivesUpWithTypedError)
 {
-    RetryPolicy p;
-    p.maxAttempts = 3;
-    p.baseDelaySeconds = 0.0;
-    p.maxDelaySeconds = 0.0;
-
     size_t calls = 0;
     try {
-        runWithRetry(p, "rename", "/spool/open/t0000-s00001", [&]() -> int {
+        runWithRetry("rename", "/spool/open/t0000-s00001", [&]() -> int {
             ++calls;
             throw TransientIoError("ENOSPC");
         });
         FAIL() << "must throw";
     } catch (const SpoolIoError& ex) {
-        EXPECT_EQ(calls, 3u) << "bounded attempts";
+        EXPECT_EQ(calls, 4u) << "bounded attempts";
         EXPECT_EQ(ex.operation, "rename");
         EXPECT_EQ(ex.path, "/spool/open/t0000-s00001");
-        EXPECT_EQ(ex.attempts, 3u);
+        EXPECT_EQ(ex.attempts, 4u);
         EXPECT_NE(std::string(ex.what()).find("rename"),
                   std::string::npos);
         EXPECT_NE(std::string(ex.what()).find("t0000-s00001"),
@@ -362,7 +406,7 @@ TEST(RetryPolicy, RunWithRetryGivesUpWithTypedError)
 
     // Non-transient errors propagate immediately, unretried.
     calls = 0;
-    EXPECT_THROW(runWithRetry(p, "parse", "/x",
+    EXPECT_THROW(runWithRetry("parse", "/x",
                               [&]() -> int {
                                   ++calls;
                                   throw std::runtime_error("corrupt");
@@ -397,10 +441,10 @@ TEST(ArtifactCacheQuarantine, CorruptBlobIsQuarantinedAndRebuilt)
     std::snprintf(blobName, sizeof blobName, "dem-%016llx.bin",
                   0xbeefull);
     const std::string blobPath = scratch.path + "/" + blobName;
-    std::string bytes = spoolReadFile(blobPath);
+    std::string bytes = readWholeFile(blobPath);
     ASSERT_GT(bytes.size(), 21u);
     bytes[bytes.size() - 1] ^= 0x40;
-    spoolWriteAtomic(blobPath, bytes);
+    writeFileAtomic(blobPath, bytes);
 
     ArtifactCache second;
     second.attachStore(scratch.path);
@@ -419,6 +463,112 @@ TEST(ArtifactCacheQuarantine, CorruptBlobIsQuarantinedAndRebuilt)
     EXPECT_EQ(builds, 2) << "rebuild must republish a good blob";
     EXPECT_EQ(third.stats().demStoreHits, 1u);
     EXPECT_EQ(third.stats().quarantinedBlobs, 0u);
+}
+
+// Under a file-size cap a write fails with EFBIG. A 1,000-byte payload
+// sits in the stream's buffer until the flush, a 10,000-byte one goes
+// straight to write(2); either way the writer must throw, keep the old
+// file and leave no tmp file.
+TEST(AtomicFile, FailedWriteKeepsTheOldFileAndLeavesNoTmp)
+{
+    ScratchDir scratch("atomic-capped");
+    const std::string path = scratch.path + "/file.txt";
+    const std::string old = "the previous contents\n";
+    writeFileAtomic(path, old);
+
+    const std::string failure = underFileSizeCap(100, [&] {
+        for (size_t size : {1000, 10000}) {
+            try {
+                writeFileAtomic(path, std::string(size, 'x'));
+                return std::to_string(size) + " bytes written past the cap";
+            } catch (const std::exception&) {
+            }
+        }
+        return std::string();
+    });
+    EXPECT_EQ(failure, "");
+    EXPECT_EQ(readWholeFile(path), old);
+    EXPECT_EQ(dirEntries(scratch.path),
+              std::vector<std::string>{"file.txt"});
+}
+
+TEST(AtomicFile, ReadErrorsThrow)
+{
+    // A missing file fails at open(2), a directory at read(2); neither
+    // may come back as an empty or partial document.
+    ScratchDir scratch("atomic-read");
+    EXPECT_THROW(readWholeFile(scratch.path + "/missing"),
+                 std::runtime_error);
+    EXPECT_THROW(readWholeFile(scratch.path), std::runtime_error);
+    writeFileAtomic(scratch.path + "/empty", "");
+    EXPECT_EQ(readWholeFile(scratch.path + "/empty"), "");
+}
+
+TEST(AtomicFile, FailedCheckpointSaveKeepsTheLastGoodOne)
+{
+    ScratchDir scratch("ckpt-capped");
+    const std::string path = scratch.path + "/campaign.ckpt";
+    auto oneTask = [](uint64_t hash) {
+        CampaignResult r;
+        TaskResult& t = r.tasks.emplace_back();
+        t.contentHash = hash;
+        t.setCounts(17, 1200);
+        return r;
+    };
+    ASSERT_TRUE(saveCheckpoint(oneTask(0xa11ce), path));
+
+    const std::string failure = underFileSizeCap(100, [&] {
+        return std::string(saveCheckpoint(oneTask(0xb0b), path)
+                               ? "saved past the cap"
+                               : "");
+    });
+    EXPECT_EQ(failure, "");
+    CampaignCheckpoint restored;
+    ASSERT_TRUE(loadCheckpoint(path, restored));
+    ASSERT_EQ(restored.tasks.size(), 1u);
+    ASSERT_EQ(restored.tasks.count(0xa11ce), 1u);
+    EXPECT_EQ(restored.tasks.at(0xa11ce).logicalErrorRate.trials, 1200u);
+    EXPECT_EQ(dirEntries(scratch.path),
+              std::vector<std::string>{"campaign.ckpt"});
+}
+
+TEST(AtomicFile, FailedBlobPublishLeavesTheStoreEmpty)
+{
+    ScratchDir scratch("blob-capped");
+    DetectorErrorModel dem;
+    dem.numDetectors = 20;
+    dem.numObservables = 1;
+    for (uint32_t i = 0; i < 17; ++i) {
+        std::vector<uint32_t> detectors = {i, i + 1};
+        if (i < 4)
+            detectors.push_back(i + 2);
+        dem.mechanisms.push_back({0.01, detectors, i % 2});
+    }
+    ASSERT_EQ(serializeDem(dem).size(), 604u)
+        << "a blob under 1 KB, which the writer's stream buffers";
+
+    // The publish fails, yet the build still hands back its DEM.
+    const std::string failure = underFileSizeCap(100, [&] {
+        ArtifactCache capped;
+        capped.attachStore(scratch.path);
+        const auto got = capped.getOrBuildDem(0xcafe, [&] { return dem; });
+        return std::string(got->mechanisms.size() == 17
+                               ? ""
+                               : "wrong DEM from the build");
+    });
+    EXPECT_EQ(failure, "");
+    EXPECT_TRUE(dirEntries(scratch.path).empty())
+        << "neither a blob nor a tmp file";
+
+    int builds = 0;
+    ArtifactCache second;
+    second.attachStore(scratch.path);
+    second.getOrBuildDem(0xcafe, [&] {
+        ++builds;
+        return dem;
+    });
+    EXPECT_EQ(builds, 1);
+    EXPECT_EQ(second.stats().quarantinedBlobs, 0u);
 }
 
 TEST(ChaosSchedules, EveryCrashPointRecoversBitIdentically)

@@ -23,6 +23,7 @@
 
 #include "campaign/adaptive_sampler.h"
 #include "campaign/artifact_cache.h"
+#include "campaign/atomic_file.h"
 #include "campaign/campaign.h"
 #include "campaign/campaign_io.h"
 #include "campaign/content_hash.h"
@@ -812,7 +813,7 @@ TEST(ArtifactStore, SecondCacheLoadsInsteadOfBuilding)
             return std::string(buf);
         }() +
         ".bin";
-    spoolWriteAtomic(blobPath, "corrupted");
+    writeFileAtomic(blobPath, "corrupted");
     ArtifactCache third;
     third.attachStore(scratch.path);
     const auto c = third.getOrBuildDem(0x7777, build);
@@ -965,7 +966,7 @@ bp = minsum
                    (file.back() == '\n' || file.back() == '\r'))
                 file.pop_back();
             const WorkerReport r = parseWorkerStats(
-                spoolReadFile(scratch.path + "/" + file));
+                readWholeFile(scratch.path + "/" + file));
             compileBuilds +=
                 r.cache.compileMisses - r.cache.compileStoreHits;
             demBuilds += r.cache.demMisses - r.cache.demStoreHits;
@@ -1101,12 +1102,12 @@ TEST(DistributedCampaign, WorkerHealthFilesClassifyTheFleet)
                            state + " retries=0 shards=1\n");
     };
     const std::string workers = scratch.path + "/workers/";
-    spoolWriteAtomic(workers + "finished", health("done"));
-    spoolWriteAtomic(workers + "flaky", health("degraded"));
-    spoolWriteAtomic(workers + "vanished", health("healthy"));
+    writeFileAtomic(workers + "finished", health("done"));
+    writeFileAtomic(workers + "flaky", health("degraded"));
+    writeFileAtomic(workers + "vanished", health("healthy"));
     std::string torn = health("done");
     torn[torn.size() / 2] ^= 1;
-    spoolWriteAtomic(workers + "torn", torn);
+    writeFileAtomic(workers + "torn", torn);
 
     // The one live worker starts three lease periods late, so the
     // coordinator watches the vanished worker's file go stale first.
