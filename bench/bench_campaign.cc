@@ -32,7 +32,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "core/cyclone.h"
+#include "bench_util.h"
 
 using namespace cyclone;
 
@@ -203,36 +203,27 @@ main()
     const char* env = std::getenv("CYCLONE_BENCH_CAMPAIGN_JSON");
     const std::string path =
         env != nullptr ? env : "BENCH_campaign.json";
-    std::FILE* out = std::fopen((path + ".tmp").c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"bench\": \"bench_campaign\",\n"
-                 "  \"code\": \"bb72\",\n  \"cores\": %zu,\n"
-                 "  \"shot_budget\": %zu,\n  \"rows\": [\n",
-                 cores, shots);
+    std::string json;
+    bench::appendf(json,
+                   "{\n  \"bench\": \"bench_campaign\",\n"
+                   "  \"code\": \"bb72\",\n  \"cores\": %zu,\n"
+                   "  \"shot_budget\": %zu,\n  \"rows\": [\n",
+                   cores, shots);
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
-        std::fprintf(out,
-                     "    {\"name\": \"%s\", \"workers\": %zu, "
-                     "\"threads_per_worker\": 1, \"shots\": %zu, "
-                     "\"wall_seconds\": %.4g, "
-                     "\"shots_per_sec\": %.6g}%s\n",
-                     r.name.c_str(), r.workers, r.shots,
-                     r.wallSeconds, r.shotsPerSec,
-                     i + 1 < rows.size() ? "," : "");
+        bench::appendf(json,
+                       "    {\"name\": \"%s\", \"workers\": %zu, "
+                       "\"threads_per_worker\": 1, \"shots\": %zu, "
+                       "\"wall_seconds\": %.4g, "
+                       "\"shots_per_sec\": %.6g}%s\n",
+                       r.name.c_str(), r.workers, r.shots,
+                       r.wallSeconds, r.shotsPerSec,
+                       i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(out,
-                 "  ],\n  \"speedups\": {\n"
-                 "    \"two_workers_over_one\": %.4g,\n"
-                 "    \"spool_over_local\": %.4g\n  }\n}\n",
-                 scaleout, spoolOverhead);
-    std::fclose(out);
-    if (std::rename((path + ".tmp").c_str(), path.c_str()) != 0) {
-        std::fprintf(stderr, "cannot publish %s\n", path.c_str());
-        return 1;
-    }
-    return 0;
+    bench::appendf(json,
+                   "  ],\n  \"speedups\": {\n"
+                   "    \"two_workers_over_one\": %.4g,\n"
+                   "    \"spool_over_local\": %.4g\n  }\n}\n",
+                   scaleout, spoolOverhead);
+    return bench::publishBenchJson(path, json) ? 0 : 1;
 }

@@ -44,10 +44,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -567,8 +567,9 @@ class CaptureReporter : public benchmark::ConsoleReporter
     std::map<std::string, std::map<std::string, double>> captured_;
 };
 
-/** Distill the captured rows into BENCH_decoder.json. */
-void
+/** Distill the captured rows into BENCH_decoder.json; false when the
+ *  document cannot be written. */
+bool
 writeBenchJson(const CaptureReporter& reporter)
 {
     // Default to an untracked file: BENCH_decoder.json is the
@@ -580,12 +581,7 @@ writeBenchJson(const CaptureReporter& reporter)
         ? env
         : "BENCH_decoder.local.json";
 
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "bench_decoder: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
+    std::ostringstream out;
     out << "{\n";
     out << "  \"bench\": \"bench_decoder\",\n";
     out << "  \"code\": \"bb72\",\n";
@@ -770,7 +766,10 @@ writeBenchJson(const CaptureReporter& reporter)
     }
     out << "\n  }\n";
     out << "}\n";
+    if (!publishBenchJson(path, out.str()))
+        return false;
     std::fprintf(stderr, "bench_decoder: wrote %s\n", path.c_str());
+    return true;
 }
 
 void
@@ -888,6 +887,5 @@ main(int argc, char** argv)
     benchmark::Initialize(&argc, argv);
     CaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
-    writeBenchJson(reporter);
-    return 0;
+    return writeBenchJson(reporter) ? 0 : 1;
 }

@@ -37,7 +37,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/cyclone.h"
+#include "bench_util.h"
 
 using namespace cyclone;
 
@@ -301,24 +301,20 @@ main()
     const char* env = std::getenv("CYCLONE_BENCH_STREAMING_JSON");
     const std::string path =
         env != nullptr ? env : "BENCH_streaming.json";
-    std::FILE* out = std::fopen((path + ".tmp").c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-    }
-    std::fprintf(out,
-                 "{\n  \"bench\": \"bench_streaming\",\n"
-                 "  \"code\": \"bb72\",\n  \"arch\": \"cyclone\",\n"
-                 "  \"p\": 5e-4,\n  \"detectors\": %zu,\n"
-                 "  \"rounds_per_window\": %zu,\n"
-                 "  \"round_period_us\": %.4g,\n"
-                 "  \"bit_identical\": true,\n  \"rows\": [\n",
-                 dem.numDetectors, rounds, periodUs);
+    std::string json;
+    bench::appendf(json,
+                   "{\n  \"bench\": \"bench_streaming\",\n"
+                   "  \"code\": \"bb72\",\n  \"arch\": \"cyclone\",\n"
+                   "  \"p\": 5e-4,\n  \"detectors\": %zu,\n"
+                   "  \"rounds_per_window\": %zu,\n"
+                   "  \"round_period_us\": %.4g,\n"
+                   "  \"bit_identical\": true,\n  \"rows\": [\n",
+                   dem.numDetectors, rounds, periodUs);
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         const StreamDecodeStats& s = r.stats;
-        std::fprintf(
-            out,
+        bench::appendf(
+            json,
             "    {\"name\": \"%s\", \"policy\": \"%s\", "
             "\"paced\": %s, \"reference\": %s, \"streams\": %zu, "
             "\"windows\": %zu,\n     \"latency_p50_us\": %.6g, "
@@ -342,11 +338,6 @@ main()
                 : 0.0,
             i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    if (std::rename((path + ".tmp").c_str(), path.c_str()) != 0) {
-        std::fprintf(stderr, "cannot publish %s\n", path.c_str());
-        return 1;
-    }
-    return 0;
+    json += "  ]\n}\n";
+    return bench::publishBenchJson(path, json) ? 0 : 1;
 }

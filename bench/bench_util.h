@@ -13,6 +13,7 @@
 #ifndef CYCLONE_BENCH_BENCH_UTIL_H
 #define CYCLONE_BENCH_BENCH_UTIL_H
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -39,6 +40,46 @@ shots(size_t fallback)
             return static_cast<size_t>(v);
     }
     return fallback;
+}
+
+/** Append printf-formatted text to `out`: a BENCH_*.json document is
+ *  built whole, then published by publishBenchJson. */
+__attribute__((format(printf, 2, 3))) inline void
+appendf(std::string& out, const char* fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    va_list sizing;
+    va_copy(sizing, args);
+    const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
+    va_end(sizing);
+    if (n > 0) {
+        const size_t old = out.size();
+        out.resize(old + static_cast<size_t>(n) + 1);
+        std::vsnprintf(out.data() + old, static_cast<size_t>(n) + 1, fmt,
+                       args);
+        out.resize(old + static_cast<size_t>(n));
+    }
+    va_end(args);
+}
+
+/**
+ * Publish a BENCH_*.json document through the one atomic writer
+ * (writeFileAtomic): readers see the old file or the whole new one, and
+ * a failed write leaves neither a truncated file nor a tmp file. Prints
+ * the error and returns false when the write fails.
+ */
+inline bool
+publishBenchJson(const std::string& path, const std::string& text)
+{
+    try {
+        writeFileAtomic(path, text);
+    } catch (const std::exception& ex) {
+        std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                     ex.what());
+        return false;
+    }
+    return true;
 }
 
 /** Whether the full (slow) sweep was requested. */

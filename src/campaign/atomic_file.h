@@ -3,13 +3,13 @@
  * The one way the campaign stack writes, reads and sets aside a file.
  *
  * Everything a campaign persists — spool manifests, descriptors,
- * records, journals, stats and health files, artifact-store blobs,
- * checkpoints, and the runner's JSON/CSV — is published by
- * writeFileAtomic: a tmp file in the target's directory, flushed,
- * closed and checked, then renamed over the target. A reader therefore
- * sees the old file or the whole new one, never a prefix, and a write
- * that fails (a full disk, a file-size limit) leaves the old file and
- * no tmp file behind.
+ * records, journals, worker records, artifact-store blobs,
+ * checkpoints, the runner's JSON/CSV and the benches' BENCH_*.json —
+ * is published by writeFileAtomic: a tmp file in the target's
+ * directory, flushed, closed and checked, then renamed over the
+ * target. A reader therefore sees the old file or the whole new one,
+ * never a prefix, and a write that fails (a full disk, a file-size
+ * limit) leaves the old file and no tmp file behind.
  *
  * I/O errors are classified by errno: the values that plausibly clear
  * on their own (EIO, ENOSPC, EAGAIN, EINTR, ESTALE, EDQUOT — the NFS

@@ -122,7 +122,8 @@ struct SpoolStats
     size_t coordinatorTakeovers = 0;
     /** Tasks restored from a dead coordinator's journal. */
     size_t journalRestores = 0;
-    /** Worker health at the end of the run (from workers/ files). */
+    /** Worker health at the end of the run (from each worker's
+     *  record, workers/<id>). */
     size_t workersHealthy = 0;
     size_t workersDegraded = 0;
     size_t workersLost = 0;

@@ -27,29 +27,14 @@ namespace cyclone {
 namespace {
 
 constexpr const char* kWorkerStatsMagic = "cyclone-worker-stats v2";
-constexpr const char* kHealthMagic = "cyclone-worker-health v2";
 
 const StatField<WorkerReport> kWorkerReportFields[] = {
+    {"state", &WorkerReport::state},
     {"shards", &WorkerReport::shardsRun},
     {"shots", &WorkerReport::shots},
     {"failures", &WorkerReport::failures},
     {"retries", &WorkerReport::transientRetries},
     {"promotions", &WorkerReport::promotions},
-};
-
-/** A worker's health file (spool workers/<id>). */
-struct WorkerHealth
-{
-    /** "healthy", "degraded" (transient retries seen) or "done". */
-    std::string state;
-    size_t retries = 0;
-    size_t shards = 0;
-};
-
-const StatField<WorkerHealth> kHealthFields[] = {
-    {"state", &WorkerHealth::state},
-    {"retries", &WorkerHealth::retries},
-    {"shards", &WorkerHealth::shards},
 };
 
 void
@@ -165,7 +150,7 @@ class SpoolExecutor final : public CampaignExecutor
     void finalized(const CampaignResult& result) override;
 
     /** End the campaign: DONE marker, worker health, spool and cache
-     *  counters into `result`, stats and result.json, lease release. */
+     *  counters into `result`, result.json, lease release. */
     void finish(CampaignResult& result);
 
   private:
@@ -320,14 +305,13 @@ SpoolExecutor::pass()
         try {
             rec = spool_.readRecord(id);
         } catch (const CorruptRecordError&) {
-            // Torn or rotted record: quarantine it and make sure the
-            // shard is executable again — revive its done/ tombstone,
-            // or republish our descriptor if every on-disk copy is
-            // gone. (If the claim is still in claimed/, the lease
-            // sweep below recycles it.)
+            // Torn or rotted record: quarantine it and republish our
+            // descriptor, so the shard is executed again. (If the
+            // claim is still in claimed/, the lease sweep below
+            // recycles it.)
             spool_.quarantineRecord(id);
             ++stats_.recordsQuarantined;
-            if (!spool_.reviveShard(id) && spool_.publishShard(d))
+            if (spool_.publishShard(d))
                 ++stats_.shardsPublished;
             ++it;
             continue;
@@ -372,7 +356,7 @@ SpoolExecutor::pass()
         }
     }
 
-    // Observe every worker health file each pass so its age is
+    // Observe every worker record each pass so its age is
     // measured on CLOCK_MONOTONIC from the last mtime change we saw,
     // exactly like shard claims. Without this history the end-of-run
     // classification would fall back to wall-clock mtime arithmetic,
@@ -434,25 +418,22 @@ SpoolExecutor::finish(CampaignResult& result)
 {
     spool_.markDone();
 
-    // Fold worker health files into the summary: done => healthy,
-    // degraded (transient retries) => degraded, a live-looking file
-    // that stopped updating => lost, as is one that cannot be read or
-    // fails its checksum.
+    // Fold the worker records' states into the summary: done =>
+    // healthy, degraded (transient retries) => degraded, a
+    // live-looking record that stopped updating => lost, as is one
+    // that cannot be read or fails its checksum.
     for (const std::string& name : spool_.list("workers")) {
-        WorkerHealth health;
+        std::string state;
         try {
-            for (const KvRecord& rec :
-                 parseRecords(spool_.readFile("workers/" + name),
-                              kHealthMagic, "worker health file"))
-                if (rec.tag() == "health")
-                    rec.getFields(kHealthFields, health);
+            state = parseWorkerStats(spool_.readFile("workers/" + name))
+                        .state;
         } catch (const std::exception&) {
             ++stats_.workersLost;
             continue;
         }
-        if (health.state == "done")
+        if (state == "done")
             ++stats_.workersHealthy;
-        else if (health.state == "degraded")
+        else if (state == "degraded")
             ++stats_.workersDegraded;
         else if (spool_.workerHealthAge(name) > spec_.leaseSeconds)
             ++stats_.workersLost;
@@ -466,12 +447,6 @@ SpoolExecutor::finish(CampaignResult& result)
     result.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0_)
                              .count();
-
-    WorkerReport coordStats;
-    coordStats.cache = result.cache;
-    coordStats.transientRetries = stats_.transientRetries;
-    spool_.writeFile("stats-coordinator.txt",
-                     formatWorkerStats(coordStats), "spool.stats.commit");
     // Publish the merged result into the spool too, so a promoted
     // worker's campaign (whose stdout nobody owns) is not lost.
     spool_.writeFile("result.json", campaignResultToJson(result),
@@ -533,7 +508,7 @@ parseWorkerStats(const std::string& text)
 {
     WorkerReport r;
     for (const KvRecord& rec :
-         parseRecords(text, kWorkerStatsMagic, "worker stats file")) {
+         parseRecords(text, kWorkerStatsMagic, "worker record")) {
         if (rec.tag() != "worker")
             continue;
         rec.getFields(kWorkerReportFields, r);
@@ -567,21 +542,24 @@ runSpoolWorker(const WorkerOptions& opts)
     const std::string workerId = !opts.workerId.empty()
         ? opts.workerId
         : "pid" + std::to_string(::getpid());
-    const std::string healthFile = "workers/" + workerId;
+    const std::string recordFile = "workers/" + workerId;
 
-    auto writeHealth = [&](const char* state) {
-        const WorkerHealth health{state, spool.transientRetries(),
-                                  report.shardsRun};
-        KvRecord rec("health");
-        rec.putFields(kHealthFields, health);
+    // The worker's one record: its state and counters so far.
+    auto writeRecord = [&](bool finished) {
+        report.transientRetries = spool.transientRetries();
+        report.cache = cache.stats();
+        if (report.transientRetries > 0)
+            report.state = "degraded";
+        else
+            report.state = finished ? "done" : "healthy";
         try {
-            spool.writeFile(healthFile, formatRecords(kHealthMagic, {rec}),
-                            "spool.health.commit");
+            spool.writeFile(recordFile, formatWorkerStats(report),
+                            "spool.stats.commit");
         } catch (const std::exception&) {
-            // Health is advisory; never kill a worker over it.
+            // Advisory; never kill a worker over it.
         }
     };
-    writeHealth("healthy");
+    writeRecord(false);
 
     // Promotion bookkeeping: how long the coordinator lease has
     // looked dead (stale or absent) from this worker's seat.
@@ -617,17 +595,16 @@ runSpoolWorker(const WorkerOptions& opts)
             ++report.shardsRun;
             report.shots += rec.shots;
             report.failures += rec.failures;
-            writeHealth(spool.transientRetries() > 0 ? "degraded"
-                                                     : "healthy");
+            writeRecord(false);
             break; // rescan open/ for the freshest view
         }
         if (opts.maxShards > 0 && report.shardsRun >= opts.maxShards)
             break;
         if (!claimed) {
-            // Keep the health file's mtime fresh while idle, so the
+            // Keep the record's mtime fresh while idle, so the
             // coordinator can tell idle from dead.
             ::utimensat(AT_FDCWD,
-                        (opts.spool + "/" + healthFile).c_str(),
+                        (opts.spool + "/" + recordFile).c_str(),
                         nullptr, 0);
 
             // Promotion: nothing to claim, campaign unfinished, and
@@ -667,11 +644,7 @@ runSpoolWorker(const WorkerOptions& opts)
         }
     }
 
-    report.cache = cache.stats();
-    report.transientRetries = spool.transientRetries();
-    writeHealth(report.transientRetries > 0 ? "degraded" : "done");
-    spool.writeFile("stats-" + workerId + ".txt",
-                    formatWorkerStats(report), "spool.stats.commit");
+    writeRecord(true);
     return report;
 }
 

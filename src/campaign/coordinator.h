@@ -35,7 +35,7 @@
  * `promote` set. The takeover waits out the stale lease, steals it (a
  * rename: exactly one winner), restores journaled tasks without
  * re-merging (through the driver's checkpoint restore), republishes
- * missing shards (publish skips anything open/claimed/done/recorded),
+ * missing shards (publish skips anything open, claimed or recorded),
  * re-merges surviving records, and finalizes. Every step is
  * idempotent, so the merged result is bit-identical to an
  * uninterrupted run.
@@ -109,7 +109,7 @@ struct WorkerOptions
     std::string spool;
     /** Local decode threads (0 = hardware concurrency). */
     size_t threads = 0;
-    /** Label for the worker's stats file ("" = "pid<pid>"). */
+    /** Label of the worker's record, workers/<id> ("" = "pid<pid>"). */
     std::string workerId;
     /** Stop after this many shards (0 = run until spool DONE). */
     size_t maxShards = 0;
@@ -125,10 +125,12 @@ struct WorkerOptions
     bool promote = false;
 };
 
-/** What one worker loop did (also written to the spool as
- *  stats-<workerId>.txt for cross-process accounting). */
+/** What one worker loop did, and its health: the worker's spool
+ *  record (workers/<id>), for cross-process accounting. */
 struct WorkerReport
 {
+    /** "healthy", "degraded" (transient retries seen) or "done". */
+    std::string state;
     size_t shardsRun = 0;
     size_t shots = 0;
     size_t failures = 0;
@@ -141,7 +143,7 @@ struct WorkerReport
     CacheStats cache;
 };
 
-/** Text round-trip of a worker stats file (stats-<id>.txt): one
+/** Text round-trip of a worker record (spool workers/<id>): one
  *  CRC-protected key=value record. */
 std::string formatWorkerStats(const WorkerReport& report);
 /** Throws CorruptRecordError on a bad checksum, std::runtime_error on
@@ -152,10 +154,11 @@ WorkerReport parseWorkerStats(const std::string& text);
  * Run the worker loop against `opts.spool` until the coordinator's
  * DONE marker appears (or `maxShards` is reached). Waits for the
  * spool to be initialized first, so workers may start before the
- * coordinator. Maintains a health file (spool workers/<id>, one
- * CRC'd key=value record: healthy/degraded/done, degraded once
- * transient retries occur) that the coordinator folds into the final
- * summary. Throws
+ * coordinator. Rewrites its record (spool workers/<id>: the report,
+ * state healthy/degraded/done, degraded once transient retries
+ * occur) at start, after each shard and at exit, and touches it
+ * while idle; the coordinator folds the states into the final
+ * summary. Every write of the record is advisory. Throws
  * std::runtime_error on a spec/shard content-hash mismatch (the
  * spool holds a different campaign than the shard expects).
  */

@@ -219,7 +219,6 @@ Spool::initialize(const SpoolManifest& manifest,
     makeDir(dir_);
     makeDir(dir_ + "/open");
     makeDir(dir_ + "/claimed");
-    makeDir(dir_ + "/done");
     makeDir(dir_ + "/results");
     makeDir(dir_ + "/reclaims");
     makeDir(dir_ + "/quarantine");
@@ -273,7 +272,6 @@ Spool::publishShard(const ShardDescriptor& d)
     const std::string id = shardId(d.task, d.shard);
     if (fileExists(dir_ + "/open/" + id) ||
         fileExists(dir_ + "/claimed/" + id) ||
-        fileExists(dir_ + "/done/" + id) ||
         fileExists(dir_ + "/results/" + id + ".rec"))
         return false;
     writeFile("open/" + id, formatShardDescriptor(d),
@@ -424,17 +422,9 @@ Spool::quarantined() const
 }
 
 bool
-Spool::reviveShard(const std::string& id)
-{
-    return std::rename((dir_ + "/done/" + id).c_str(),
-                       (dir_ + "/open/" + id).c_str()) == 0;
-}
-
-bool
 Spool::retireClaim(const std::string& id)
 {
-    return std::rename((dir_ + "/claimed/" + id).c_str(),
-                       (dir_ + "/done/" + id).c_str()) == 0;
+    return ::unlink((dir_ + "/claimed/" + id).c_str()) == 0;
 }
 
 void
@@ -442,13 +432,12 @@ Spool::completeShard(const std::string& id, const ShardRecord& r)
 {
     writeFile("results/" + id + ".rec", formatShardRecord(r),
               "spool.record.commit");
-    // Retire the descriptor. The claim may have been reclaimed to
-    // open/ meanwhile (slow heartbeat); move it to done/ from either
-    // place so nobody re-executes a shard that already has a record.
-    const std::string done = dir_ + "/done/" + id;
-    if (std::rename((dir_ + "/claimed/" + id).c_str(), done.c_str()) !=
-        0)
-        std::rename((dir_ + "/open/" + id).c_str(), done.c_str());
+    // The record is the shard's completion; drop its descriptor. The
+    // claim may have been reclaimed to open/ meanwhile (slow
+    // heartbeat), so remove it from there instead: nobody should
+    // re-execute a shard that already has a record.
+    if (::unlink((dir_ + "/claimed/" + id).c_str()) != 0)
+        ::unlink((dir_ + "/open/" + id).c_str());
 }
 
 bool

@@ -18,14 +18,15 @@
  *       cache/             shared artifact store (see ArtifactCache)
  *       open/<shard>       unclaimed shard descriptors
  *       claimed/<shard>    claimed descriptors; mtime = lease heartbeat
- *       done/<shard>       completed descriptors (tombstones)
- *       results/<shard>.rec  shard result records (tmp+rename publish)
+ *       results/<shard>.rec  shard result records (tmp+rename publish);
+ *                          a record is its shard's completion
  *       coord.lease        coordinator liveness lease (mtime heartbeat)
  *       journal.txt        coordinator journal: the checkpoint document
  *                          of the finalized tasks
  *       reclaims/<shard>   per-shard reclaim counters (poison detection)
  *       quarantine/        corrupt records/descriptors, poison shards
- *       workers/<id>       worker health files (healthy/degraded/done)
+ *       workers/<id>       one record per worker: health state
+ *                          (healthy/degraded/done) and its counters
  *       result.json        merged campaign result (written at the end)
  *       DONE               coordinator's end-of-campaign marker
  *
@@ -49,11 +50,11 @@
  * produces bit-identical results.
  *
  * Self-healing: the manifest, shard descriptors and records, the
- * journal, worker stats and worker health files are key=value record
- * documents (kv_record.h) with a trailing CRC-32 line. A file that
- * fails its checksum (torn write, bit rot) is moved to `quarantine/`
- * and its shard re-published instead of poisoning the merge (a health
- * file that fails it counts its worker as lost). A shard whose claim
+ * journal and the worker records are key=value record documents
+ * (kv_record.h) with a trailing CRC-32 line. A file that fails its
+ * checksum (torn write, bit rot) is moved to `quarantine/` and its
+ * shard re-published instead of poisoning the merge (a worker record
+ * that fails it counts its worker as lost). A shard whose claim
  * is reclaimed `max_claim_reclaims` times (it keeps killing workers)
  * is itself quarantined and its task finalized with an error rather
  * than livelocking the fleet.
@@ -204,8 +205,9 @@ class Spool
     /**
      * Publish a shard: write its descriptor to open/<id> via
      * tmp+rename. Skips (returns false) if the shard is already
-     * open, claimed, done, or has a result record — which makes
-     * republishing after a coordinator restart safe.
+     * open, claimed, or has a result record — which makes
+     * republishing after a coordinator restart safe. A shard with no
+     * record can always be published again.
      */
     bool publishShard(const ShardDescriptor& d);
 
@@ -269,20 +271,16 @@ class Spool
     /** Names currently in quarantine/, sorted. */
     std::vector<std::string> quarantined() const;
 
-    /** Move done/<id> back to open/ (re-execute a shard whose record
-     *  was quarantined). Returns false if done/<id> is absent. */
-    bool reviveShard(const std::string& id);
-
-    /** Move claimed/<id> to done/ without a record (retire a claim
-     *  whose task already finished). */
+    /** Remove claimed/<id> without a record (retire a claim whose
+     *  task already finished). The shard may be published again. */
     bool retireClaim(const std::string& id);
 
     /**
      * Publish a shard's result record and retire its claim:
-     * write results/<id>.rec (tmp+rename), then move claimed/<id> to
-     * done/<id>. Safe if the claim was reclaimed meanwhile — the
-     * record is deterministic, so whichever worker publishes first
-     * wins and the other's rename quietly loses.
+     * write results/<id>.rec (tmp+rename), then remove claimed/<id>,
+     * or open/<id> if the claim was reclaimed meanwhile. Safe under
+     * that race — the record is deterministic, so whichever worker
+     * publishes first wins and the other's removal quietly loses.
      */
     void completeShard(const std::string& id, const ShardRecord& r);
 
@@ -331,7 +329,7 @@ class Spool
 
     /**
      * Retry-wrapped writeFileAtomic (atomic_file.h) of a
-     * spool-relative file (stats, worker health, result.json). Each
+     * spool-relative file (worker records, result.json). Each
      * attempt fires the generic `spool.io.write` fault point, then
      * `point` (may be null) at the commit.
      */
@@ -349,13 +347,14 @@ class Spool
     std::vector<std::string> list(const std::string& subdir) const;
 
     /**
-     * Monotonic-safe age of workers/`name` (a worker's health
-     * heartbeat file), or negative if it is missing. Same observation
-     * semantics as claimAge(): the age counts CLOCK_MONOTONIC seconds
-     * since this handle last saw the file's mtime change, so an NTP
-     * step between heartbeats never misclassifies a live worker as
-     * degraded or lost. Call it each coordinator pass so the history
-     * accumulates; a first observation reads as age 0 (healthy).
+     * Monotonic-safe age of workers/`name` (a worker's record, whose
+     * mtime is its heartbeat), or negative if it is missing. Same
+     * observation semantics as claimAge(): the age counts
+     * CLOCK_MONOTONIC seconds since this handle last saw the file's
+     * mtime change, so an NTP step between heartbeats never
+     * misclassifies a live worker as degraded or lost. Call it each
+     * coordinator pass so the history accumulates; a first
+     * observation reads as age 0 (healthy).
      */
     double workerHealthAge(const std::string& name) const;
 

@@ -17,7 +17,7 @@
  * old readers keep working. Stats structs write their whole field
  * table (stat_fields.h) through putFields() under a key prefix
  * ("decoder.", "stream.", ...). Checkpoints, shard descriptors and
- * records, the coordinator journal, worker stats files and the spool
+ * records, the coordinator journal, the worker records and the spool
  * manifest all use this format.
  */
 

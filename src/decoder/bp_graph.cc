@@ -19,13 +19,10 @@ BpGraph::BpGraph(const DetectorErrorModel& dem)
         double p = std::clamp(m.probability, 1e-14, 1.0 - 1e-14);
         prior[v] = static_cast<float>(std::log((1.0 - p) / p));
         varOffset[v + 1] = varOffset[v] + m.detectors.size();
-        for (size_t j = 0; j < m.detectors.size(); ++j) {
-            const uint32_t d = m.detectors[j];
+        for (const uint32_t d : m.detectors) {
             CYCLONE_ASSERT(d < numChecks, "mechanism detector "
                            << d << " out of range");
             ++check_degree[d];
-            if (j > 0 && m.detectors[j - 1] >= d)
-                varEdgesAscendByCheck = false;
         }
     }
     numEdges = varOffset.back();
@@ -36,21 +33,24 @@ BpGraph::BpGraph(const DetectorErrorModel& dem)
         maxCheckDegree = std::max(maxCheckDegree, check_degree[c]);
     }
 
-    checkOfSlot.resize(numEdges);
-    for (size_t c = 0; c < numChecks; ++c) {
-        for (size_t s = checkOffset[c]; s < checkOffset[c + 1]; ++s)
-            checkOfSlot[s] = static_cast<uint32_t>(c);
-    }
-
     // Fill the check-side CSR in var order, recording each var-side
-    // edge's check-side slot as it lands.
+    // edge's check-side slot as it lands. A variable's edges go in
+    // ascending check order; a detector list that is not already
+    // ascending (the DEM builder always sorts) is sorted in a copy.
     checkEdgeVar.resize(numEdges);
     checkSlotOfVarEdge.resize(numEdges);
     std::vector<size_t> check_cursor(numChecks, 0);
+    std::vector<uint32_t> sorted;
     for (size_t v = 0; v < numVars; ++v) {
-        const DemMechanism& m = dem.mechanisms[v];
-        for (size_t j = 0; j < m.detectors.size(); ++j) {
-            const uint32_t c = m.detectors[j];
+        const std::vector<uint32_t>* detectors =
+            &dem.mechanisms[v].detectors;
+        if (!std::is_sorted(detectors->begin(), detectors->end())) {
+            sorted = *detectors;
+            std::sort(sorted.begin(), sorted.end());
+            detectors = &sorted;
+        }
+        for (size_t j = 0; j < detectors->size(); ++j) {
+            const uint32_t c = (*detectors)[j];
             const size_t slot = checkOffset[c] + check_cursor[c]++;
             checkEdgeVar[slot] = static_cast<uint32_t>(v);
             checkSlotOfVarEdge[varOffset[v] + j] =

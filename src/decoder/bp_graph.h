@@ -4,9 +4,13 @@
  *
  * Both the scalar BpDecoder and the lane-parallel BpWaveDecoder walk
  * the same detector graph: a variable-side CSR (for the posterior
- * gather) and a check-side CSR (for the check-message pass and
- * syndrome verification), sharing edge ids through the var-CSR ->
- * check-CSR slot permutation. The graph is immutable after
+ * gather) and a check-side CSR (for the check-message pass, the
+ * scatter form of the posterior pass and syndrome verification),
+ * sharing edge ids through the var-CSR -> check-CSR slot
+ * permutation. Each variable's edges are laid out in ascending check
+ * order, so streaming the check CSR adds a variable's messages in
+ * exactly its gather order: the scalar gather and the wave scatter
+ * sum the same floats in the same order. The graph is immutable after
  * construction, so one BpGraph is built per detector error model and
  * shared by every decoder view of it (BpOsdDecoder keeps one for its
  * scalar core and its wave kernel).
@@ -34,24 +38,13 @@ struct BpGraph
     /** Largest check degree; sizes per-check scratch once, up front. */
     size_t maxCheckDegree = 0;
 
-    /**
-     * True when every mechanism's detector list is strictly
-     * ascending (the DEM builder always emits sorted lists). Then a
-     * variable's var-CSR edge order equals ascending check order, so
-     * accumulating messages by streaming the check CSR adds the same
-     * floats in the same order as gathering per variable — the wave
-     * decoder's posterior pass uses the streaming (scatter) form,
-     * which is markedly cheaper on multi-MB lane-major message
-     * arrays.
-     */
-    bool varEdgesAscendByCheck = true;
-
     /** Prior LLR log((1-p)/p) per variable. */
     std::vector<float> prior;
 
     // Variable-side CSR: edges of var v are varOffset[v] ..
-    // varOffset[v+1); checkSlotOfVarEdge maps each to its slot in the
-    // check-side CSR (where the messages live).
+    // varOffset[v+1), in ascending check order; checkSlotOfVarEdge
+    // maps each to its slot in the check-side CSR (where the messages
+    // live).
     std::vector<size_t> varOffset;
     std::vector<uint32_t> checkSlotOfVarEdge;
 
@@ -59,10 +52,6 @@ struct BpGraph
     // checkOffset[c+1), each naming its variable.
     std::vector<size_t> checkOffset;
     std::vector<uint32_t> checkEdgeVar;
-    /** Inverse of checkOffset per slot: the check owning each
-     *  check-CSR edge. Lets a per-variable gather decode compressed
-     *  min-sum messages (which live per check) without a search. */
-    std::vector<uint32_t> checkOfSlot;
 };
 
 } // namespace cyclone

@@ -5,7 +5,7 @@
  * The wave decoder runs the exact BpDecoder message schedule on up to
  * L syndromes simultaneously. State is lane-major structure-of-arrays
  * — msg[edge][lane], posterior[var][lane], priors broadcast across
- * lanes — so the posterior gather and the min-sum / product-sum check
+ * lanes — so the posterior scatter and the min-sum / product-sum check
  * pass become fixed-width inner loops over L floats that the compiler
  * autovectorizes. Hard decisions are per-variable lane bitmasks, so
  * syndrome verification collapses to one XOR per edge and one compare

@@ -2,8 +2,8 @@
  * @file
  * ISA-specific instantiations of the lane-parallel BP kernels.
  *
- * The wave decoder's two hot passes — the posterior gather/scatter and
- * the check-to-variable update — are template bodies shared by every
+ * The wave decoder's two hot passes — the posterior scatter and the
+ * check-to-variable update — are template bodies shared by every
  * rung of the SIMD ladder (wave_kernels.inl). Each rung is one
  * translation unit that includes the .inl under a function-scoped
  * target attribute and exports one table of function pointers at its

@@ -41,6 +41,7 @@
 #include "campaign/spool.h"
 #include "common/crc32.h"
 #include "dem/dem.h"
+#include "expect_tasks.h"
 
 namespace cyclone {
 namespace {
@@ -224,29 +225,6 @@ normalizedJson(CampaignResult r)
     for (TaskResult& t : r.tasks)
         t.sampleSeconds = 0.0;
     return campaignResultToJson(r);
-}
-
-void
-expectTasksIdentical(const CampaignResult& a, const CampaignResult& b)
-{
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (size_t i = 0; i < a.tasks.size(); ++i) {
-        const TaskResult& x = a.tasks[i];
-        const TaskResult& y = b.tasks[i];
-        EXPECT_EQ(x.id, y.id);
-        EXPECT_EQ(x.contentHash, y.contentHash);
-        EXPECT_EQ(x.logicalErrorRate.trials, y.logicalErrorRate.trials);
-        EXPECT_EQ(x.logicalErrorRate.successes,
-                  y.logicalErrorRate.successes);
-        EXPECT_EQ(x.logicalErrorRate.rate, y.logicalErrorRate.rate);
-        EXPECT_EQ(x.wilson, y.wilson);
-        EXPECT_EQ(x.perRoundErrorRate, y.perRoundErrorRate);
-        EXPECT_EQ(x.chunks, y.chunks);
-        EXPECT_EQ(x.stoppedEarly, y.stoppedEarly);
-        EXPECT_EQ(deterministicMismatch(x.decoder, y.decoder), "")
-            << "task " << i;
-        EXPECT_EQ(x.error, y.error);
-    }
 }
 
 TEST(Crc32, MatchesKnownVectorsAndChains)

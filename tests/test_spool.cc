@@ -31,6 +31,7 @@
 #include "campaign/fault_plan.h"
 #include "campaign/spool.h"
 #include "dem/dem.h"
+#include "expect_tasks.h"
 
 namespace cyclone {
 namespace {
@@ -133,31 +134,6 @@ reapWorkers(const std::vector<pid_t>& pids, int exitCode = 0)
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);
         EXPECT_TRUE(WIFEXITED(status));
         EXPECT_EQ(WEXITSTATUS(status), exitCode);
-    }
-}
-
-void
-expectTasksIdentical(const CampaignResult& a, const CampaignResult& b)
-{
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (size_t i = 0; i < a.tasks.size(); ++i) {
-        const TaskResult& x = a.tasks[i];
-        const TaskResult& y = b.tasks[i];
-        EXPECT_EQ(x.id, y.id);
-        EXPECT_EQ(x.contentHash, y.contentHash);
-        EXPECT_EQ(x.logicalErrorRate.trials, y.logicalErrorRate.trials);
-        EXPECT_EQ(x.logicalErrorRate.successes,
-                  y.logicalErrorRate.successes);
-        EXPECT_EQ(x.logicalErrorRate.rate, y.logicalErrorRate.rate);
-        EXPECT_EQ(x.wilson, y.wilson);
-        EXPECT_EQ(x.perRoundErrorRate, y.perRoundErrorRate);
-        EXPECT_EQ(x.chunks, y.chunks);
-        EXPECT_EQ(x.stoppedEarly, y.stoppedEarly);
-        EXPECT_EQ(x.demDetectors, y.demDetectors);
-        EXPECT_EQ(x.demMechanisms, y.demMechanisms);
-        EXPECT_EQ(deterministicMismatch(x.decoder, y.decoder), "")
-            << "task " << i;
-        EXPECT_EQ(x.error, y.error);
     }
 }
 
@@ -303,6 +279,7 @@ TEST(SpoolSerde, ManifestRoundTrip)
 TEST(SpoolSerde, WorkerStatsRoundTrip)
 {
     WorkerReport r;
+    r.state = "degraded";
     r.shardsRun = 7;
     r.shots = 4200;
     r.failures = 33;
@@ -318,6 +295,7 @@ TEST(SpoolSerde, WorkerStatsRoundTrip)
     r.transientRetries = 5;
     r.promotions = 1;
     const WorkerReport p = parseWorkerStats(formatWorkerStats(r));
+    EXPECT_EQ(p.state, r.state);
     EXPECT_EQ(p.shardsRun, r.shardsRun);
     EXPECT_EQ(p.shots, r.shots);
     EXPECT_EQ(p.failures, r.failures);
@@ -449,7 +427,7 @@ TEST(SpoolProtocol, CoordinatorLeaseHasExactlyOneWinner)
     EXPECT_TRUE(spool.acquireCoordinatorLease("carol"));
 }
 
-TEST(SpoolProtocol, QuarantineReviveAndRetire)
+TEST(SpoolProtocol, QuarantinedAndRetiredShardsPublishAgain)
 {
     ScratchDir scratch("spool-quarantine");
     Spool spool(scratch.path);
@@ -475,25 +453,41 @@ TEST(SpoolProtocol, QuarantineReviveAndRetire)
     rec.shots = 10;
     spool.completeShard(id, rec);
 
-    // Quarantining the record revives nothing by itself; the revive
-    // moves the done/ tombstone back to open/ so the shard can be
-    // claimed and re-executed.
+    // The record is the shard's completion: no descriptor is left in
+    // open/ or claimed/. The same holds when the claim was reclaimed
+    // to open/ before the record landed.
     ASSERT_TRUE(spool.hasRecord(id));
-    EXPECT_TRUE(spool.quarantineRecord(id));
-    EXPECT_FALSE(spool.hasRecord(id));
-    EXPECT_FALSE(spool.quarantineRecord(id)) << "already moved";
-    EXPECT_TRUE(spool.reviveShard(id));
-    EXPECT_FALSE(spool.reviveShard(id)) << "already revived";
-    ASSERT_EQ(spool.openShards().size(), 1u);
-
-    // Re-execute and retire without a record (task finished).
-    ASSERT_TRUE(spool.claimShard(id, got));
-    EXPECT_TRUE(spool.retireClaim(id));
+    EXPECT_TRUE(spool.openShards().empty());
+    EXPECT_TRUE(spool.claimedShards().empty());
+    ShardDescriptor slow = d;
+    slow.shard = 1;
+    const std::string slowId = shardId(0, 1);
+    ASSERT_TRUE(spool.publishShard(slow));
+    ASSERT_TRUE(spool.claimShard(slowId, got));
+    ASSERT_TRUE(spool.reclaimShard(slowId));
+    spool.completeShard(slowId, rec);
+    EXPECT_TRUE(spool.hasRecord(slowId));
     EXPECT_TRUE(spool.openShards().empty());
     EXPECT_TRUE(spool.claimedShards().empty());
 
+    // Quarantining the record makes the shard publishable again.
+    EXPECT_FALSE(spool.publishShard(d)) << "has a record";
+    EXPECT_TRUE(spool.quarantineRecord(id));
+    EXPECT_FALSE(spool.hasRecord(id));
+    EXPECT_FALSE(spool.quarantineRecord(id)) << "already moved";
+    ASSERT_TRUE(spool.publishShard(d));
+    EXPECT_EQ(spool.openShards(), std::vector<std::string>{id});
+
+    // Retiring a claim (its task finished) leaves nothing behind, and
+    // a retired shard with no record publishes again.
+    ASSERT_TRUE(spool.claimShard(id, got));
+    EXPECT_TRUE(spool.retireClaim(id));
+    EXPECT_FALSE(spool.retireClaim(id)) << "already retired";
+    EXPECT_TRUE(spool.openShards().empty());
+    EXPECT_TRUE(spool.claimedShards().empty());
+    EXPECT_TRUE(spool.publishShard(d));
+
     // Quarantine the shard outright (claimed/ first, then open/).
-    EXPECT_TRUE(spool.reviveShard(id));
     EXPECT_TRUE(spool.quarantineShard(id));
     EXPECT_FALSE(spool.quarantineShard(id)) << "nothing left";
     const std::vector<std::string> q = spool.quarantined();
@@ -948,33 +942,22 @@ bp = minsum
     for (const TaskResult& t : dist.tasks)
         ASSERT_TRUE(t.error.empty()) << t.error;
 
-    // Sum builder runs (misses not satisfied by the store) across
-    // every process's stats file: the whole fleet must have compiled
-    // exactly one architecture and built exactly two DEMs.
+    // Sum builder runs (misses not satisfied by the store) over the
+    // coordinator's cache and every worker's record: the whole fleet
+    // must have compiled exactly one architecture and built exactly
+    // two DEMs.
+    Spool spool(scratch.path);
+    std::vector<CacheStats> sources = {dist.cache};
+    for (const std::string& name : spool.list("workers"))
+        sources.push_back(
+            parseWorkerStats(spool.readFile("workers/" + name)).cache);
     size_t compileBuilds = 0;
     size_t demBuilds = 0;
-    size_t statsFiles = 0;
-    {
-        std::string cmd =
-            "ls '" + scratch.path + "' | grep '^stats-'";
-        FILE* pipe = ::popen(cmd.c_str(), "r");
-        ASSERT_NE(pipe, nullptr);
-        char name[256];
-        while (std::fgets(name, sizeof name, pipe) != nullptr) {
-            std::string file(name);
-            while (!file.empty() &&
-                   (file.back() == '\n' || file.back() == '\r'))
-                file.pop_back();
-            const WorkerReport r = parseWorkerStats(
-                readWholeFile(scratch.path + "/" + file));
-            compileBuilds +=
-                r.cache.compileMisses - r.cache.compileStoreHits;
-            demBuilds += r.cache.demMisses - r.cache.demStoreHits;
-            ++statsFiles;
-        }
-        ::pclose(pipe);
+    for (const CacheStats& c : sources) {
+        compileBuilds += c.compileMisses - c.compileStoreHits;
+        demBuilds += c.demMisses - c.demStoreHits;
     }
-    EXPECT_EQ(statsFiles, 3u) << "coordinator + two workers";
+    EXPECT_EQ(sources.size(), 3u) << "coordinator + two workers";
     EXPECT_EQ(compileBuilds, 1u)
         << "one distinct architecture compile fleet-wide";
     EXPECT_EQ(demBuilds, 2u) << "one DEM per p fleet-wide";
@@ -1090,16 +1073,18 @@ bp = minsum
 
 TEST(DistributedCampaign, WorkerHealthFilesClassifyTheFleet)
 {
-    // Health files are CRC'd key=value records. At the end of a run a
-    // done file counts as healthy, a degraded one as degraded, and a
-    // healthy-looking one that stopped updating, or one that fails its
-    // checksum, as lost.
+    // Worker records are CRC'd key=value records. At the end of a run
+    // a done record counts as healthy, a degraded one as degraded, and
+    // a healthy-looking one that stopped updating, or one that fails
+    // its checksum, as lost.
     ScratchDir scratch("spool-health");
     ASSERT_EQ(::mkdir(scratch.path.c_str(), 0777), 0);
     ASSERT_EQ(::mkdir((scratch.path + "/workers").c_str(), 0777), 0);
-    auto health = [](const std::string& state) {
-        return withCrcLine("cyclone-worker-health v2\nhealth state=" +
-                           state + " retries=0 shards=1\n");
+    auto health = [](const char* state) {
+        WorkerReport r;
+        r.state = state;
+        r.shardsRun = 1;
+        return formatWorkerStats(r);
     };
     const std::string workers = scratch.path + "/workers/";
     writeFileAtomic(workers + "finished", health("done"));
@@ -1190,8 +1175,9 @@ TEST(DistributedCampaign, IdleWorkerPromotesOverDeadCoordinator)
     EXPECT_TRUE(spool.done())
         << "the promoted worker must have finished the campaign";
     const WorkerReport stats =
-        parseWorkerStats(spool.readFile("stats-promoter.txt"));
+        parseWorkerStats(spool.readFile("workers/promoter"));
     EXPECT_EQ(stats.promotions, 1u);
+    EXPECT_EQ(stats.state, "done");
     EXPECT_TRUE(spool.exists("result.json"));
 
     // A post-hoc takeover of the finished spool restores everything
@@ -1204,6 +1190,87 @@ TEST(DistributedCampaign, IdleWorkerPromotesOverDeadCoordinator)
         runDistributedCampaign(spec, kSpoolSpec);
     expectTasksIdentical(reference, merged);
     EXPECT_EQ(merged.spool.journalRestores, reference.tasks.size());
+}
+
+TEST(DistributedCampaign, TakeoverRepublishesARetiredShard)
+{
+    // A self-executing coordinator retires the claim of an open shard
+    // whose task already finished. If that task failed, it is not
+    // journaled, so a takeover runs it again and must be able to
+    // publish the retired shard anew: a shard with no record is never
+    // complete. One wave of four one-chunk shards; the second was
+    // retired before the takeover starts.
+    const char* spec_text = R"(name = spool-retired
+seed = 17
+
+[task]
+id = retired
+code = surface3
+arch = none
+p = 0.05
+chunk_shots = 50
+chunks_per_wave = 4
+max_shots = 200
+bp = minsum
+)";
+    CampaignSpec reference_spec = parseCampaignSpec(spec_text);
+    reference_spec.threads = 2;
+    const CampaignResult reference = runCampaign(reference_spec);
+    ASSERT_TRUE(reference.tasks[0].error.empty()) << reference.tasks[0].error;
+
+    ScratchDir scratch("spool-retired");
+    CampaignSpec spec = parseCampaignSpec(spec_text);
+    spec.spool = scratch.path;
+    SpoolManifest m;
+    m.name = spec.name;
+    m.seed = spec.seed;
+    m.leaseSeconds = spec.leaseSeconds;
+    Spool spool(scratch.path);
+    spool.initialize(m, spec_text);
+    ShardDescriptor d;
+    d.task = 0;
+    d.shard = 1;
+    d.numChunks = 1;
+    const std::string id = shardId(0, 1);
+    ASSERT_TRUE(spool.publishShard(d));
+    ShardDescriptor got;
+    ASSERT_TRUE(spool.claimShard(id, got));
+    ASSERT_TRUE(spool.retireClaim(id));
+
+    // In a child under an alarm, so a takeover that waits forever on
+    // the retired shard fails this test instead of hanging the suite.
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::alarm(60);
+        CoordinatorOptions copts;
+        copts.selfExecute = true;
+        copts.threads = 2;
+        copts.owner = "takeover";
+        int rc = 0;
+        try {
+            runDistributedCampaign(spec, spec_text, nullptr, nullptr,
+                                   copts);
+        } catch (...) {
+            rc = 3;
+        }
+        ::_exit(rc);
+    }
+    ASSERT_GT(pid, 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "the takeover hung on the retired "
+                                      "shard until the alarm fired";
+    ASSERT_EQ(WEXITSTATUS(status), 0);
+    for (size_t shard = 0; shard < 4; ++shard)
+        EXPECT_TRUE(spool.hasRecord(shardId(0, shard))) << shard;
+
+    // The child's journal holds the task it finalized: restore it and
+    // compare with the in-process run.
+    std::string cmd = "rm -f '" + scratch.path + "/DONE'";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    const CampaignResult merged = runDistributedCampaign(spec, spec_text);
+    expectTasksIdentical(reference, merged);
+    EXPECT_EQ(merged.spool.journalRestores, 1u);
 }
 
 } // namespace

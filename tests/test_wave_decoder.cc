@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -403,13 +404,12 @@ TEST(WaveDecoder, DecodeBatchBitIdenticalOnEveryRung)
     }
 }
 
-TEST(WaveDecoder, DescendingDetectorListsUseExactGatherFallback)
+TEST(WaveDecoder, DescendingDetectorListsDecodeLikeTheirAscendingTwin)
 {
-    // Mechanisms listing their detectors in descending order defeat
-    // the scatter form of the wave posterior pass (the streaming
-    // order would no longer match the scalar gather order); the graph
-    // must flag it and the wave decoder must stay bit-exact through
-    // the gather fallback.
+    // BpGraph lays out each variable's edges in ascending check
+    // order, so a mechanism listing its detectors in descending order
+    // decodes exactly like its ascending twin — on the scalar core and
+    // on every rung — and the wave scatter pass stays bit-exact.
     DetectorErrorModel dem;
     dem.numDetectors = 6;
     dem.numObservables = 1;
@@ -421,15 +421,50 @@ TEST(WaveDecoder, DescendingDetectorListsUseExactGatherFallback)
         m.observables = i == 0 ? 1 : 0;
         dem.mechanisms.push_back(std::move(m));
     }
-    auto graph = std::make_shared<const BpGraph>(dem);
-    EXPECT_FALSE(graph->varEdgesAscendByCheck);
-    EXPECT_TRUE(
-        std::make_shared<const BpGraph>(repetitionDem(5, 0.1))
-            ->varEdgesAscendByCheck);
+    DetectorErrorModel twin = dem;
+    for (DemMechanism& m : twin.mechanisms)
+        std::sort(m.detectors.begin(), m.detectors.end());
 
     expectEveryRungMatchesScalar(dem, BpOptions{},
                                  sampledSyndromes(dem, 40, 0x51),
                                  "descending");
+
+    const size_t shots = 200;
+    Rng scalar_rng(0x52);
+    DemShots scalar_shots;
+    sampleDemInto(dem, shots, scalar_rng, scalar_shots);
+    Rng batch_rng(0x52);
+    ShotBatch batch;
+    sampleDemBatch(dem, shots, batch_rng, batch);
+    for (const auto variant : {BpOptions::Variant::MinSum,
+                               BpOptions::Variant::ProductSum}) {
+        BpOptions bp;
+        bp.variant = variant;
+        BpOsdStats desc_stats;
+        BpOsdStats twin_stats;
+        EXPECT_EQ(scalarPredictions(dem, scalar_shots, bp, &desc_stats),
+                  scalarPredictions(twin, scalar_shots, bp, &twin_stats))
+            << "scalar core";
+        EXPECT_EQ(deterministicMismatch(desc_stats, twin_stats), "")
+            << "scalar core";
+
+        for (const DecoderBackend* b : decoderBackendRegistry()) {
+            if (!b->supported())
+                continue;
+            EnvGuard guard(kWaveBackendEnv, b->name);
+            BpOsdDecoder desc_decoder(dem, bp);
+            BpOsdDecoder twin_decoder(twin, bp);
+            std::vector<uint64_t> desc_got;
+            std::vector<uint64_t> twin_got;
+            desc_decoder.decodeBatch(batch, desc_got);
+            twin_decoder.decodeBatch(batch, twin_got);
+            EXPECT_EQ(desc_got, twin_got) << b->name;
+            EXPECT_EQ(deterministicMismatch(desc_decoder.stats(),
+                                            twin_decoder.stats()),
+                      "")
+                << b->name;
+        }
+    }
 }
 
 TEST(WaveDecoder, MemoInterplayReplaysWaveOutcomes)
