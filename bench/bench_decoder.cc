@@ -34,10 +34,12 @@
  * latency, idle noise; default_over_minsum): the decoder users get by
  * default against the one the other rows measure.
  *
- * The OSD stage is also timed alone, scalar reference against the
- * batched stage, on bb72 at p = 1e-3 and on the DEM a campaign builds
- * for hgp225 under Cyclone at p = 1e-3, where nearly every shot
- * reaches OSD (in-binary ratio hgp225_osd_batch_over_scalar).
+ * The OSD stage is also timed alone, the scalar reference decode()
+ * against the fast path solve() the wave pipeline runs (the "batch"
+ * rows, named for that pipeline), on bb72 at p = 1e-3 and on the DEM
+ * a campaign builds for hgp225 under Cyclone at p = 1e-3, where
+ * nearly every shot reaches OSD (in-binary ratio
+ * hgp225_osd_batch_over_scalar).
  */
 
 #include <array>
@@ -224,8 +226,7 @@ void
 decodeChunks(benchmark::State& state, const DetectorErrorModel& dem,
              BpOsdDecoder& decoder, uint64_t seed)
 {
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
+    std::vector<ShotBatch> batches;
     uint64_t chunk = 0;
     for (auto _ : state) {
         ChunkPlan plan;
@@ -233,7 +234,7 @@ decodeChunks(benchmark::State& state, const DetectorErrorModel& dem,
         plan.shots = kChunkShots;
         plan.seed = chunkSeed(seed, chunk++);
         const ChunkOutcome outcome =
-            runChunk(dem, plan, decoder, batch, predicted);
+            runChunkGroup(dem, &plan, 1, decoder, batches);
         benchmark::DoNotOptimize(outcome.failures);
     }
     attachDecoderCounters(state, decoder.stats());
@@ -450,39 +451,25 @@ BM_OsdScalar(benchmark::State& state, const std::string& dem_name)
     state.counters["nonconv_frac"] = work.nonConvergedFrac;
 }
 
-/** The OSD stage alone, via solveBatch in 64-shot slabs — the same
- *  work the wave pipeline's batched OSD stage performs. */
+/** The OSD stage alone, via the fast path solve() shot by shot — the
+ *  same work the wave pipeline's OSD stage performs. */
 void
 BM_OsdBatch(benchmark::State& state, const std::string& dem_name)
 {
     const OsdWorkload& work = osdWorkload(dem_name);
     OsdDecoder osd(*work.dem);
-    OsdBatchResult result;
-    std::vector<OsdShotRequest> requests;
+    std::vector<uint32_t> flips;
     size_t solves = 0;
-    size_t groups = 0;
     for (auto _ : state) {
-        for (size_t base = 0; base < work.syndromes.size();
-             base += 64) {
-            const size_t count =
-                std::min<size_t>(64, work.syndromes.size() - base);
-            requests.resize(count);
-            for (size_t i = 0; i < count; ++i) {
-                requests[i].syndrome = &work.syndromes[base + i];
-                requests[i].posteriorLlr =
-                    work.posteriors[base + i].data();
-            }
-            osd.solveBatch(requests.data(), count, result);
-            groups += result.stats.groups;
+        for (size_t i = 0; i < work.syndromes.size(); ++i) {
+            benchmark::DoNotOptimize(
+                osd.solve(work.syndromes[i], work.posteriors[i], flips));
         }
         solves += work.syndromes.size();
     }
     state.counters["syndromes_per_sec"] = benchmark::Counter(
         static_cast<double>(solves), benchmark::Counter::kIsRate);
     state.counters["nonconv_frac"] = work.nonConvergedFrac;
-    state.counters["groups_per_solve"] = solves == 0
-        ? 0.0
-        : static_cast<double>(groups) / static_cast<double>(solves);
 }
 
 /** One registered row of the summary JSON. */
@@ -603,12 +590,10 @@ writeBenchJson(const CaptureReporter& reporter)
             std::snprintf(
                 buf, sizeof buf,
                 "    {\"name\": \"%s\", \"path\": \"%s\", \"p\": %g, "
-                "\"syndromes_per_sec\": %.6g, \"nonconv_frac\": %.6g, "
-                "\"groups_per_solve\": %.6g}",
+                "\"syndromes_per_sec\": %.6g, \"nonconv_frac\": %.6g}",
                 spec.name.c_str(), spec.path.c_str(), spec.p,
                 reporter.value(spec, "syndromes_per_sec"),
-                reporter.value(spec, "nonconv_frac"),
-                reporter.value(spec, "groups_per_solve"));
+                reporter.value(spec, "nonconv_frac"));
         } else {
             std::snprintf(
                 buf, sizeof buf,

@@ -30,9 +30,10 @@
  * Failover: `--coordinator-takeover --spool DIR` resumes a crashed
  * coordinator's campaign. The spec is read back from the spool
  * itself (no spec file needed), the stale coordinator lease is
- * waited out and stolen, finalized tasks are restored from the merge
- * journal, surviving records are re-merged, and any missing shards
- * are re-executed in-process (self-execute is implied). Workers may
+ * waited out (the manifest's lease, unless --lease is given) and
+ * stolen, finalized tasks are restored from the merge journal,
+ * surviving records are re-merged, and any missing shards are
+ * re-executed in-process (self-execute is implied). Workers may
  * keep running throughout; `--promote` makes a worker perform the
  * same takeover automatically when the coordinator dies.
  *
@@ -251,13 +252,17 @@ main(int argc, char** argv)
     try {
         if (takeover && spec_path.empty()) {
             // Take over with nothing but the spool: the dead
-            // coordinator published the verbatim spec text there.
+            // coordinator published the verbatim spec text there,
+            // and its manifest holds the lease it ran under, the one
+            // to wait out unless --lease says otherwise.
             Spool spool(spool_dir);
             if (!spool.initialized())
                 throw std::runtime_error(
                     "no initialized spool to take over at " +
                     spool_dir);
             spec_text = spool.readSpecText();
+            if (!lease_override)
+                lease_override = spool.readManifest().leaseSeconds;
         } else {
             spec_text = spec_path.empty() ? kDemoSpec
                                           : readWholeFile(spec_path);

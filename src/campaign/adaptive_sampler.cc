@@ -31,27 +31,10 @@ planChunk(const StoppingRule& rule, uint64_t taskSeed, size_t index)
     return plan;
 }
 
-ChunkOutcome
-runChunk(const DetectorErrorModel& dem, const ChunkPlan& plan,
-         BpOsdDecoder& decoder, ShotBatch& batch,
-         std::vector<uint64_t>& predicted)
-{
-    Rng rng(plan.seed);
-    sampleDemBatch(dem, plan.shots, rng, batch);
-    decoder.decodeBatch(batch, predicted);
-    ChunkOutcome outcome;
-    outcome.shots = plan.shots;
-    for (size_t s = 0; s < plan.shots; ++s) {
-        if (predicted[s] != batch.observables[s])
-            ++outcome.failures;
-    }
-    return outcome;
-}
-
 namespace {
 
 /** Sample chunk k of plans[0..count) into batches[k] from its own RNG
- *  stream, exactly as runChunk would. */
+ *  stream. */
 void
 sampleChunks(const DetectorErrorModel& dem, const ChunkPlan* plans,
              size_t count, std::vector<ShotBatch>& batches)

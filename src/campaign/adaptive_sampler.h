@@ -44,30 +44,18 @@ struct ChunkOutcome
 };
 
 /**
- * Sample and decode one chunk through the packed batch pipeline.
- *
- * The chunk's RNG stream is consumed by sampleDemBatch in the same
- * order the scalar sampler would, and decodeBatch predicts exactly
- * what per-shot decoding would, so chunk counts are a deterministic
- * function of the chunk seed alone. `batch` and `predicted` are
- * reusable per-worker buffers; `decoder` carries per-worker BP/OSD
- * state and accumulates its own statistics across chunks.
- */
-ChunkOutcome runChunk(const DetectorErrorModel& dem, const ChunkPlan& plan,
-                      BpOsdDecoder& decoder, ShotBatch& batch,
-                      std::vector<uint64_t>& predicted);
-
-/**
- * Sample `count` chunks and decode them as one staged group: every
- * chunk is sampled from its own RNG stream exactly as runChunk would,
- * but their syndromes pool through the decoder's staged interface
+ * Sample `count` chunks, each from its own RNG stream in the order
+ * the scalar sampler consumes it, and decode them as one staged
+ * group: their syndromes pool through the decoder's staged interface
  * (beginStaged / stageBatch / flushStaged) so the wave kernel sees
- * full lane groups and the batched OSD full slabs even when single
- * chunks are small. Predictions — and therefore the summed counts —
- * are bit-identical to running the chunks one by one; only decoder
- * grouping statistics (memoHits, waveGroups, occupancy) reflect the
- * pooling. Callers must pass plans in ascending chunk-index order for
- * those statistics to be schedule-independent. `batches` is a
+ * full lane groups even when single chunks are small. Predictions —
+ * and therefore the summed counts — are bit-identical to per-shot
+ * decoding, so they depend on the chunk seeds alone, however the
+ * chunks are grouped; only decoder grouping statistics (memoHits,
+ * waveGroups, occupancy) reflect the pooling. Callers must pass
+ * plans in ascending chunk-index order for those statistics to be
+ * schedule-independent. `decoder` carries per-worker BP/OSD state
+ * and accumulates its statistics across groups; `batches` is a
  * reusable per-worker buffer pool, grown to `count` entries.
  */
 ChunkOutcome runChunkGroup(const DetectorErrorModel& dem,
@@ -84,8 +72,8 @@ ChunkOutcome runChunkGroup(const DetectorErrorModel& dem,
  * slab multiplexes ready windows from every stream in a fixed,
  * thread-count-independent order. Because a distinct syndrome's
  * decode is a pure function of that syndrome, the predictions — and
- * therefore the returned counts — are bit-identical to runChunkGroup
- * and runChunk; only grouping statistics and the streaming latency
+ * therefore the returned counts — are bit-identical to
+ * runChunkGroup; only grouping statistics and the streaming latency
  * stats differ. `stream` must wrap a decoder built on `dem`; its
  * committed() buffer is consumed and cleared.
  */

@@ -109,12 +109,12 @@ using ThreadContexts = std::vector<std::unique_ptr<DecodeContext>>;
  * is reused while the thread stays on `task`; when the thread takes
  * up another task, the old context is freed before the new one is
  * built, so a thread never holds two. Nothing a context carries
- * outlives a group (the memo, the OSD slabs, the counters taken here,
- * the streaming windows finish() drains), so a rebuilt context
- * decodes exactly as a reused one. Returns the group's completion:
- * its outcome, the seconds it took, the decoder and streaming
- * counters it added, and what it threw. Both executors run every
- * staging group through here.
+ * outlives a group (the memo, the counters taken here, the streaming
+ * windows finish() drains), so a rebuilt context decodes exactly as
+ * a reused one. Returns the group's completion: its outcome, the
+ * seconds it took, the decoder and streaming counters it added, and
+ * what it threw. Both executors run every staging group through
+ * here.
  */
 Completion runStagingGroup(size_t task, const ResolvedTask& rt,
                            ThreadContexts& contexts,

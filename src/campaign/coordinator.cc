@@ -631,6 +631,9 @@ runSpoolWorker(const WorkerOptions& opts)
                 contexts = ThreadContexts(pool.size());
                 CampaignSpec promoted = spec;
                 promoted.spool = opts.spool;
+                // The lease the dead coordinator ran under, not the
+                // spec text's (which may leave it at the default).
+                promoted.leaseSeconds = manifest.leaseSeconds;
                 CoordinatorOptions copts;
                 copts.selfExecute = true;
                 copts.threads = opts.threads;

@@ -120,7 +120,9 @@ struct WorkerOptions
      * claim, spool not DONE) and the coordinator lease has been
      * stale for a full lease period — i.e. the coordinator died.
      * The promoted worker re-parses the spec and finishes the
-     * campaign with selfExecute on.
+     * campaign with selfExecute on, under the manifest's lease (the
+     * one it has just waited out), whatever lease the spec text
+     * sets.
      */
     bool promote = false;
 };

@@ -59,7 +59,6 @@ BpOsdStats::fields()
         {"wave_lane_slots", &S::waveLaneSlots},
         {"wave_lanes_filled", &S::waveLanesFilled},
         {"osd_batch_groups", &S::osdBatchGroups},
-        {"osd_shared_pivots", &S::osdSharedPivots},
         {"staged_chunks", &S::stagedChunks},
         {"backend", &S::backend, MergeRule::First},
         {"trivial_fraction", &S::trivialFraction},
@@ -133,74 +132,6 @@ BpOsdDecoder::decodeCore(const BitVec& syndrome)
         outcome.observables = observablesOf(bp_.hardDecision());
     }
     return outcome;
-}
-
-void
-BpOsdDecoder::bufferWaveLaneForOsd(size_t lane, uint32_t memoIdx)
-{
-    // Posteriors and hard decisions are only readable until the next
-    // decodeWave call, so stage copies now; the OSD solve itself is
-    // deferred until a full slab (or the end of pass 2) so shots can
-    // share eliminations across wave groups.
-    const size_t num_vars = dem_.mechanisms.size();
-    if (osdPosteriors_.size() != kOsdFlushShots * num_vars)
-        osdPosteriors_.resize(kOsdFlushShots * num_vars);
-
-    PendingOsd pending;
-    pending.memoIdx = memoIdx;
-    pending.iterations = wave_->laneIterations(lane);
-    wave_->laneHardDecision(lane, hardScratch_);
-    pending.fallbackObservables = observablesOf(hardScratch_);
-
-    wave_->lanePosterior(lane, posteriorScratch_);
-    std::copy(posteriorScratch_.begin(), posteriorScratch_.end(),
-              osdPosteriors_.begin() +
-                  static_cast<std::ptrdiff_t>(osdPending_.size() *
-                                              num_vars));
-    osdPending_.push_back(pending);
-    if (osdPending_.size() == kOsdFlushShots)
-        flushOsdBatch();
-}
-
-void
-BpOsdDecoder::flushOsdBatch()
-{
-    if (osdPending_.empty())
-        return;
-    const size_t num_vars = dem_.mechanisms.size();
-    osdRequests_.resize(osdPending_.size());
-    for (size_t i = 0; i < osdPending_.size(); ++i) {
-        osdRequests_[i].syndrome =
-            &memoEntries_[osdPending_[i].memoIdx].syndrome;
-        osdRequests_[i].posteriorLlr =
-            osdPosteriors_.data() + i * num_vars;
-    }
-    osd_.solveBatch(osdRequests_.data(), osdRequests_.size(),
-                    osdResult_);
-    stats_.osdBatchGroups += osdResult_.stats.groups;
-    stats_.osdSharedPivots += osdResult_.stats.sharedPivots;
-
-    for (size_t i = 0; i < osdPending_.size(); ++i) {
-        const PendingOsd& pending = osdPending_[i];
-        DecodeOutcome outcome;
-        outcome.converged = false;
-        outcome.iterations = pending.iterations;
-        if (osdResult_.ok[i]) {
-            // XOR of the flipped mechanisms' observables — the same
-            // set of mechanisms the scalar errors vector marks, so
-            // the XOR (order-insensitive) is identical.
-            uint64_t obs = 0;
-            for (size_t f = osdResult_.flipOffsets[i];
-                 f < osdResult_.flipOffsets[i + 1]; ++f)
-                obs ^= dem_.mechanisms[osdResult_.flips[f]].observables;
-            outcome.observables = obs;
-        } else {
-            outcome.osdFailed = true;
-            outcome.observables = pending.fallbackObservables;
-        }
-        memoEntries_[pending.memoIdx].outcome = outcome;
-    }
-    osdPending_.clear();
 }
 
 void
@@ -355,7 +286,6 @@ BpOsdDecoder::flushStaged()
 
     const size_t L = waveLaneWidth();
     const BitVec* lanes[64];
-    osdPending_.clear();
     for (size_t group = 0; group < laneOrder_.size(); group += L) {
         const size_t count = std::min(L, laneOrder_.size() - group);
         for (size_t i = 0; i < count; ++i)
@@ -365,22 +295,34 @@ BpOsdDecoder::flushStaged()
         stats_.waveLaneSlots += L;
         stats_.waveLanesFilled += count;
         for (size_t i = 0; i < count; ++i) {
-            const uint32_t memoIdx = laneOrder_[group + i];
-            if (!wave_->laneConverged(i)) {
-                // Defer OSD: stage this lane for the batched solve.
-                bufferWaveLaneForOsd(i, memoIdx);
-                continue;
+            MemoEntry& entry = memoEntries_[laneOrder_[group + i]];
+            DecodeOutcome& outcome = entry.outcome;
+            outcome.converged = wave_->laneConverged(i);
+            outcome.iterations = wave_->laneIterations(i);
+            if (!outcome.converged) {
+                // OSD on the lane's posterior, read before the next
+                // decodeWave overwrites it. The posterior and the
+                // solve equal the scalar core's for this syndrome.
+                ++stats_.osdBatchGroups;
+                wave_->lanePosterior(i, posteriorScratch_);
+                if (osd_.solve(entry.syndrome, posteriorScratch_,
+                               osdFlips_)) {
+                    uint64_t obs = 0;
+                    for (uint32_t v : osdFlips_)
+                        obs ^= dem_.mechanisms[v].observables;
+                    outcome.observables = obs;
+                    continue;
+                }
+                // Syndrome outside the DEM column span; keep the BP
+                // guess.
+                outcome.osdFailed = true;
             }
             // The lane's hard decision is bit-identical to the scalar
             // core's for this syndrome.
-            DecodeOutcome& outcome = memoEntries_[memoIdx].outcome;
-            outcome.converged = true;
-            outcome.iterations = wave_->laneIterations(i);
             wave_->laneHardDecision(i, hardScratch_);
             outcome.observables = observablesOf(hardScratch_);
         }
     }
-    flushOsdBatch();
 
     // Pass 3: replay each outcome — and its statistics — onto every
     // shot that carried the syndrome, so the aggregate counters stay

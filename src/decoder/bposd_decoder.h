@@ -17,26 +17,24 @@
  * lane-parallel wave kernel (bp_wave_decoder.h) of whichever
  * SIMD-ladder rung runtime dispatch selected (decoder_backend.h; the
  * generic rung runs on every host), whose per-lane posteriors seed
- * OSD exactly as the scalar core would — with non-converged lanes
- * collected across wave groups and solved by the batched OSD stage
- * (OsdDecoder::solveBatch) in slabs of up to 64 shots. decode() runs
- * the scalar core alone, one shot at a time: the per-shot oracle the
- * identity tests compare the pipeline against.
+ * OSD exactly as the scalar core would: each non-converged lane is
+ * solved right after its wave by OsdDecoder::solve, the fast OSD
+ * path. decode() runs the scalar core alone, one shot at a time: the
+ * per-shot oracle the identity tests compare the pipeline against.
  *
  * decodeBatch() is itself a thin wrapper over the staged interface
  * (beginStaged / stageBatch / flushStaged), which lets a campaign
  * worker pool the non-trivial distinct syndromes of several
- * adaptive-sampler chunks before decoding: small tail chunks stop
- * collapsing lane occupancy, and the batched OSD keeps receiving full
- * slabs. Staging is safe because the decode of a distinct syndrome is
- * a pure function of that syndrome — regrouping lanes can change
- * neither any outcome nor any per-shot statistic — and deterministic
- * because callers stage chunks in plan (chunk-index) order, never in
- * completion order. Every fast path reproduces what per-shot decoding
- * would return bit-for-bit (BP is deterministic per syndrome, lanes
- * never interact, the batched OSD equals the scalar OSD exactly), so
- * batch, staged and per-shot decoding are bit-identical on every
- * rung.
+ * adaptive-sampler chunks before decoding, so small tail chunks stop
+ * collapsing lane occupancy. Staging is safe because the decode of a
+ * distinct syndrome is a pure function of that syndrome — regrouping
+ * lanes can change neither any outcome nor any per-shot statistic —
+ * and deterministic because callers stage chunks in plan
+ * (chunk-index) order, never in completion order. Every fast path
+ * reproduces what per-shot decoding would return bit-for-bit (BP is
+ * deterministic per syndrome, lanes never interact, the fast OSD path
+ * equals the scalar OSD exactly), so batch, staged and per-shot
+ * decoding are bit-identical on every rung.
  */
 
 #ifndef CYCLONE_DECODER_BPOSD_DECODER_H
@@ -91,15 +89,14 @@ struct BpOsdStats
     size_t waveLanesFilled = 0;
 
     /**
-     * Shared GF(2) eliminations performed by the batched OSD stage
-     * (one per reliability-ordering group). Structural like
-     * waveGroups — counts work done, not per-shot outcomes, so memo
-     * replays do not scale it.
+     * OSD eliminations of the batched path: one per non-converged
+     * distinct syndrome. Structural like waveGroups — counts work
+     * done, not per-shot outcomes, so memo replays do not scale it.
      */
     size_t osdBatchGroups = 0;
 
-    /** Pivot slots replayed from a group leader's elimination by
-     *  shots that shared its ordering prefix (rank x grouped shots). */
+    /** Always 0, and not in fields(): only the benchmark still reads
+     *  it. Drop it at the next benchmark change. */
     size_t osdSharedPivots = 0;
 
     /** Batches that joined a staged pool already holding at least one
@@ -176,9 +173,10 @@ class BpOsdDecoder
 
     /**
      * Decode every staged distinct syndrome (full L-wide weight-
-     * sorted wave groups over the whole pool, batched OSD in 64-shot
-     * slabs) and replay outcomes onto every staged shot. Results are
-     * then readable via stagedPredictions()/stagedBatchOffset().
+     * sorted wave groups over the whole pool, OSD on each
+     * non-converged lane right after its wave) and replay outcomes
+     * onto every staged shot. Results are then readable via
+     * stagedPredictions()/stagedBatchOffset().
      */
     void flushStaged();
 
@@ -228,19 +226,7 @@ class BpOsdDecoder
         std::vector<uint32_t> shots; ///< Staged shot ids (pool-flat).
     };
 
-    /** One non-converged wave lane waiting for the batched OSD. */
-    struct PendingOsd
-    {
-        uint32_t memoIdx = 0;
-        uint32_t iterations = 0;
-        /** Observables of the BP hard decision, the fallback used
-         *  when the syndrome is outside the DEM column span. */
-        uint64_t fallbackObservables = 0;
-    };
-
     DecodeOutcome decodeCore(const BitVec& syndrome);
-    void bufferWaveLaneForOsd(size_t lane, uint32_t memoIdx);
-    void flushOsdBatch();
     void applyOutcomeStats(const DecodeOutcome& outcome);
     uint64_t observablesOf(const BitVec& errors) const;
     uint64_t observablesOf(const std::vector<uint8_t>& errors) const;
@@ -257,6 +243,7 @@ class BpOsdDecoder
     BpOsdStats stats_;
     std::vector<uint8_t> errorScratch_;
     std::vector<float> posteriorScratch_;
+    std::vector<uint32_t> osdFlips_;
     BitVec hardScratch_;
 
     // Staged-pool state, reused across groups.
@@ -269,16 +256,6 @@ class BpOsdDecoder
     std::vector<MemoEntry> memoEntries_;
     std::vector<uint32_t> laneOrder_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> memoIndex_;
-
-    // Batched-OSD staging: non-converged lanes accumulate across wave
-    // groups (posteriors copied — the wave state is overwritten by the
-    // next decodeWave) and flush through OsdDecoder::solveBatch in
-    // slabs of up to 64 shots, one RHS word.
-    static constexpr size_t kOsdFlushShots = 64;
-    std::vector<PendingOsd> osdPending_;
-    std::vector<float> osdPosteriors_; ///< kOsdFlushShots x numVars.
-    std::vector<OsdShotRequest> osdRequests_;
-    OsdBatchResult osdResult_;
 };
 
 } // namespace cyclone

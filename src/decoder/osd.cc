@@ -14,7 +14,7 @@ namespace {
 constexpr uint32_t kNoPivot = static_cast<uint32_t>(-1);
 
 /** Words per row of the dual-basis filter, 64 lanes each. On the
- *  campaign-built hgp225 DEM (1,296 detectors) the batched stage
+ *  campaign-built hgp225 DEM (1,296 detectors) the fast path
  *  solves ~220 shots/s with 8 words, ~150 with 4 (the filter switches
  *  on later) and ~175 with 16 (every test XORs twice the words). */
 constexpr size_t kDualWords = 8;
@@ -204,9 +204,9 @@ OsdDecoder::decode(const BitVec& syndrome,
 }
 
 // --------------------------------------------------------------------
-// Batched path.
+// Fast path.
 //
-// The batch core reproduces the scalar algorithm above exactly — the
+// solve() reproduces the scalar algorithm above exactly — the
 // pivot/reject choice is a pure function of the reliability
 // permutation, and the scoring loops below run in the scalar order —
 // while restructuring the work: the candidate order comes from a
@@ -214,9 +214,8 @@ OsdDecoder::decode(const BitVec& syndrome,
 // skipped (and rebuilt from a hit list for the rare pivot) once the
 // reject quota is full, the long dependent tail is filtered by a
 // bit-sliced dual (left-nullspace) basis at one row XOR per candidate
-// detector, candidates are prefetched ahead in the reliability order,
-// and groups of syndromes back-substitute together in bit-sliced
-// multi-RHS form.
+// detector, and candidates are prefetched ahead in the reliability
+// order.
 // --------------------------------------------------------------------
 
 void
@@ -225,79 +224,14 @@ OsdDecoder::sortReliability(const float* llr)
     // Sort (llr, index) ascending on a monotonic bit transform of the
     // float key (llrSortKey): the uint64 (key << 32 | index) order is
     // exactly the (llr, index) comparator order of the scalar heap,
-    // and keys are unique (index embedded), so any exact sort of the
-    // keys yields bit-for-bit the scalar heap's pop order.
-    //
-    // The first call per decoder/batch radix-sorts everything. Later
-    // calls exploit that consecutive shots' posteriors agree on most
-    // mechanisms: diff the transformed keys against keyOfVar_ and,
-    // when few moved, sort just the changed entries and merge them
-    // into the previous order — dropping each changed var's stale
-    // entry on the way. A -0.0 <-> +0.0 flip transforms to the same
-    // key and is correctly treated as unchanged.
+    // and keys are unique (index embedded), so the sorted keys give
+    // bit for bit the scalar heap's pop order.
     const size_t n = dem_.mechanisms.size();
-    if (!sortedValid_ || keyOfVar_.size() != n) {
-        keyOfVar_.resize(n);
-        orderKeys_.resize(n);
-        orderAlt_.resize(n);
-        for (uint32_t v = 0; v < n; ++v) {
-            const uint32_t key = llrSortKey(llr[v]);
-            keyOfVar_[v] = key;
-            orderKeys_[v] = (uint64_t(key) << 32) | v;
-        }
-        radixSortKeys();
-        sortedValid_ = true;
-        return;
-    }
+    orderKeys_.resize(n);
+    orderAlt_.resize(n);
+    for (uint32_t v = 0; v < n; ++v)
+        orderKeys_[v] = (uint64_t(llrSortKey(llr[v])) << 32) | v;
 
-    changedKeys_.clear();
-    for (uint32_t v = 0; v < n; ++v) {
-        const uint32_t key = llrSortKey(llr[v]);
-        if (key != keyOfVar_[v]) {
-            keyOfVar_[v] = key;
-            changedKeys_.push_back((uint64_t(key) << 32) | v);
-        }
-    }
-    if (changedKeys_.empty())
-        return;
-    if (changedKeys_.size() > n / 2) {
-        // Majority moved: a fresh radix sort beats the merge.
-        for (uint32_t v = 0; v < n; ++v)
-            orderKeys_[v] = (uint64_t(keyOfVar_[v]) << 32) | v;
-        radixSortKeys();
-        return;
-    }
-
-    ++incrementalSorts_;
-    std::sort(changedKeys_.begin(), changedKeys_.end());
-    // One pass: merge the sorted changed entries with the previous
-    // order, skipping stale entries (an entry is stale iff its key no
-    // longer matches keyOfVar_ — only changed vars mismatch, and each
-    // contributes exactly one fresh entry from changedKeys_).
-    const uint64_t* changed = changedKeys_.data();
-    const size_t numChanged = changedKeys_.size();
-    size_t ci = 0;
-    size_t outIdx = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const uint64_t e = orderKeys_[i];
-        const uint32_t v = static_cast<uint32_t>(e & 0xffffffffu);
-        if (static_cast<uint32_t>(e >> 32) != keyOfVar_[v])
-            continue; // Stale entry of a changed var.
-        while (ci < numChanged && changed[ci] < e)
-            orderAlt_[outIdx++] = changed[ci++];
-        orderAlt_[outIdx++] = e;
-    }
-    while (ci < numChanged)
-        orderAlt_[outIdx++] = changed[ci++];
-    CYCLONE_ASSERT(outIdx == n, "incremental sort lost entries: "
-                   << outIdx << " vs " << n);
-    orderKeys_.swap(orderAlt_);
-}
-
-void
-OsdDecoder::radixSortKeys()
-{
-    const size_t n = orderKeys_.size();
     // Three stable LSD passes over the 32 key bits: 11 + 11 + 10.
     static constexpr int kShift[3] = {32, 43, 54};
     static constexpr uint32_t kMask[3] = {2047, 2047, 1023};
@@ -324,9 +258,8 @@ OsdDecoder::radixSortKeys()
         }
         std::swap(src, dst);
     }
-    // Three passes land the sorted order back in orderKeys_' buffer
-    // only if it started in orderAlt_; after the final swap `src`
-    // points at the sorted data.
+    // After the final swap `src` points at the sorted data; three
+    // passes leave it in orderAlt_'s buffer.
     if (src != orderKeys_.data())
         orderKeys_.swap(orderAlt_);
 }
@@ -386,14 +319,13 @@ OsdDecoder::runElimination(const float* llr)
     // columns and augmentations stay in separate arrays so the
     // column-only reduction mode below keeps its working set at
     // max_pivots x words_ — small enough to stay cache-resident,
-    // which is where the batch core's elimination speedup comes from.
+    // which is where the fast path's elimination speedup comes from.
     pivotCols_.resize(max_pivots * words_);
     pivotAugs_.resize(max_pivots * aug_words);
     pivotVar_.clear();
     pivotByRow_.assign(dem_.numDetectors, kNoPivot);
     rejectVar_.clear();
     rejectAugs_.resize(order_ * aug_words);
-    inspected_.clear();
     colScratch_.resize(words_);
     augScratch_.resize(aug_words);
 
@@ -417,7 +349,6 @@ OsdDecoder::runElimination(const float* llr)
         if (idx + 8 < num_vars)
             __builtin_prefetch(mechs[var_at(idx + 8)].detectors.data());
         const uint32_t v_idx = var_at(idx);
-        inspected_.push_back(v_idx);
 
         const bool track_aug = rejectVar_.size() < order_;
 
@@ -530,44 +461,6 @@ OsdDecoder::runElimination(const float* llr)
         rank_ = pivotVar_.size();
         rankKnown_ = true;
     }
-
-    // Stamp the inspected set for the ordering-prefix membership test.
-    inspectedStamp_.resize(num_vars, 0);
-    ++stampEpoch_;
-    for (uint32_t v : inspected_)
-        inspectedStamp_[v] = stampEpoch_;
-}
-
-bool
-OsdDecoder::matchesOrdering(const float* llr)
-{
-    // A shot shares the leader's elimination iff the leader's
-    // inspected sequence is exactly this shot's sorted reliability
-    // prefix: (a) the sequence ascends under this shot's keys, and
-    // (b) every uninspected column keys after the sequence's last
-    // element. Both checks are exact — keys are (LLR, index) pairs,
-    // so ties resolve identically to the scalar heap.
-    const size_t k = inspected_.size();
-    if (k == 0)
-        return true;
-    std::pair<float, uint32_t> prev{llr[inspected_[0]], inspected_[0]};
-    for (size_t i = 1; i < k; ++i) {
-        const std::pair<float, uint32_t> cur{llr[inspected_[i]],
-                                             inspected_[i]};
-        if (!(prev < cur))
-            return false;
-        prev = cur;
-    }
-    const size_t num_vars = dem_.mechanisms.size();
-    if (k == num_vars)
-        return true;
-    for (uint32_t v = 0; v < num_vars; ++v) {
-        if (inspectedStamp_[v] == stampEpoch_)
-            continue;
-        if (!(prev < std::pair<float, uint32_t>{llr[v], v}))
-            return false;
-    }
-    return true;
 }
 
 double
@@ -585,24 +478,50 @@ OsdDecoder::scoreAug(const uint64_t* aug, const float* llr,
     return total;
 }
 
-void
-OsdDecoder::scoreAndEmitShot(uint32_t shot, const float* llr,
-                             OsdBatchResult& out)
+bool
+OsdDecoder::solve(const BitVec& syndrome,
+                  const std::vector<float>& posterior_llr,
+                  std::vector<uint32_t>& flips)
 {
-    // Scoring and the order-lambda sweep over shotAug_, identical to
-    // the scalar tail: same float-to-double accumulation order, same
-    // strict-less tie rule, same slot-ascending flip emission.
-    const size_t aug_words = augWords();
-    const size_t flip_stride = dem_.numDetectors + 1;
-    sweepAug_.resize(std::max<size_t>(aug_words, 1));
+    CYCLONE_ASSERT(posterior_llr.size() == dem_.mechanisms.size(),
+                   "posterior length mismatch");
+    CYCLONE_ASSERT(syndrome.size() == dem_.numDetectors,
+                   "syndrome length mismatch");
+    flips.clear();
+    const float* llr = posterior_llr.data();
+    runElimination(llr);
 
-    double best_score = scoreAug(shotAug_.data(), llr, 0.0);
-    candidateAug_.assign(shotAug_.begin(), shotAug_.end());
+    // Reduce the syndrome through the pivot basis. Rows visited
+    // strictly ascend, so each rescan starts at the last cleared word.
+    const size_t aug_words = augWords();
+    residual_.assign(std::max<size_t>(words_, 1), 0);
+    const std::vector<uint64_t>& sw = syndrome.words();
+    std::copy(sw.begin(), sw.end(), residual_.begin());
+    baseAug_.assign(std::max<size_t>(aug_words, 1), 0);
+    int row = gf2::firstSetBit(residual_.data(), words_);
+    while (row >= 0) {
+        const uint32_t p = pivotByRow_[static_cast<size_t>(row)];
+        if (p == kNoPivot)
+            return false; // Syndrome outside the column span.
+        gf2::xorWords(residual_.data(), pivotCols_.data() + p * words_,
+                      words_);
+        gf2::xorWords(baseAug_.data(), pivotAugs_.data() + p * aug_words,
+                      aug_words);
+        row = gf2::firstSetBit(residual_.data(), words_,
+                               static_cast<size_t>(row) >> 6);
+    }
+
+    // Scoring and the order-lambda sweep, identical to the scalar
+    // tail: same float-to-double accumulation order, same strict-less
+    // tie rule, same slot-ascending flip emission.
+    sweepAug_.resize(baseAug_.size());
+    double best_score = scoreAug(baseAug_.data(), llr, 0.0);
+    candidateAug_.assign(baseAug_.begin(), baseAug_.end());
     uint32_t best_extra = kNoPivot;
     for (size_t r = 0; r < rejectVar_.size(); ++r) {
         const uint64_t* reject_aug = rejectAugs_.data() + r * aug_words;
         for (size_t w = 0; w < aug_words; ++w)
-            sweepAug_[w] = shotAug_[w] ^ reject_aug[w];
+            sweepAug_[w] = baseAug_[w] ^ reject_aug[w];
         const double sc =
             scoreAug(sweepAug_.data(), llr, llr[rejectVar_[r]]);
         if (sc < best_score) {
@@ -612,210 +531,13 @@ OsdDecoder::scoreAndEmitShot(uint32_t shot, const float* llr,
         }
     }
 
-    uint32_t* flips = flipScratch_.data() + shot * flip_stride;
-    uint32_t n_flips = 0;
     for (size_t slot = 0; slot < pivotVar_.size(); ++slot) {
         if ((candidateAug_[slot >> 6] >> (slot & 63)) & 1)
-            flips[n_flips++] = pivotVar_[slot];
+            flips.push_back(pivotVar_[slot]);
     }
     if (best_extra != kNoPivot)
-        flips[n_flips++] = best_extra;
-    flipCount_[shot] = n_flips;
-    out.ok[shot] = 1;
-}
-
-void
-OsdDecoder::solveGroup(const OsdShotRequest* shots,
-                       const uint32_t* members, size_t memberCount,
-                       OsdBatchResult& out)
-{
-    const size_t aug_words = augWords();
-    const size_t num_rows = dem_.numDetectors;
-
-    // Small groups back-substitute shot by shot with word XORs — the
-    // bit-sliced sweep below walks every set bit of every touched
-    // pivot column individually, which only amortizes once enough
-    // shots share each visit.
-    if (memberCount < 8) {
-        shotAug_.assign(std::max<size_t>(aug_words, 1), 0);
-        for (size_t i = 0; i < memberCount; ++i) {
-            const uint32_t shot = members[i];
-            const BitVec& syndrome = *shots[shot].syndrome;
-            residual_.assign(std::max<size_t>(words_, 1), 0);
-            const std::vector<uint64_t>& sw = syndrome.words();
-            std::copy(sw.begin(), sw.end(), residual_.begin());
-            std::fill(shotAug_.begin(), shotAug_.end(), 0);
-            bool ok = true;
-            int row = gf2::firstSetBit(residual_.data(), words_);
-            while (row >= 0) {
-                const uint32_t p =
-                    pivotByRow_[static_cast<size_t>(row)];
-                if (p == kNoPivot) {
-                    ok = false; // Syndrome outside the column span.
-                    break;
-                }
-                gf2::xorWords(residual_.data(),
-                              pivotCols_.data() + p * words_, words_);
-                gf2::xorWords(shotAug_.data(),
-                              pivotAugs_.data() + p * aug_words,
-                              aug_words);
-                row = gf2::firstSetBit(residual_.data(), words_,
-                                       static_cast<size_t>(row) >> 6);
-            }
-            if (!ok) {
-                out.ok[shot] = 0;
-                flipCount_[shot] = 0;
-                continue;
-            }
-            scoreAndEmitShot(shot, shots[shot].posteriorLlr, out);
-        }
-        return;
-    }
-
-    for (size_t chunk = 0; chunk < memberCount; chunk += 64) {
-        const size_t cn = std::min<size_t>(64, memberCount - chunk);
-
-        // Transpose the chunk's syndromes into row-major bit-sliced
-        // form: word r carries bit s for shot s of this chunk.
-        rhsRows_.assign(num_rows, 0);
-        for (size_t s = 0; s < cn; ++s) {
-            const BitVec& syndrome =
-                *shots[members[chunk + s]].syndrome;
-            const std::vector<uint64_t>& sw = syndrome.words();
-            for (size_t w = 0; w < sw.size(); ++w) {
-                uint64_t word = sw[w];
-                while (word != 0) {
-                    const size_t d = w * 64 +
-                        static_cast<size_t>(std::countr_zero(word));
-                    word &= word - 1;
-                    rhsRows_[d] |= uint64_t(1) << s;
-                }
-            }
-        }
-
-        // Bit-sliced multi-RHS reduction through the pivot basis.
-        // Rows ascend; a pivot's column leads at its own row, so the
-        // sweep performs, lane by lane, exactly the XOR sequence the
-        // scalar residual loop performs per shot. Lanes never
-        // interact: each XOR only flips the shots in `mask`.
-        rhsAug_.assign(pivotVar_.size(), 0);
-        uint64_t fail_mask = 0;
-        for (size_t r = 0; r < num_rows; ++r) {
-            const uint64_t mask = rhsRows_[r];
-            if (mask == 0)
-                continue;
-            const uint32_t p = pivotByRow_[r];
-            if (p == kNoPivot) {
-                // These shots' syndromes leave the column span here —
-                // the scalar path fails them at this same row. Later
-                // XORs on their lanes are discarded with the lane.
-                fail_mask |= mask;
-                continue;
-            }
-            const uint64_t* pivot_col = pivotCols_.data() + p * words_;
-            for (size_t w = 0; w < words_; ++w) {
-                uint64_t word = pivot_col[w];
-                while (word != 0) {
-                    const size_t r2 = w * 64 +
-                        static_cast<size_t>(std::countr_zero(word));
-                    word &= word - 1;
-                    rhsRows_[r2] ^= mask;
-                }
-            }
-            const uint64_t* pivot_aug =
-                pivotAugs_.data() + p * aug_words;
-            for (size_t w = 0; w < aug_words; ++w) {
-                uint64_t word = pivot_aug[w];
-                while (word != 0) {
-                    const size_t slot = w * 64 +
-                        static_cast<size_t>(std::countr_zero(word));
-                    word &= word - 1;
-                    rhsAug_[slot] ^= mask;
-                }
-            }
-        }
-
-        // Per-shot aug extraction, then the shared scoring tail.
-        shotAug_.assign(std::max<size_t>(aug_words, 1), 0);
-        for (size_t s = 0; s < cn; ++s) {
-            const uint32_t shot = members[chunk + s];
-            if ((fail_mask >> s) & 1) {
-                out.ok[shot] = 0;
-                flipCount_[shot] = 0;
-                continue;
-            }
-            std::fill(shotAug_.begin(), shotAug_.end(), 0);
-            for (size_t slot = 0; slot < pivotVar_.size(); ++slot) {
-                if ((rhsAug_[slot] >> s) & 1)
-                    shotAug_[slot >> 6] |= uint64_t(1) << (slot & 63);
-            }
-            scoreAndEmitShot(shot, shots[shot].posteriorLlr, out);
-        }
-    }
-}
-
-void
-OsdDecoder::solveBatch(const OsdShotRequest* shots, size_t count,
-                       OsdBatchResult& out)
-{
-    out.ok.assign(count, 0);
-    out.flips.clear();
-    out.flipOffsets.assign(count + 1, 0);
-    out.stats = {};
-    incrementalSorts_ = 0;
-    wideDualBases_ = 0;
-    if (count == 0)
-        return;
-
-    const size_t flip_stride = dem_.numDetectors + 1;
-    flipScratch_.resize(count * flip_stride);
-    flipCount_.assign(count, 0);
-    shotAssigned_.assign(count, 0);
-
-    // Leader/member grouping: the first unassigned shot runs a full
-    // elimination; every later unassigned shot whose reliability
-    // ordering shares the whole inspected prefix joins its group and
-    // skips elimination entirely.
-    for (size_t i = 0; i < count; ++i) {
-        if (shotAssigned_[i])
-            continue;
-        runElimination(shots[i].posteriorLlr);
-        groupMembers_.clear();
-        groupMembers_.push_back(static_cast<uint32_t>(i));
-        shotAssigned_[i] = 1;
-        for (size_t j = i + 1; j < count; ++j) {
-            if (shotAssigned_[j])
-                continue;
-            if (matchesOrdering(shots[j].posteriorLlr)) {
-                shotAssigned_[j] = 1;
-                groupMembers_.push_back(static_cast<uint32_t>(j));
-            }
-        }
-        ++out.stats.groups;
-        out.stats.groupedShots += groupMembers_.size() - 1;
-        out.stats.sharedPivots +=
-            pivotVar_.size() * (groupMembers_.size() - 1);
-        solveGroup(shots, groupMembers_.data(), groupMembers_.size(),
-                   out);
-    }
-    out.stats.incrementalSorts = incrementalSorts_;
-    out.stats.wideDualBases = wideDualBases_;
-
-    // Lay the staged per-shot flip lists out in shot order.
-    size_t total = 0;
-    for (size_t i = 0; i < count; ++i)
-        total += flipCount_[i];
-    out.flips.resize(total);
-    size_t offset = 0;
-    for (size_t i = 0; i < count; ++i) {
-        out.flipOffsets[i] = offset;
-        std::copy(flipScratch_.begin() + i * flip_stride,
-                  flipScratch_.begin() + i * flip_stride +
-                      flipCount_[i],
-                  out.flips.begin() + static_cast<std::ptrdiff_t>(offset));
-        offset += flipCount_[i];
-    }
-    out.flipOffsets[count] = offset;
+        flips.push_back(best_extra);
+    return true;
 }
 
 } // namespace cyclone

@@ -19,27 +19,20 @@
  *  - decode(): the original per-shot scalar path, kept as the
  *    reference implementation (and the fallback of the per-shot
  *    pipeline).
- *  - solveBatch(): the batched path of the wave pipeline. Shots whose
- *    reliability orderings share the full inspected column-permutation
- *    prefix are grouped behind one shared GF(2) elimination, and each
- *    group's syndromes are back-substituted together in bit-sliced
- *    multi-RHS form (up to 64 syndromes packed per machine word,
- *    mirroring ShotBatch's shot-per-bit layout). Group membership is
- *    opportunistic — distinct posteriors rarely match — so the batch
- *    core also carries a leaner elimination than the scalar path: a
- *    stable radix sort on the float bit pattern instead of a lazy
- *    heap, column-only reduction with a hit list once the reject
- *    quota is full, first-set-bit scan hints, software prefetch of the
- *    candidates a few positions ahead, and a bit-sliced dual
- *    (left-nullspace) basis of up to 512 lanes that filters the long
- *    dependent tail at one 8-word row XOR per candidate detector from
- *    the moment the quota is full and at most 512 rows remain
- *    uncovered. None of that changes any result:
+ *  - solve(): the fast path of the wave pipeline, which solves each
+ *    non-converged lane right after its wave. It runs a leaner
+ *    elimination than the scalar path: a stable radix sort on the
+ *    float bit pattern instead of a lazy heap, column-only reduction
+ *    with a hit list once the reject quota is full, first-set-bit
+ *    scan hints, software prefetch of the candidates a few positions
+ *    ahead, and a bit-sliced dual (left-nullspace) basis of up to 512
+ *    lanes that filters the long dependent tail at one 8-word row XOR
+ *    per candidate detector from the moment the quota is full and at
+ *    most 512 rows remain uncovered. None of that changes any result:
  *    the pivot/reject choice is a pure function of the reliability
  *    permutation (lowest LLR first, ties by index) and the scoring
- *    loops run in the scalar order, so solveBatch is bit-identical to
- *    per-shot decode() — the contract tests/test_decoder_fuzz.cc
- *    enforces.
+ *    loops run in the scalar order, so solve() is bit-identical to
+ *    decode() — the contract tests/test_decoder_fuzz.cc enforces.
  */
 
 #ifndef CYCLONE_DECODER_OSD_H
@@ -53,46 +46,6 @@
 #include "dem/dem.h"
 
 namespace cyclone {
-
-/** One non-converged shot handed to the batched OSD stage. */
-struct OsdShotRequest
-{
-    /** Detector outcomes (numDetectors bits). */
-    const BitVec* syndrome = nullptr;
-    /** Per-mechanism posterior LLRs from BP (numMechanisms floats). */
-    const float* posteriorLlr = nullptr;
-};
-
-/** Counters of one solveBatch call. */
-struct OsdBatchStats
-{
-    /** Shared eliminations performed (one per ordering group). */
-    size_t groups = 0;
-    /** Shots that rode a leader's elimination instead of their own. */
-    size_t groupedShots = 0;
-    /** Pivot slots replayed from a leader (rank x grouped shots). */
-    size_t sharedPivots = 0;
-    /** Reliability sorts served by the incremental re-rank path (a
-     *  changed-key merge into the previous shot's sorted order)
-     *  instead of a full radix sort. */
-    size_t incrementalSorts = 0;
-    /** Eliminations whose dual-basis filter switched on while more
-     *  than 64 rows were uncovered, i.e. with lanes past the first
-     *  word of each dual row. */
-    size_t wideDualBases = 0;
-};
-
-/** Outcome of one solveBatch call; storage reusable across calls. */
-struct OsdBatchResult
-{
-    /** Per shot: 1 if a solution was found (syndrome in column span). */
-    std::vector<uint8_t> ok;
-    /** Concatenated flipped-mechanism indices of all shots. */
-    std::vector<uint32_t> flips;
-    /** count+1 offsets into flips (shot i owns [i], [i+1]). */
-    std::vector<size_t> flipOffsets;
-    OsdBatchStats stats;
-};
 
 /** OSD post-processor over a detector error model. */
 class OsdDecoder
@@ -123,38 +76,34 @@ class OsdDecoder
                 std::vector<uint8_t>& errors);
 
     /**
-     * Solve many shots at once, bit-identically to calling decode()
-     * on each: shots are grouped by equal inspected ordering prefix,
-     * each group shares one elimination, and group syndromes reduce
-     * through the pivot basis together (bit-sliced, 64 per word).
+     * Solve one shot exactly as decode() would, through the lean
+     * elimination (see the file comment).
      *
-     * @param shots per-shot syndrome + posterior views; posteriors
-     *        must stay valid for the duration of the call
-     * @param count number of shots (any size; RHS packing chunks
-     *        internally at 64)
-     * @param[out] out per-shot success flags and flipped-mechanism
-     *        lists (result.flips order within a shot is ascending by
-     *        pivot slot, swept column last — XOR-equivalent to the
-     *        scalar errors vector)
+     * @param syndrome detector outcomes
+     * @param posterior_llr per-mechanism posterior LLRs from BP
+     * @param[out] flips flipped mechanism indices, ascending by pivot
+     *        slot with the swept column last: the mechanisms decode()
+     *        marks in its errors vector (empty when it fails)
+     * @return true if a solution was found (syndrome in column span)
      */
-    void solveBatch(const OsdShotRequest* shots, size_t count,
-                    OsdBatchResult& out);
+    bool solve(const BitVec& syndrome,
+               const std::vector<float>& posterior_llr,
+               std::vector<uint32_t>& flips);
 
     /** Column rank discovered so far (fixed after the first decode). */
     size_t discoveredRank() const { return rank_; }
 
+    /** solve() eliminations, over the decoder's lifetime, whose
+     *  dual-basis filter switched on while more than 64 rows were
+     *  uncovered, i.e. with lanes past the first word of each dual
+     *  row. */
+    size_t wideDualBases() const { return wideDualBases_; }
+
   private:
     size_t augWords() const;
     void sortReliability(const float* llr);
-    void radixSortKeys();
     void buildDualBasis();
     void runElimination(const float* llr);
-    bool matchesOrdering(const float* llr);
-    void solveGroup(const OsdShotRequest* shots,
-                    const uint32_t* members, size_t memberCount,
-                    OsdBatchResult& out);
-    void scoreAndEmitShot(uint32_t shot, const float* llr,
-                          OsdBatchResult& out);
     double scoreAug(const uint64_t* aug, const float* llr,
                     double extra) const;
 
@@ -185,30 +134,16 @@ class OsdDecoder
     std::vector<uint64_t> candidateAug_;
     std::vector<uint64_t> sweepAug_;
 
-    // --- Batch-core scratch (solveBatch only) ---
+    // --- solve() scratch ---
 
     /** Candidate order: (transformed LLR key << 32 | index), sorted
      *  ascending by a stable 3-pass LSD radix sort — exactly the
      *  (llr, index) comparator order of the scalar heap, at a
-     *  fraction of a comparison sort's cost. Consecutive shots of a
-     *  batch differ in few posteriors (BP perturbs the same graph),
-     *  so after the first full sort each sortReliability() call
-     *  re-ranks incrementally: transform every LLR, diff against
-     *  keyOfVar_, and when few keys moved merge just the changed
-     *  entries into the previous sorted order instead of resorting
-     *  all mechanisms. Keys embed the index, so the uint64 order is
-     *  total and the merge is exact — same permutation either way. */
+     *  fraction of a comparison sort's cost. */
     std::vector<uint64_t> orderKeys_;
-    std::vector<uint64_t> orderAlt_; ///< radix / merge double buffer.
-    std::vector<uint32_t> keyOfVar_; ///< current transformed key per var.
-    std::vector<uint64_t> changedKeys_; ///< (new key << 32 | var) diffs.
-    bool sortedValid_ = false; ///< orderKeys_ matches keyOfVar_.
-    size_t incrementalSorts_ = 0; ///< per-solveBatch counter.
-    size_t wideDualBases_ = 0;    ///< per-solveBatch counter.
-
-    /** Columns the current leader's elimination popped, in order. */
-    std::vector<uint32_t> inspected_;
+    std::vector<uint64_t> orderAlt_; ///< radix double buffer.
     std::vector<uint32_t> hitSlots_; ///< column-only-mode hit list.
+    size_t wideDualBases_ = 0;
 
     /** Bit-sliced dual basis of the uncovered rows: kDualWords (8)
      *  words per detector row, where row d holds, in lane b (word
@@ -220,24 +155,6 @@ class OsdDecoder
      *  candidate detector. Built once the reject quota is full and at
      *  most 64 x kDualWords rows remain uncovered. */
     std::vector<uint64_t> dualSlice_;
-
-    /** Membership stamps for the ordering-prefix test (per var). */
-    std::vector<uint64_t> inspectedStamp_;
-    uint64_t stampEpoch_ = 0;
-
-    // Bit-sliced multi-RHS back-substitution state: one word per
-    // detector row / pivot slot, bit s = shot s of the current chunk.
-    std::vector<uint64_t> rhsRows_;
-    std::vector<uint64_t> rhsAug_;
-    std::vector<uint64_t> shotAug_;
-    std::vector<uint32_t> groupMembers_;
-    std::vector<uint8_t> shotAssigned_;
-
-    /** Per-shot flip staging: stride numDetectors+1 entries, so the
-     *  output arrays can be laid out in shot order after groups were
-     *  solved out of order. */
-    std::vector<uint32_t> flipScratch_;
-    std::vector<uint32_t> flipCount_;
 };
 
 } // namespace cyclone

@@ -13,8 +13,8 @@
  * Ready windows from all streams are packed — in arrival order — into
  * 64-shot ShotBatch chunks and flushed through the staged decode
  * interface (BpOsdDecoder::beginStaged/stageBatch/flushStaged), so
- * cross-stream batch formation feeds the SIMD wave kernel and the
- * batched OSD exactly the full slabs they want.
+ * cross-stream batch formation feeds the SIMD wave kernel full lane
+ * groups.
  *
  * When to flush is the explicit latency-vs-occupancy tradeoff:
  *  - FlushPolicy::FullWave waits until the slab holds

@@ -347,11 +347,11 @@ TEST(DecodeBatch, ZeroDetectorDemDecodesToZero)
     EXPECT_EQ(scalar.decode(BitVec(0)), 0u);
 }
 
-TEST(DecodeBatch, RunChunkMatchesHandRolledScalarChunk)
+TEST(DecodeBatch, OneChunkGroupMatchesHandRolledScalarChunk)
 {
-    // The campaign's chunk executor end-to-end: packed sample +
-    // batched decode must reproduce the scalar pipeline's failure
-    // count for the same chunk seed.
+    // The campaign's chunk executor end-to-end on a group of one
+    // chunk: packed sample + batched decode must reproduce the scalar
+    // pipeline's failure count for the same chunk seed.
     const auto dem = surface13Dem(0.02);
     ChunkPlan plan;
     plan.index = 4;
@@ -370,10 +370,9 @@ TEST(DecodeBatch, RunChunkMatchesHandRolledScalarChunk)
     }
 
     BpOsdDecoder decoder(dem);
-    ShotBatch batch;
-    std::vector<uint64_t> predicted;
+    std::vector<ShotBatch> batches;
     const ChunkOutcome outcome =
-        runChunk(dem, plan, decoder, batch, predicted);
+        runChunkGroup(dem, &plan, 1, decoder, batches);
     EXPECT_EQ(outcome.shots, plan.shots);
     EXPECT_EQ(outcome.failures, scalar_failures);
     EXPECT_EQ(decoder.stats().decodes, plan.shots);

@@ -179,7 +179,6 @@ TEST(SpoolSerde, ShardRecordRoundTripAndBackCompat)
     r.decoder.waveLaneSlots = 88;
     r.decoder.waveLanesFilled = 80;
     r.decoder.osdBatchGroups = 5;
-    r.decoder.osdSharedPivots = 77;
     r.decoder.stagedChunks = 10;
     r.decoder.backend = "avx512";
 
@@ -1122,6 +1121,9 @@ TEST(DistributedCampaign, IdleWorkerPromotesOverDeadCoordinator)
     // lone promote-enabled worker drains the published wave, finds
     // nothing left to claim, watches the coordinator lease go stale,
     // promotes itself, and finishes the campaign — bit-identically.
+    // The spec text sets no lease, so the promoted coordinator must
+    // wait out the manifest's 0.4 s lease, not the text's default
+    // 30 s: the worker is bounded at 20 s from its fork.
     CampaignSpec reference_spec = parseCampaignSpec(kSpoolSpec);
     reference_spec.threads = 2;
     const CampaignResult reference = runCampaign(reference_spec);
@@ -1144,6 +1146,7 @@ TEST(DistributedCampaign, IdleWorkerPromotesOverDeadCoordinator)
     }
     ASSERT_GT(coord, 0);
 
+    const auto workerForked = std::chrono::steady_clock::now();
     const pid_t worker = ::fork();
     if (worker == 0) {
         WorkerOptions opts;
@@ -1168,8 +1171,15 @@ TEST(DistributedCampaign, IdleWorkerPromotesOverDeadCoordinator)
     EXPECT_EQ(WEXITSTATUS(status), kFaultCrashExitCode)
         << "the coordinator must die at the injected fault";
     ASSERT_EQ(::waitpid(worker, &status, 0), worker);
+    const double workerSeconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() -
+                                     workerForked)
+                                     .count();
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_LT(workerSeconds, 20.0)
+        << "the promoted coordinator waited out a lease other than "
+           "the manifest's";
 
     Spool spool(scratch.path);
     EXPECT_TRUE(spool.done())

@@ -601,14 +601,15 @@ TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
     size_t refFailures = 0;
     {
         BpOsdDecoder decoder(dem, bp);
-        ShotBatch batch;
-        std::vector<uint64_t> predicted;
+        std::vector<ShotBatch> batches;
         for (const ChunkPlan& plan : plans) {
             const ChunkOutcome o =
-                runChunk(dem, plan, decoder, batch, predicted);
+                runChunkGroup(dem, &plan, 1, decoder, batches);
             refShots += o.shots;
             refFailures += o.failures;
         }
+        // A group of one joins no pool.
+        EXPECT_EQ(decoder.stats().stagedChunks, 0u);
     }
 
     BpOsdDecoder decoder(dem, bp);
@@ -618,20 +619,6 @@ TEST(WaveDecoder, RunChunkGroupMatchesPerChunkOutcomes)
     EXPECT_EQ(grouped.shots, refShots);
     EXPECT_EQ(grouped.failures, refFailures);
     EXPECT_EQ(decoder.stats().stagedChunks, plans.size() - 1);
-
-    // Degenerate group of one behaves exactly like runChunk.
-    BpOsdDecoder single(dem, bp);
-    std::vector<ShotBatch> oneBatch;
-    const ChunkOutcome lone =
-        runChunkGroup(dem, plans.data(), 1, single, oneBatch);
-    BpOsdDecoder refDecoder(dem, bp);
-    ShotBatch refBatch;
-    std::vector<uint64_t> refPredicted;
-    const ChunkOutcome ref =
-        runChunk(dem, plans[0], refDecoder, refBatch, refPredicted);
-    EXPECT_EQ(lone.shots, ref.shots);
-    EXPECT_EQ(lone.failures, ref.failures);
-    EXPECT_EQ(single.stats().stagedChunks, 0u);
 }
 
 } // namespace
