@@ -385,9 +385,10 @@ main(int argc, char** argv)
             mergeStats(decoder, t.decoder);
         std::fprintf(stderr,
                      "[%s] %zu tasks, %zu shots, wall %.1fs, compile "
-                     "cache %zu hit / %zu miss (%zu store, %zu B), "
-                     "dem cache %zu hit / %zu miss (%zu store, %zu "
-                     "B), decoder trivial %.1f%% / memo %.1f%% "
+                     "cache %zu hit / %zu miss (%zu store, %zu B, "
+                     "built in %.3fs), dem cache %zu hit / %zu miss "
+                     "(%zu store, %zu B, built in %.3fs), decoder "
+                     "trivial %.1f%% / memo %.1f%% "
                      "/ mean BP iters %.1f / wave occupancy %.0f%% "
                      "[backend %s, staged chunks %zu]\n",
                      result.name.c_str(), result.tasks.size(),
@@ -395,9 +396,11 @@ main(int argc, char** argv)
                      result.cache.compileHits,
                      result.cache.compileMisses,
                      result.cache.compileStoreHits,
-                     result.cache.compileBytes, result.cache.demHits,
+                     result.cache.compileBytes,
+                     result.cache.compileSeconds, result.cache.demHits,
                      result.cache.demMisses,
                      result.cache.demStoreHits, result.cache.demBytes,
+                     result.cache.demBuildSeconds,
                      100.0 * decoder.trivialFraction(),
                      100.0 * decoder.memoHitRate(),
                      decoder.meanBpIterations(),

@@ -1,5 +1,6 @@
 #include "campaign/artifact_cache.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -147,6 +148,10 @@ CacheStats::fields()
         {"compile_bytes", &S::compileBytes},
         {"dem_bytes", &S::demBytes},
         {"quarantined", &S::quarantinedBlobs},
+        {"compile_seconds", &S::compileSeconds, MergeRule::Sum,
+         FieldKind::Timing},
+        {"dem_build_seconds", &S::demBuildSeconds, MergeRule::Sum,
+         FieldKind::Timing},
     };
     return kFields;
 }
@@ -293,7 +298,7 @@ ArtifactCache::getOrBuild(
     std::unordered_map<uint64_t, std::shared_ptr<Slot<T>>>& map,
     uint64_t key, const std::function<T()>& build, const char* kind,
     size_t& hits, size_t& misses, size_t& storeHits, size_t& bytes,
-    std::string (*serialize)(const T&),
+    double& seconds, std::string (*serialize)(const T&),
     T (*deserialize)(const std::string&))
 {
     std::shared_ptr<Slot<T>> slot;
@@ -324,6 +329,7 @@ ArtifactCache::getOrBuild(
     std::shared_ptr<const T> value;
     std::exception_ptr error;
     size_t valueBytes = 0;
+    double buildSeconds = 0.0;
     bool fromStore = false;
     bool quarantined = false;
     try {
@@ -352,7 +358,11 @@ ArtifactCache::getOrBuild(
             }
         }
         if (!value) {
+            const auto t0 = std::chrono::steady_clock::now();
             value = std::make_shared<const T>(build());
+            buildSeconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
             const std::string blob = serialize(*value);
             valueBytes = blob.size();
             if (!store.empty()) {
@@ -377,6 +387,7 @@ ArtifactCache::getOrBuild(
         slot->ready = true;
         if (!error) {
             bytes += valueBytes;
+            seconds += buildSeconds;
             if (fromStore)
                 ++storeHits;
         }
@@ -396,7 +407,7 @@ ArtifactCache::getOrBuildCompile(uint64_t key,
     return getOrBuild(compiles_, key, build, "compile",
                       stats_.compileHits, stats_.compileMisses,
                       stats_.compileStoreHits, stats_.compileBytes,
-                      &serializeCompileResult,
+                      stats_.compileSeconds, &serializeCompileResult,
                       &deserializeCompileResult);
 }
 
@@ -406,7 +417,8 @@ ArtifactCache::getOrBuildDem(uint64_t key,
 {
     return getOrBuild(dems_, key, build, "dem", stats_.demHits,
                       stats_.demMisses, stats_.demStoreHits,
-                      stats_.demBytes, &serializeDem, &deserializeDem);
+                      stats_.demBytes, stats_.demBuildSeconds,
+                      &serializeDem, &deserializeDem);
 }
 
 void

@@ -29,7 +29,8 @@
  * instead of running the builder; a *hit* reused a completed or
  * in-flight in-memory build. Byte counters sum the serialized size of
  * every artifact that entered this cache (built or loaded), giving
- * campaign output a measure of artifact volume.
+ * campaign output a measure of artifact volume. Build seconds sum the
+ * time spent in the builders alone.
  */
 
 #ifndef CYCLONE_CAMPAIGN_ARTIFACT_CACHE_H
@@ -71,6 +72,11 @@ struct CacheStats
      *  to <store>/quarantine/ before a local rebuild republished
      *  fresh bytes. */
     size_t quarantinedBlobs = 0;
+
+    /** Seconds spent in the compile and DEM builders (timing fields:
+     *  store loads and hits add nothing). */
+    double compileSeconds = 0.0;
+    double demBuildSeconds = 0.0;
 
     /** The field table (stat_fields.h). */
     static std::span<const StatField<CacheStats>> fields();
@@ -148,7 +154,7 @@ class ArtifactCache
     getOrBuild(std::unordered_map<uint64_t, std::shared_ptr<Slot<T>>>& map,
                uint64_t key, const std::function<T()>& build,
                const char* kind, size_t& hits, size_t& misses,
-               size_t& storeHits, size_t& bytes,
+               size_t& storeHits, size_t& bytes, double& seconds,
                std::string (*serialize)(const T&),
                T (*deserialize)(const std::string&));
 

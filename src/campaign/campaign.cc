@@ -601,9 +601,14 @@ CampaignEngine::run(const CampaignSpec& spec,
 
     // This run's share of the shared cache's lifetime counters.
     const CacheStats after = cache_.stats();
-    for (const StatField<CacheStats>& f : CacheStats::fields())
-        f.set(result.cache, std::get<size_t>(f.get(after)) -
-                                std::get<size_t>(f.get(before)));
+    for (const StatField<CacheStats>& f : CacheStats::fields()) {
+        const FieldValue a = f.get(after);
+        const FieldValue b = f.get(before);
+        if (const double* seconds = std::get_if<double>(&a))
+            f.set(result.cache, *seconds - std::get<double>(b));
+        else
+            f.set(result.cache, std::get<size_t>(a) - std::get<size_t>(b));
+    }
     return result;
 }
 

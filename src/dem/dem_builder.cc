@@ -1,90 +1,56 @@
+// A mechanism's probability must have the same bits on every host: no
+// multiply-add contraction in this TU. The merge fold below would fuse
+// on arm64 (where FMA is baseline) but not on baseline x86-64.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "dem/dem_builder.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <unordered_map>
-
-#include "common/logging.h"
+#include <cstdint>
+#include <vector>
 
 namespace cyclone {
 
 namespace {
 
-/** An elementary Pauli injection at one circuit position. */
-struct Injection
+/** A sorted run of detector indices plus an observable mask: the
+ *  signature of an injection, a channel component or a mechanism. */
+struct SigView
 {
-    size_t opIndex;   ///< Error op this injection belongs to.
-    uint32_t qubit;
-    bool zPart;       ///< false = X flip, true = Z flip.
-};
-
-/** Detector/observable signature of an injection or mechanism. */
-struct Signature
-{
-    std::vector<uint32_t> detectors; // sorted
+    const uint32_t* dets = nullptr;
+    size_t size = 0;
     uint64_t observables = 0;
-
-    bool
-    empty() const
-    {
-        return detectors.empty() && observables == 0;
-    }
-
-    uint64_t
-    hash() const
-    {
-        uint64_t h = 0xcbf29ce484222325ull;
-        for (uint32_t d : detectors) {
-            h ^= d;
-            h *= 0x100000001b3ull;
-        }
-        h ^= observables;
-        h *= 0x100000001b3ull;
-        h ^= h >> 29;
-        return h;
-    }
-
-    bool
-    operator==(const Signature& other) const
-    {
-        return observables == other.observables &&
-               detectors == other.detectors;
-    }
 };
 
-/** Symmetric difference of two sorted index vectors. */
-std::vector<uint32_t>
-symmetricDifference(const std::vector<uint32_t>& a,
-                    const std::vector<uint32_t>& b)
+/** Sorted symmetric difference of `a` and `b`, written to `out`. */
+SigView
+xorInto(const SigView& a, const SigView& b, std::vector<uint32_t>& out)
 {
-    std::vector<uint32_t> out;
-    out.reserve(a.size() + b.size());
+    out.clear();
     size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] < b[j]) {
-            out.push_back(a[i++]);
-        } else if (b[j] < a[i]) {
-            out.push_back(b[j++]);
+    while (i < a.size && j < b.size) {
+        if (a.dets[i] < b.dets[j]) {
+            out.push_back(a.dets[i++]);
+        } else if (b.dets[j] < a.dets[i]) {
+            out.push_back(b.dets[j++]);
         } else {
             ++i;
             ++j;
         }
     }
-    out.insert(out.end(), a.begin() + i, a.end());
-    out.insert(out.end(), b.begin() + j, b.end());
-    return out;
+    out.insert(out.end(), a.dets + i, a.dets + a.size);
+    out.insert(out.end(), b.dets + j, b.dets + b.size);
+    return {out.data(), out.size(), a.observables ^ b.observables};
 }
 
-Signature
-xorSignatures(const Signature& a, const Signature& b)
-{
-    Signature out;
-    out.detectors = symmetricDifference(a.detectors, b.detectors);
-    out.observables = a.observables ^ b.observables;
-    return out;
-}
-
-/** Number of elementary injections an error op contributes. */
+/** Number of elementary injections (X or Z flips on one qubit) an
+ *  error op contributes. */
 size_t
 injectionCount(const Op& op)
 {
@@ -102,220 +68,251 @@ injectionCount(const Op& op)
     }
 }
 
-} // namespace
-
-DetectorErrorModel
-buildDetectorErrorModel(const Circuit& circuit)
+/**
+ * The mechanisms built so far, with an open-addressed index from
+ * signatures to mechanism ids so that identical signatures merge.
+ * Mechanisms keep the order in which their signature first appeared.
+ */
+class MechanismTable
 {
-    // ---- Enumerate elementary injections. ----
-    std::vector<Injection> injections;
-    std::vector<size_t> op_first_injection(circuit.ops().size(), SIZE_MAX);
-    for (size_t i = 0; i < circuit.ops().size(); ++i) {
-        const Op& op = circuit.ops()[i];
-        const size_t count = injectionCount(op);
-        if (count == 0)
-            continue;
-        op_first_injection[i] = injections.size();
-        switch (op.kind) {
-          case OpKind::XError:
-            injections.push_back({i, op.targets[0], false});
-            break;
-          case OpKind::ZError:
-            injections.push_back({i, op.targets[0], true});
-            break;
-          case OpKind::Depolarize1:
-          case OpKind::Pauli1:
-            injections.push_back({i, op.targets[0], false});
-            injections.push_back({i, op.targets[0], true});
-            break;
-          case OpKind::Depolarize2:
-            injections.push_back({i, op.targets[0], false});
-            injections.push_back({i, op.targets[0], true});
-            injections.push_back({i, op.targets[1], false});
-            injections.push_back({i, op.targets[1], true});
-            break;
-          default:
-            break;
-        }
-    }
+  public:
+    explicit MechanismTable(DetectorErrorModel& dem) : dem_(dem) {}
 
-    // ---- Propagate injections in 64-lane waves. ----
-    std::vector<std::vector<uint32_t>> meas_flips(injections.size());
-    const size_t num_qubits = circuit.numQubits();
-    std::vector<uint64_t> x_frame(num_qubits), z_frame(num_qubits);
-
-    for (size_t wave = 0; wave < injections.size(); wave += 64) {
-        const size_t wave_end = std::min(wave + 64, injections.size());
-        std::fill(x_frame.begin(), x_frame.end(), 0);
-        std::fill(z_frame.begin(), z_frame.end(), 0);
-        size_t meas_index = 0;
-
-        for (size_t i = 0; i < circuit.ops().size(); ++i) {
-            const Op& op = circuit.ops()[i];
-            // Inject faults belonging to this op and wave.
-            const size_t first = op_first_injection[i];
-            if (first != SIZE_MAX) {
-                const size_t last = first + injectionCount(op);
-                for (size_t inj = std::max(first, wave);
-                     inj < std::min(last, wave_end); ++inj) {
-                    const Injection& in = injections[inj];
-                    const uint64_t bit = uint64_t(1) << (inj - wave);
-                    if (in.zPart)
-                        z_frame[in.qubit] |= bit;
-                    else
-                        x_frame[in.qubit] |= bit;
-                }
-            }
-            switch (op.kind) {
-              case OpKind::ResetZ:
-              case OpKind::ResetX:
-                for (uint32_t q : op.targets) {
-                    x_frame[q] = 0;
-                    z_frame[q] = 0;
-                }
-                break;
-              case OpKind::Cx: {
-                const uint32_t c = op.targets[0];
-                const uint32_t t = op.targets[1];
-                x_frame[t] ^= x_frame[c];
-                z_frame[c] ^= z_frame[t];
-                break;
-              }
-              case OpKind::MeasureZ:
-              case OpKind::MeasureX: {
-                const uint32_t q = op.targets[0];
-                uint64_t word = op.kind == OpKind::MeasureZ
-                    ? x_frame[q] : z_frame[q];
-                while (word) {
-                    const int lane = std::countr_zero(word);
-                    word &= word - 1;
-                    meas_flips[wave + static_cast<size_t>(lane)]
-                        .push_back(static_cast<uint32_t>(meas_index));
-                }
-                ++meas_index;
-                break;
-              }
-              default:
-                break;
-            }
-        }
-    }
-
-    // ---- Map measurements to detectors / observables. ----
-    std::vector<std::vector<uint32_t>> meas_to_dets(
-        circuit.numMeasurements());
-    std::vector<uint64_t> meas_to_obs(circuit.numMeasurements(), 0);
+    /** Add one channel component; p <= 0 and empty signatures are
+     *  skipped. */
+    void
+    add(const SigView& sig, double p)
     {
-        size_t det_index = 0;
-        for (const Op& op : circuit.ops()) {
-            if (op.kind == OpKind::Detector) {
-                for (uint32_t m : op.targets) {
-                    meas_to_dets[m].push_back(
-                        static_cast<uint32_t>(det_index));
-                }
-                ++det_index;
-            } else if (op.kind == OpKind::Observable) {
-                const auto id = static_cast<uint64_t>(op.params[0]);
-                for (uint32_t m : op.targets)
-                    meas_to_obs[m] ^= uint64_t(1) << id;
-            }
-        }
-    }
-
-    // ---- Per-injection signatures. ----
-    std::vector<Signature> inj_sig(injections.size());
-    for (size_t inj = 0; inj < injections.size(); ++inj) {
-        Signature& sig = inj_sig[inj];
-        std::vector<uint32_t> dets;
-        for (uint32_t m : meas_flips[inj]) {
-            dets.insert(dets.end(), meas_to_dets[m].begin(),
-                        meas_to_dets[m].end());
-            sig.observables ^= meas_to_obs[m];
-        }
-        std::sort(dets.begin(), dets.end());
-        // Keep indices with odd multiplicity.
-        for (size_t i = 0; i < dets.size();) {
-            size_t j = i;
-            while (j < dets.size() && dets[j] == dets[i])
-                ++j;
-            if ((j - i) & 1)
-                sig.detectors.push_back(dets[i]);
-            i = j;
-        }
-    }
-
-    // ---- Synthesize mechanisms and merge identical signatures. ----
-    DetectorErrorModel dem;
-    dem.numDetectors = circuit.numDetectors();
-    dem.numObservables = circuit.numObservables();
-
-    std::unordered_map<uint64_t, std::vector<size_t>> sig_index;
-    auto add_mechanism = [&](const Signature& sig, double p) {
-        if (p <= 0.0 || sig.empty())
+        if (p <= 0.0 || (sig.size == 0 && sig.observables == 0))
             return;
-        const uint64_t h = sig.hash();
-        auto& bucket = sig_index[h];
-        for (size_t idx : bucket) {
-            DemMechanism& m = dem.mechanisms[idx];
-            if (m.observables == sig.observables &&
-                m.detectors == sig.detectors) {
+        const uint64_t h = hash(sig);
+        if (2 * (hashes_.size() + 1) > slots_.size())
+            grow();
+        const size_t mask = slots_.size() - 1;
+        for (size_t s = h & mask;; s = (s + 1) & mask) {
+            const uint32_t id = slots_[s];
+            if (id == kEmpty) {
+                slots_[s] = static_cast<uint32_t>(hashes_.size());
+                hashes_.push_back(h);
+                DemMechanism& m = dem_.mechanisms.emplace_back();
+                m.probability = p;
+                m.detectors.assign(sig.dets, sig.dets + sig.size);
+                m.observables = sig.observables;
+                return;
+            }
+            DemMechanism& m = dem_.mechanisms[id];
+            if (hashes_[id] == h && m.observables == sig.observables &&
+                std::equal(m.detectors.begin(), m.detectors.end(),
+                           sig.dets, sig.dets + sig.size)) {
                 // Independent-OR combination of the two events.
                 m.probability = m.probability * (1.0 - p) +
                     p * (1.0 - m.probability);
                 return;
             }
         }
-        DemMechanism m;
-        m.probability = p;
-        m.detectors = sig.detectors;
-        m.observables = sig.observables;
-        bucket.push_back(dem.mechanisms.size());
-        dem.mechanisms.push_back(std::move(m));
+    }
+
+  private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+
+    static uint64_t
+    hash(const SigView& sig)
+    {
+        uint64_t h = 0xcbf29ce484222325ull ^ sig.observables;
+        for (size_t i = 0; i < sig.size; ++i)
+            h = (h ^ sig.dets[i]) * 0x100000001b3ull;
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+        return h ^ (h >> 31);
+    }
+
+    void
+    grow()
+    {
+        slots_.assign(std::max<size_t>(1024, 2 * slots_.size()), kEmpty);
+        const size_t mask = slots_.size() - 1;
+        for (size_t id = 0; id < hashes_.size(); ++id) {
+            size_t s = hashes_[id] & mask;
+            while (slots_[s] != kEmpty)
+                s = (s + 1) & mask;
+            slots_[s] = static_cast<uint32_t>(id);
+        }
+    }
+
+    DetectorErrorModel& dem_;
+    /** Signature hash of each mechanism, by id. */
+    std::vector<uint64_t> hashes_;
+    /** Power-of-two table of mechanism ids, at most half full. */
+    std::vector<uint32_t> slots_;
+};
+
+/** Where an injection's detectors sit in the arena, and its
+ *  observables. */
+struct InjectionSig
+{
+    size_t begin = 0;
+    size_t size = 0;
+    uint64_t observables = 0;
+};
+
+} // namespace
+
+DetectorErrorModel
+buildDetectorErrorModel(const Circuit& circuit)
+{
+    const std::vector<Op>& ops = circuit.ops();
+
+    // ---- What each measurement record toggles. A detector that
+    // references a record twice lists it twice, and the two toggles
+    // cancel. ----
+    const size_t num_meas = circuit.numMeasurements();
+    std::vector<std::vector<uint32_t>> meas_dets(num_meas);
+    std::vector<uint64_t> meas_obs(num_meas, 0);
+    {
+        uint32_t det_index = 0;
+        for (const Op& op : ops) {
+            if (op.kind == OpKind::Detector) {
+                for (uint32_t m : op.targets)
+                    meas_dets[m].push_back(det_index);
+                ++det_index;
+            } else if (op.kind == OpKind::Observable) {
+                const auto id = static_cast<uint64_t>(op.params[0]);
+                for (uint32_t m : op.targets)
+                    meas_obs[m] ^= uint64_t(1) << id;
+            }
+        }
+    }
+
+    size_t num_injections = 0;
+    for (const Op& op : ops)
+        num_injections += injectionCount(op);
+
+    // ---- One backward sweep. Per qubit, an X row and a Z row hold the
+    // detectors (bit set) and observables (last word) that an X or a Z
+    // flip at the current point would toggle. ----
+    const size_t words = (circuit.numDetectors() + 63) / 64;
+    const size_t stride = words + 1;
+    std::vector<uint64_t> sensitivity(2 * circuit.numQubits() * stride, 0);
+    auto row = [&](uint32_t q, bool z_flip) {
+        return sensitivity.data() + (2 * size_t{q} + z_flip) * stride;
     };
 
-    for (size_t i = 0; i < circuit.ops().size(); ++i) {
-        const Op& op = circuit.ops()[i];
-        const size_t first = op_first_injection[i];
-        if (first == SIZE_MAX)
-            continue;
+    std::vector<InjectionSig> injections(num_injections);
+    std::vector<uint32_t> arena;
+    size_t next_injection = num_injections;
+    size_t meas_index = num_meas;
+    for (size_t i = ops.size(); i-- > 0;) {
+        const Op& op = ops[i];
+        switch (op.kind) {
+          case OpKind::ResetZ:
+          case OpKind::ResetX:
+            for (uint32_t q : op.targets) {
+                std::fill_n(row(q, false), stride, 0);
+                std::fill_n(row(q, true), stride, 0);
+            }
+            break;
+          case OpKind::Cx: {
+            const uint32_t c = op.targets[0];
+            const uint32_t t = op.targets[1];
+            uint64_t* xc = row(c, false);
+            const uint64_t* xt = row(t, false);
+            uint64_t* zt = row(t, true);
+            const uint64_t* zc = row(c, true);
+            for (size_t w = 0; w < stride; ++w) {
+                xc[w] ^= xt[w];
+                zt[w] ^= zc[w];
+            }
+            break;
+          }
+          case OpKind::MeasureZ:
+          case OpKind::MeasureX: {
+            --meas_index;
+            uint64_t* r = row(op.targets[0], op.kind == OpKind::MeasureX);
+            for (uint32_t d : meas_dets[meas_index])
+                r[d >> 6] ^= uint64_t(1) << (d & 63);
+            r[words] ^= meas_obs[meas_index];
+            break;
+          }
+          default: {
+            // Injection k of an op flips X (even k) or Z (odd k) on
+            // targets[k / 2]; a single flip's kind names its part.
+            const size_t count = injectionCount(op);
+            next_injection -= count;
+            for (size_t k = 0; k < count; ++k) {
+                const bool z_flip = count == 1
+                    ? op.kind == OpKind::ZError : (k & 1) != 0;
+                const uint64_t* r = row(op.targets[k / 2], z_flip);
+                InjectionSig& sig = injections[next_injection + k];
+                sig.begin = arena.size();
+                for (size_t w = 0; w < words; ++w) {
+                    for (uint64_t bits = r[w]; bits != 0;
+                         bits &= bits - 1) {
+                        arena.push_back(static_cast<uint32_t>(
+                            64 * w + std::countr_zero(bits)));
+                    }
+                }
+                sig.size = arena.size() - sig.begin;
+                sig.observables = r[words];
+            }
+            break;
+          }
+        }
+    }
+
+    // ---- Synthesize mechanisms in forward op order and merge
+    // identical signatures. ----
+    DetectorErrorModel dem;
+    dem.numDetectors = circuit.numDetectors();
+    dem.numObservables = circuit.numObservables();
+    MechanismTable table(dem);
+
+    size_t first = 0;
+    auto injection = [&](size_t k) {
+        const InjectionSig& sig = injections[first + k];
+        return SigView{arena.data() + sig.begin, sig.size,
+                       sig.observables};
+    };
+    std::vector<uint32_t> y_buf;
+    // Depolarize2 combos: bits Xa, Za, Xb, Zb of the index.
+    std::array<SigView, 16> combo;
+    std::array<std::vector<uint32_t>, 16> combo_buf;
+    for (const Op& op : ops) {
         switch (op.kind) {
           case OpKind::XError:
           case OpKind::ZError:
-            add_mechanism(inj_sig[first], op.params[0]);
+            table.add(injection(0), op.params[0]);
             break;
           case OpKind::Depolarize1: {
             const double p = op.params[0] / 3.0;
-            add_mechanism(inj_sig[first], p);                    // X
-            add_mechanism(inj_sig[first + 1], p);                // Z
-            add_mechanism(
-                xorSignatures(inj_sig[first], inj_sig[first + 1]),
-                p);                                              // Y
+            table.add(injection(0), p);                          // X
+            table.add(injection(1), p);                          // Z
+            table.add(xorInto(injection(0), injection(1), y_buf),
+                      p);                                        // Y
             break;
           }
-          case OpKind::Pauli1: {
-            add_mechanism(inj_sig[first], op.params[0]);         // X
-            add_mechanism(
-                xorSignatures(inj_sig[first], inj_sig[first + 1]),
-                op.params[1]);                                   // Y
-            add_mechanism(inj_sig[first + 1], op.params[2]);     // Z
+          case OpKind::Pauli1:
+            table.add(injection(0), op.params[0]);               // X
+            table.add(xorInto(injection(0), injection(1), y_buf),
+                      op.params[1]);                             // Y
+            table.add(injection(1), op.params[2]);               // Z
             break;
-          }
           case OpKind::Depolarize2: {
             const double p = op.params[0] / 15.0;
-            // Bits of the combo index: Xa, Za, Xb, Zb.
-            for (unsigned combo = 1; combo < 16; ++combo) {
-                Signature sig;
-                for (unsigned bit = 0; bit < 4; ++bit) {
-                    if (combo & (1u << bit))
-                        sig = xorSignatures(sig, inj_sig[first + bit]);
-                }
-                add_mechanism(sig, p);
+            for (unsigned c = 1; c < 16; ++c) {
+                // The combo without its lowest bit, XOR that bit.
+                const unsigned rest = c & (c - 1);
+                const SigView low = injection(
+                    static_cast<size_t>(std::countr_zero(c)));
+                combo[c] = rest == 0
+                    ? low : xorInto(combo[rest], low, combo_buf[c]);
+                table.add(combo[c], p);
             }
             break;
           }
           default:
             break;
         }
+        first += injectionCount(op);
     }
     return dem;
 }

@@ -278,6 +278,38 @@ TEST(Campaign, CacheAccounting)
     EXPECT_NE(result.tasks[0].contentHash, result.tasks[1].contentHash);
 }
 
+TEST(Campaign, CacheReportsBuildSeconds)
+{
+    // A cold run times its compile and DEM builds; a second run on the
+    // warm cache builds nothing and reports no build time. The timing
+    // fields reach the JSON cache block through the field table.
+    CampaignSpec spec;
+    spec.seed = 5;
+    spec.threads = 2;
+    TaskSpec task = surfaceTask(0.02, 100);
+    task.architecture = Architecture::BaselineGrid;
+    task.compileLatency = true;
+    spec.tasks.push_back(std::move(task));
+
+    ThreadPool pool(2);
+    ArtifactCache cache;
+    CampaignEngine engine(pool, cache);
+    const CampaignResult cold = engine.run(spec);
+    ASSERT_TRUE(cold.tasks[0].error.empty()) << cold.tasks[0].error;
+    EXPECT_EQ(cold.cache.demMisses, 1u);
+    EXPECT_GT(cold.cache.compileSeconds, 0.0);
+    EXPECT_GT(cold.cache.demBuildSeconds, 0.0);
+    const std::string json = campaignResultToJson(cold);
+    EXPECT_NE(json.find("\"compile_seconds\": "), std::string::npos);
+    EXPECT_NE(json.find("\"dem_build_seconds\": "), std::string::npos);
+
+    const CampaignResult warm = engine.run(spec);
+    EXPECT_EQ(warm.cache.demMisses, 0u);
+    EXPECT_EQ(warm.cache.demHits, 1u);
+    EXPECT_EQ(warm.cache.compileSeconds, 0.0);
+    EXPECT_EQ(warm.cache.demBuildSeconds, 0.0);
+}
+
 TEST(Campaign, JsonAndCsvOutputs)
 {
     CampaignSpec spec;

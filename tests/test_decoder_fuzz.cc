@@ -23,7 +23,6 @@
  * per BP variant).
  */
 
-#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -38,21 +37,10 @@
 #include "dem/dem.h"
 #include "dem/shot_batch.h"
 #include "env_guard.h"
+#include "fuzz_iterations.h"
 
 namespace cyclone {
 namespace {
-
-size_t
-fuzzIterations()
-{
-    const char* env = std::getenv("CYCLONE_FUZZ_ITERS");
-    if (env != nullptr && env[0] != '\0') {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<size_t>(parsed);
-    }
-    return 24;
-}
 
 /** Random DEM: ragged degrees, duplicate columns, detectors no
  *  mechanism touches, undetectable mechanisms. Small by default; wide

@@ -1,17 +1,38 @@
 /**
  * @file
  * Tests for detector error model extraction and sampling.
+ *
+ * The builder is pinned three ways: hand-built circuits with known
+ * answers, golden digests of four code-scale DEMs, and a differential
+ * fuzz against single-fault frame propagation. CI runs the fuzz with
+ * a fixed seed set; set CYCLONE_FUZZ_ITERS to a larger count for
+ * deeper runs (each iteration is one random circuit per register size
+ * from 2 to 6 qubits).
  */
 
+// The fuzz's reference folds merged probabilities exactly as the
+// builder does, so it must round like it: no multiply-add contraction.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+#include <bit>
 #include <cmath>
+#include <ios>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "campaign/content_hash.h"
 #include "circuit/frame_simulator.h"
 #include "circuit/memory_circuit.h"
 #include "dem/dem_builder.h"
 #include "dem/dem_sampler.h"
+#include "fuzz_iterations.h"
 #include "qec/classical_code.h"
+#include "qec/code_catalog.h"
 #include "qec/hgp_code.h"
 #include "qec/schedule.h"
 
@@ -186,6 +207,269 @@ TEST(DemBuilder, LatencyChannelAddsMechanisms)
         buildDetectorErrorModel(buildZMemoryCircuit(code, sched, slow));
     EXPECT_GT(dem_slow.expectedErrorsPerShot(),
               dem_quiet.expectedErrorsPerShot());
+}
+
+/** HashStream digest of a DEM: its sizes, then each mechanism's
+ *  probability bits, observable mask, detector count and indices. */
+uint64_t
+demDigest(const DetectorErrorModel& dem)
+{
+    HashStream h;
+    h.absorb(uint64_t{dem.numDetectors})
+        .absorb(uint64_t{dem.numObservables});
+    for (const DemMechanism& m : dem.mechanisms) {
+        h.absorb(m.probability)
+            .absorb(m.observables)
+            .absorb(uint64_t{m.detectors.size()});
+        for (uint32_t d : m.detectors)
+            h.absorb(uint64_t{d});
+    }
+    return h.digest();
+}
+
+TEST(DemBuilder, GoldenDigests)
+{
+    // Every bit of four code-scale DEMs, pinned on every host CI runs.
+    // Each probability is a literal, a literal / 3 or / 15, or a merge
+    // fold of those: no libm call feeds one. The per-qubit twirl table
+    // takes the Pauli1 path, zero components included. A change that
+    // means to move a DEM updates these values.
+    static const PauliTwirl kTwirls[] = {
+        {2.5e-4, 2.5e-4, 5e-4}, {1e-4, 0.0, 3e-4}, {0.0, 0.0, 7e-4},
+        {6e-4, 2e-4, 0.0},      {1.5e-4, 1.5e-4, 1.5e-4},
+    };
+    struct Case
+    {
+        const char* name;
+        CssCode code;
+        bool xBasis;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {"bb72/z", catalog::bb72(), false, 0x8887e8f202969fbeull},
+        {"bb72/x", catalog::bb72(), true, 0x8cda846cdf42d9ebull},
+        {"hgp225/z", catalog::hgp225(), false, 0xa265cbd64be0f36aull},
+        {"hgp225/x", catalog::hgp225(), true, 0x31225215a1d8c873ull},
+    };
+    for (const Case& c : cases) {
+        MemoryCircuitOptions opts;
+        opts.noise = NoiseModel::uniform(1e-3);
+        for (size_t q = 0; q < c.code.numQubits(); ++q)
+            opts.perQubitIdle.push_back(kTwirls[q % std::size(kTwirls)]);
+        const SyndromeSchedule sched = makeXThenZSchedule(c.code);
+        const Circuit circuit = c.xBasis
+            ? buildXMemoryCircuit(c.code, sched, opts)
+            : buildZMemoryCircuit(c.code, sched, opts);
+        const uint64_t got = demDigest(buildDetectorErrorModel(circuit));
+        EXPECT_EQ(got, c.digest)
+            << c.name << ": digest 0x" << std::hex << got;
+    }
+}
+
+/** Random circuit on `nq` qubits with every op kind: both resets and
+ *  measurement bases, CX, the five channels (probabilities from a
+ *  small set, so signatures merge), channels right before a reset and
+ *  after the last measurement, detectors that reference a record
+ *  twice or share one, and observables 0 and 63. */
+Circuit
+randomCircuit(Rng& rng, uint32_t nq)
+{
+    static const double kP[] = {1e-3, 0.01, 0.125, 0.25};
+    static const double kPauli[] = {0.0, 1e-3, 0.01, 0.125};
+    Circuit c(nq);
+    auto qubit = [&] { return static_cast<uint32_t>(rng.below(nq)); };
+    auto other = [&](uint32_t a) {
+        return static_cast<uint32_t>((a + 1 + rng.below(nq - 1)) % nq);
+    };
+    auto p = [&] { return kP[rng.below(std::size(kP))]; };
+    auto record = [&] {
+        return static_cast<uint32_t>(rng.below(c.numMeasurements()));
+    };
+    auto channel = [&](uint32_t q) {
+        switch (rng.below(5)) {
+          case 0: c.xError(q, p()); break;
+          case 1: c.zError(q, p()); break;
+          case 2: c.depolarize1(q, p()); break;
+          case 3: c.depolarize2(q, other(q), p()); break;
+          default:
+            c.pauli1(q, kPauli[rng.below(4)], kPauli[rng.below(4)],
+                     kPauli[rng.below(4)]);
+            break;
+        }
+    };
+    auto measure = [&](uint32_t q) {
+        if (rng.below(2) == 0)
+            c.measureZ(q);
+        else
+            c.measureX(q);
+    };
+    auto detector = [&] {
+        std::vector<uint32_t> refs;
+        for (size_t k = 1 + rng.below(3); k > 0; --k)
+            refs.push_back(record());
+        c.addDetector(refs);
+    };
+
+    for (uint32_t q = 0; q < nq; ++q) {
+        if (rng.below(2) == 0)
+            c.resetZ(q);
+        else
+            c.resetX(q);
+    }
+    const size_t steps = 20 + rng.below(40);
+    for (size_t s = 0; s < steps; ++s) {
+        const uint32_t q = qubit();
+        switch (rng.below(10)) {
+          case 0:
+            channel(q); // a channel right before a reset
+            [[fallthrough]];
+          case 1:
+            if (rng.below(2) == 0)
+                c.resetZ(q);
+            else
+                c.resetX(q);
+            break;
+          case 2:
+          case 3:
+            measure(q);
+            break;
+          case 4:
+          case 5:
+            c.cx(q, other(q));
+            break;
+          case 6:
+            if (c.numMeasurements() > 0)
+                detector();
+            break;
+          default:
+            channel(q);
+            break;
+        }
+    }
+    for (uint32_t q = 0; q < nq; ++q)
+        measure(q);
+    channel(qubit()); // after the last measurement: invisible
+    for (size_t k = rng.below(4); k > 0; --k)
+        detector();
+    const uint32_t m = record();
+    c.addDetector({m, m, record()}); // a record twice: it cancels
+    c.addDetector({m});              // shares m
+    c.addObservable(0, {record(), record()});
+    c.addObservable(63, {record()});
+    return c;
+}
+
+/**
+ * Reference DEM of `circuit`: each channel component's signature
+ * from FrameSimulator::propagateFault, one component at a time (a
+ * two-qubit Pauli as the XOR of its two one-qubit halves), added in
+ * the builder's order under its merge rule. Counts merges.
+ */
+DetectorErrorModel
+referenceDem(const Circuit& circuit, size_t& merges)
+{
+    const FrameSimulator sim(circuit);
+    DetectorErrorModel dem;
+    dem.numDetectors = circuit.numDetectors();
+    dem.numObservables = circuit.numObservables();
+    // The Pauli (xa, za) on targets[0] times (xb, zb) on targets[1].
+    auto add = [&](size_t i, bool xa, bool za, bool xb, bool zb,
+                   double p) {
+        const Op& op = circuit.ops()[i];
+        BitVec flips(circuit.numDetectors());
+        uint64_t obs = 0;
+        if (xa || za)
+            sim.propagateFault(i, op.targets[0], xa, za, flips, obs);
+        if (xb || zb) {
+            BitVec more;
+            uint64_t moreObs = 0;
+            sim.propagateFault(i, op.targets[1], xb, zb, more, moreObs);
+            flips ^= more;
+            obs ^= moreObs;
+        }
+        const auto ones = flips.onesPositions();
+        const std::vector<uint32_t> dets(ones.begin(), ones.end());
+        if (p <= 0.0 || (dets.empty() && obs == 0))
+            return;
+        for (DemMechanism& m : dem.mechanisms) {
+            if (m.observables == obs && m.detectors == dets) {
+                m.probability = m.probability * (1.0 - p) +
+                    p * (1.0 - m.probability);
+                ++merges;
+                return;
+            }
+        }
+        dem.mechanisms.push_back({p, dets, obs});
+    };
+    for (size_t i = 0; i < circuit.ops().size(); ++i) {
+        const Op& op = circuit.ops()[i];
+        switch (op.kind) {
+          case OpKind::XError:
+            add(i, true, false, false, false, op.params[0]);
+            break;
+          case OpKind::ZError:
+            add(i, false, true, false, false, op.params[0]);
+            break;
+          case OpKind::Depolarize1:
+            add(i, true, false, false, false, op.params[0] / 3.0);
+            add(i, false, true, false, false, op.params[0] / 3.0);
+            add(i, true, true, false, false, op.params[0] / 3.0);
+            break;
+          case OpKind::Pauli1:
+            add(i, true, false, false, false, op.params[0]);
+            add(i, true, true, false, false, op.params[1]);
+            add(i, false, true, false, false, op.params[2]);
+            break;
+          case OpKind::Depolarize2:
+            for (unsigned combo = 1; combo < 16; ++combo)
+                add(i, combo & 1, combo & 2, combo & 4, combo & 8,
+                    op.params[0] / 15.0);
+            break;
+          default:
+            break;
+        }
+    }
+    return dem;
+}
+
+TEST(DemBuilderFuzz, MatchesFramePropagation)
+{
+    Rng rng(0xdeb0);
+    size_t merges = 0;
+    size_t mechanisms = 0;
+    std::vector<size_t> kinds(size_t(OpKind::Observable) + 1, 0);
+    for (size_t iter = 0; iter < fuzzIterations(); ++iter) {
+        for (uint32_t nq = 2; nq <= 6; ++nq) {
+            const Circuit circuit = randomCircuit(rng, nq);
+            for (const Op& op : circuit.ops())
+                ++kinds[size_t(op.kind)];
+            const DetectorErrorModel want = referenceDem(circuit, merges);
+            const DetectorErrorModel got = buildDetectorErrorModel(circuit);
+            const std::string where = "iteration " +
+                std::to_string(iter) + ", " + std::to_string(nq) +
+                " qubits:\n" + circuit.toString();
+            ASSERT_EQ(got.numDetectors, want.numDetectors) << where;
+            ASSERT_EQ(got.numObservables, want.numObservables) << where;
+            ASSERT_EQ(got.mechanisms.size(), want.mechanisms.size())
+                << where;
+            for (size_t m = 0; m < want.mechanisms.size(); ++m) {
+                const DemMechanism& a = got.mechanisms[m];
+                const DemMechanism& b = want.mechanisms[m];
+                ASSERT_EQ(std::bit_cast<uint64_t>(a.probability),
+                          std::bit_cast<uint64_t>(b.probability))
+                    << "mechanism " << m << ", " << where;
+                ASSERT_EQ(a.detectors, b.detectors)
+                    << "mechanism " << m << ", " << where;
+                ASSERT_EQ(a.observables, b.observables)
+                    << "mechanism " << m << ", " << where;
+            }
+            mechanisms += want.mechanisms.size();
+        }
+    }
+    for (size_t k = 0; k < kinds.size(); ++k)
+        EXPECT_GT(kinds[k], 0u) << "op kind " << k << " never drawn";
+    EXPECT_GT(merges, 0u);
+    EXPECT_GT(mechanisms, 0u);
 }
 
 TEST(DemSampler, ZeroProbabilityNeverFires)

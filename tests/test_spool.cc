@@ -291,6 +291,8 @@ TEST(SpoolSerde, WorkerStatsRoundTrip)
     r.cache.demStoreHits = 4;
     r.cache.demBytes = 6789;
     r.cache.quarantinedBlobs = 2;
+    r.cache.compileSeconds = 0.125;
+    r.cache.demBuildSeconds = 1.0 / 3.0;
     r.transientRetries = 5;
     r.promotions = 1;
     const WorkerReport p = parseWorkerStats(formatWorkerStats(r));
@@ -299,6 +301,8 @@ TEST(SpoolSerde, WorkerStatsRoundTrip)
     EXPECT_EQ(p.shots, r.shots);
     EXPECT_EQ(p.failures, r.failures);
     EXPECT_EQ(deterministicMismatch(p.cache, r.cache), "");
+    EXPECT_EQ(p.cache.compileSeconds, r.cache.compileSeconds);
+    EXPECT_EQ(p.cache.demBuildSeconds, r.cache.demBuildSeconds);
     EXPECT_EQ(p.transientRetries, r.transientRetries);
     EXPECT_EQ(p.promotions, r.promotions);
 }
