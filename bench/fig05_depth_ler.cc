@@ -7,7 +7,7 @@
  * factor and reruns the latency-coupled memory experiment; a 2x depth
  * reduction should already cut LER by roughly an order of magnitude
  * (Section II-C2). All points run as one campaign on a shared
- * work-stealing pool: the baseline compile is cached across the
+ * thread pool: the baseline compile is cached across the
  * speedup sweep and the adaptive sampler stops easy (high-LER) points
  * early. Counters: LER, LER_err, latency_ms, speedup, shots.
  */

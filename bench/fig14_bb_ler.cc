@@ -5,7 +5,7 @@
  *
  * The whole figure is one campaign: per-architecture compiles are
  * cached across the p sweep, every point samples on the shared
- * work-stealing pool, and adaptive stopping trims shots from points
+ * thread pool, and adaptive stopping trims shots from points
  * whose confidence interval converges early. Default codes:
  * [[72,12,6]] and one [[144,12,12]] point; CYCLONE_FULL=1 runs all
  * five BB codes over the dense p sweep.

@@ -4,7 +4,7 @@
  * (B) on hypergraph product codes.
  *
  * One campaign per run: compiles cached per (code, architecture),
- * sampling on the shared work-stealing pool with adaptive stopping.
+ * sampling on the shared thread pool with adaptive stopping.
  * Default code: [[225,9,6]]; CYCLONE_FULL=1 adds [[400,16,6]] and
  * [[625,25,8]] over a denser p sweep. Counters: LER, LER_err,
  * latency_ms, p, shots.

@@ -5,8 +5,8 @@
  *
  * Three execution modes:
  *
- *  - In-process (default): every task runs on one local
- *    work-stealing pool with adaptive shot allocation.
+ *  - In-process (default): every task runs on one local thread
+ *    pool with adaptive shot allocation.
  *  - Coordinator (--spool DIR, or `spool =` in the spec): the run is
  *    sharded through a filesystem spool. The coordinator compiles
  *    every artifact once into the spool's shared store, publishes

@@ -7,7 +7,7 @@
  *
  * The sweep runs as one campaign: the architecture is compiled once
  * (shared through the artifact cache), the four DEMs build in parallel
- * on the work-stealing pool, and an optional relative-error target
+ * on the thread pool, and an optional relative-error target
  * lets converged points stop before the shot cap.
  *
  * Run: ./memory_experiment [code-name] [cyclone|baseline] [shots]

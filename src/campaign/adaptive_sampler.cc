@@ -77,7 +77,8 @@ ChunkOutcome
 runChunkGroupStreamed(const DetectorErrorModel& dem,
                       const ChunkPlan* plans, size_t count,
                       StreamDecoder& stream,
-                      std::vector<ShotBatch>& batches)
+                      std::vector<ShotBatch>& batches, double roundUs,
+                      double& clockUs)
 {
     sampleChunks(dem, plans, count, batches);
     size_t total = 0;
@@ -103,6 +104,7 @@ runChunkGroupStreamed(const DetectorErrorModel& dem,
     std::vector<BitVec> sources(S);
     const size_t windowsPerStream = (total + S - 1) / S;
     for (size_t t = 0; t < windowsPerStream * R; ++t) {
+        clockUs = static_cast<double>(t) * roundUs;
         const size_t w = t / R;
         const size_t r = t % R;
         for (size_t s = 0; s < S; ++s) {

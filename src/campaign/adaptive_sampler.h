@@ -76,11 +76,18 @@ ChunkOutcome runChunkGroup(const DetectorErrorModel& dem,
  * runChunkGroup; only grouping statistics and the streaming latency
  * stats differ. `stream` must wrap a decoder built on `dem`; its
  * committed() buffer is consumed and cleared.
+ *
+ * The group runs on machine time: `clockUs`, which `stream`'s nowUs
+ * must read, is set to t x `roundUs` at round tick t of the group
+ * (t = 0, 1, ...). Readiness, deadline flushes and commits, and so
+ * every decoder and streaming counter, then depend on the plans
+ * alone; decoding takes no machine time.
  */
 ChunkOutcome runChunkGroupStreamed(const DetectorErrorModel& dem,
                                    const ChunkPlan* plans, size_t count,
                                    StreamDecoder& stream,
-                                   std::vector<ShotBatch>& batches);
+                                   std::vector<ShotBatch>& batches,
+                                   double roundUs, double& clockUs);
 
 /** Per-task accumulator and stopping-rule evaluator. */
 class AdaptiveSampler

@@ -363,12 +363,12 @@ ArtifactCache::getOrBuild(
             buildSeconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
-            const std::string blob = serialize(*value);
-            valueBytes = blob.size();
             if (!store.empty()) {
+                const std::string blob = serialize(*value);
                 try {
                     writeFileAtomic(store + "/" + name, blob,
                                     "cache.blob.commit");
+                    valueBytes = blob.size();
                 } catch (const std::exception&) {
                     // Best effort: the artifact stays local-only and
                     // the next process to miss builds and publishes it.

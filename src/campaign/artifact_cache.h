@@ -28,8 +28,9 @@
  * map; a *store hit* is a miss satisfied by deserializing the store
  * instead of running the builder; a *hit* reused a completed or
  * in-flight in-memory build. Byte counters sum the serialized size of
- * every artifact that entered this cache (built or loaded), giving
- * campaign output a measure of artifact volume. Build seconds sum the
+ * every artifact published to or loaded from the store, giving
+ * campaign output a measure of its on-disk artifact volume; without a
+ * store nothing is serialized and they stay 0. Build seconds sum the
  * time spent in the builders alone.
  */
 
@@ -64,7 +65,8 @@ struct CacheStats
     size_t compileStoreHits = 0;
     size_t demStoreHits = 0;
 
-    /** Serialized bytes of artifacts built or loaded into this cache. */
+    /** Serialized bytes of artifacts published to or loaded from the
+     *  attached store (0 without one: nothing is serialized). */
     size_t compileBytes = 0;
     size_t demBytes = 0;
 

@@ -38,12 +38,14 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
  * Map a task's StreamSpec onto StreamDecoderOptions. The deadline is
  * one window period — rounds x the task's (compiled or explicit)
  * round latency, the time the hardware takes to produce the next
- * window — so deadline misses mean "the decoder fell behind the
- * machine"; the deadline policy flushes after half of it (the
- * StreamDecoder default). Requires built artifacts (rt.latencyUs).
+ * window; the deadline policy flushes after half of it (the
+ * StreamDecoder default). The clock is the machine's, `clockUs`,
+ * which runChunkGroupStreamed advances one round latency per round,
+ * so a window misses its deadline only by waiting for a slab to
+ * fill. Requires built artifacts (rt.latencyUs).
  */
 StreamDecoderOptions
-streamOptionsFor(const ResolvedTask& rt)
+streamOptionsFor(const ResolvedTask& rt, const double& clockUs)
 {
     const StreamSpec& ss = rt.spec->stream;
     StreamDecoderOptions o;
@@ -54,6 +56,7 @@ streamOptionsFor(const ResolvedTask& rt)
     o.deadlineUs = rt.latencyUs * static_cast<double>(o.roundsPerWindow);
     o.capacityChunks =
         std::max<size_t>(size_t{1}, rt.spec->stop.stagingChunks);
+    o.nowUs = [&clockUs] { return clockUs; };
     return o;
 }
 
@@ -175,7 +178,7 @@ DecodeContext::DecodeContext(size_t task, const ResolvedTask& rt)
 {
     if (rt.spec->stream.enabled)
         stream = std::make_unique<StreamDecoder>(
-            decoder, rt.dem->numDetectors, streamOptionsFor(rt));
+            decoder, rt.dem->numDetectors, streamOptionsFor(rt, clockUs));
 }
 
 Completion
@@ -195,7 +198,8 @@ runStagingGroup(size_t task, const ResolvedTask& rt,
         }
         c.outcome = ctx->stream
             ? runChunkGroupStreamed(*rt.dem, plans, count, *ctx->stream,
-                                    ctx->batches)
+                                    ctx->batches, rt.latencyUs,
+                                    ctx->clockUs)
             : runChunkGroup(*rt.dem, plans, count, ctx->decoder,
                             ctx->batches);
     });

@@ -1,7 +1,7 @@
 /**
  * @file
  * The campaign engine: adaptive Monte-Carlo orchestration of many
- * logical-error-rate experiments on one shared work-stealing pool.
+ * logical-error-rate experiments on one shared thread pool.
  *
  * The engine turns a declarative CampaignSpec into per-task LER
  * estimates. One driver (campaign_driver.h) runs every campaign, over

@@ -89,10 +89,17 @@ struct DecodeContext
     size_t task;
     BpOsdDecoder decoder;
     std::vector<ShotBatch> batches;
+    /** Machine time of the current streamed group, in us: `stream`
+     *  reads it and runChunkGroupStreamed advances it. */
+    double clockUs = 0.0;
     std::unique_ptr<StreamDecoder> stream;
 
     /** Needs the task's built artifacts. */
     DecodeContext(size_t task, const ResolvedTask& rt);
+
+    // `stream` holds the addresses of `decoder` and `clockUs`.
+    DecodeContext(const DecodeContext&) = delete;
+    DecodeContext& operator=(const DecodeContext&) = delete;
 };
 
 /**

@@ -4,7 +4,7 @@
  *
  * A campaign is a batch of logical-error-rate experiment points — the
  * raw material of every LER figure in the paper (Figs. 5, 14, 15) —
- * executed together on one shared work-stealing pool with shared
+ * executed together on one shared thread pool with shared
  * compile/DEM caches and per-task adaptive shot allocation. Each
  * TaskSpec names a code, an architecture (or an explicit round
  * latency), a physical error rate, a round count, and a stopping rule;
@@ -86,8 +86,12 @@ struct StoppingRule
  * task content hash; what changes is the latency/occupancy telemetry
  * reported in TaskResult::stream. A window's deadline, for miss
  * accounting, is one window period: rounds x the task's (compiled
- * or explicit) round latency. Streaming tasks currently run
- * in-process only (the spool coordinator rejects them).
+ * or explicit) round latency. The task runs on the machine's clock:
+ * round tick t of a staging group falls at t x the round latency and
+ * decoding takes none of it, so latencies and misses are machine us,
+ * and deadline flushes, like every counter, depend on the seed alone.
+ * Streaming tasks currently run in-process only (the spool
+ * coordinator rejects them).
  */
 struct StreamSpec
 {

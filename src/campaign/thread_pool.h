@@ -1,14 +1,9 @@
 /**
  * @file
- * Work-stealing thread pool shared by every campaign.
+ * The thread pool shared by every campaign: one FIFO job queue.
  *
- * Each worker owns a deque: it pushes and pops its own work LIFO (hot
- * caches) and steals FIFO from victims when empty (oldest work first,
- * which tends to be the largest remaining subtree). External threads
- * submit round-robin across worker deques so a campaign's chunk jobs
- * spread immediately even before stealing kicks in.
- *
- * The pool never executes jobs on the submitting thread; campaign
+ * Jobs start in submission order, on whichever worker is free. The
+ * pool never executes jobs on the submitting thread; campaign
  * coordination stays on the caller while all sampling, compiling and
  * DEM building runs on workers.
  */
@@ -16,26 +11,25 @@
 #ifndef CYCLONE_CAMPAIGN_THREAD_POOL_H
 #define CYCLONE_CAMPAIGN_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace cyclone {
 
-/** Fixed-size work-stealing pool. */
+/** Fixed-size pool of workers taking jobs from one FIFO queue. */
 class ThreadPool
 {
   public:
     /** @param threads worker count (0 = hardware concurrency). */
     explicit ThreadPool(size_t threads = 0);
 
-    /** Waits for all submitted jobs, then joins the workers. */
+    /** Runs every queued job, including those queued meanwhile by
+     *  running jobs, then joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -47,9 +41,6 @@ class ThreadPool
     /** Enqueue a job; never runs inline on the calling thread. */
     void submit(std::function<void()> job);
 
-    /** Block until every submitted job has finished. */
-    void waitIdle();
-
     /**
      * Index of the current pool worker in [0, size()), or -1 when
      * called from a thread the pool does not own. Lets jobs address
@@ -59,24 +50,13 @@ class ThreadPool
     static int workerIndex();
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> jobs;
-    };
-
     void workerLoop(size_t self);
-    bool tryPop(size_t self, std::function<void()>& job);
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-
-    std::mutex sleepMutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
-    std::condition_variable idle_;
-    std::atomic<size_t> pending_{0};
-    std::atomic<size_t> nextQueue_{0};
-    std::atomic<bool> stop_{false};
+    std::deque<std::function<void()>> jobs_;
+    bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace cyclone

@@ -68,8 +68,9 @@ LatencyHistogram::quantileUs(double q) const
 std::span<const StatField<StreamDecodeStats>>
 StreamDecodeStats::fields()
 {
-    // Everything the wall clock decides is timing: latencies, misses,
+    // Everything the clock decides is timing: latencies, misses,
     // and — under the deadline policy — when slabs flush and how full.
+    // (A campaign's machine clock repeats them; the host's does not.)
     // Percentiles are recomputed from the merged histogram, so merging
     // merely carries the first one along.
     using S = StreamDecodeStats;

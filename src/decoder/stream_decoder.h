@@ -197,8 +197,9 @@ struct StreamDecoderOptions
 
     /**
      * Clock returning microseconds (monotonic). Defaults to
-     * std::chrono::steady_clock; tests and benches inject virtual
-     * clocks to make deadline flushes deterministic.
+     * std::chrono::steady_clock; a campaign's streamed tasks and the
+     * tests inject machine clocks, which make deadline flushes
+     * deterministic.
      */
     std::function<double()> nowUs;
 };

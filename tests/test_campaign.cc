@@ -10,8 +10,11 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/atomic_file.h"
 #include "campaign/campaign.h"
@@ -55,16 +58,35 @@ TEST(ThreadPool, RunsEverySubmittedJob)
         EXPECT_EQ(ThreadPool::workerIndex(), -1);
         for (int i = 0; i < 500; ++i)
             pool.submit([&] { ++count; });
-        pool.waitIdle();
-        EXPECT_EQ(count.load(), 500);
-        // Jobs submitted from workers land on the submitter's deque.
+        // A job a running job submits runs before the pool is gone.
         pool.submit([&] {
             EXPECT_GE(ThreadPool::workerIndex(), 0);
+            EXPECT_LT(ThreadPool::workerIndex(), 4);
             pool.submit([&] { ++count; });
         });
-        pool.waitIdle();
-        EXPECT_EQ(count.load(), 501);
     }
+    EXPECT_EQ(count.load(), 501);
+}
+
+TEST(ThreadPool, JobsStartInSubmissionOrder)
+{
+    // Eight jobs queue behind a blocked one on a one-thread pool,
+    // which is what a one-thread spool worker runs on.
+    std::promise<void> started;
+    std::promise<void> release;
+    std::vector<int> order;
+    {
+        ThreadPool pool(1);
+        pool.submit([&] {
+            started.set_value();
+            release.get_future().wait();
+        });
+        started.get_future().wait();
+        for (int i = 0; i < 8; ++i)
+            pool.submit([&order, i] { order.push_back(i); });
+        release.set_value();
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(Campaign, FixedBudgetRunsExactly)
@@ -274,6 +296,9 @@ TEST(Campaign, CacheAccounting)
     EXPECT_EQ(result.cache.compileHits, 2u);
     EXPECT_EQ(result.cache.demMisses, 2u);
     EXPECT_EQ(result.cache.demHits, 1u);
+    // The byte counters count store traffic; this run has no store.
+    EXPECT_EQ(result.cache.compileBytes, 0u);
+    EXPECT_EQ(result.cache.demBytes, 0u);
     // Identical tasks get distinct seeds, not identical streams.
     EXPECT_NE(result.tasks[0].contentHash, result.tasks[1].contentHash);
 }
@@ -791,6 +816,70 @@ TEST(Campaign, ContentHashGoldenPerBpVariant)
     EXPECT_EQ(rt[1].contentHash, 0xa12dcbfe6cbb096cull);
 }
 
+TEST(Campaign, DemoGoldenCounts)
+{
+    // The built-in demo of examples/campaign_runner.cpp (kDemoSpec):
+    // bb72 under Cyclone and the baseline grid at three p. Its shots,
+    // failures and decoder counters must be the same on every host and
+    // at any thread count. wave_groups and wave_lane_slots follow the
+    // SIMD rung's lane width and `backend` names the rung, so those
+    // three are left out.
+    const char* kDemoSpec = R"(name = demo-bb72
+seed = 7
+
+[task]
+code = bb72
+arch = cyclone, baseline
+p = 1e-3, 2e-3, 4e-3
+chunk_shots = 128
+chunks_per_wave = 2
+max_shots = 800
+target_rel_err = 0.1
+bp = minsum
+)";
+    struct Golden
+    {
+        size_t shots;
+        size_t failures;
+        // The fields() counters in table order: decodes, bp_converged,
+        // osd_invocations, osd_failures, trivial_shots, memo_hits,
+        // bp_iterations, wave_lanes_filled, osd_batch_groups,
+        // staged_chunks.
+        size_t counters[10];
+    };
+    const Golden kGolden[] = {
+        {800, 4, {800, 411, 389, 0, 5, 0, 17209, 795, 389, 0}},
+        {800, 67, {800, 212, 588, 0, 0, 0, 22330, 800, 588, 0}},
+        {512, 261, {512, 10, 502, 0, 0, 0, 16247, 512, 502, 0}},
+        {800, 13, {800, 364, 436, 0, 0, 0, 18703, 800, 436, 0}},
+        {800, 139, {800, 134, 666, 0, 0, 0, 23657, 800, 666, 0}},
+        {256, 190, {256, 2, 254, 0, 0, 0, 8166, 256, 254, 0}},
+    };
+
+    const CampaignResult result = runCampaign(parseCampaignSpec(kDemoSpec));
+    ASSERT_EQ(result.tasks.size(), std::size(kGolden));
+    for (size_t i = 0; i < result.tasks.size(); ++i) {
+        const TaskResult& t = result.tasks[i];
+        const Golden& g = kGolden[i];
+        ASSERT_TRUE(t.error.empty()) << t.error;
+        EXPECT_EQ(t.logicalErrorRate.trials, g.shots) << t.id;
+        EXPECT_EQ(t.logicalErrorRate.successes, g.failures) << t.id;
+        size_t column = 0;
+        for (const StatField<BpOsdStats>& f : BpOsdStats::fields()) {
+            const std::string name = f.name;
+            if (f.derived() || name == "wave_groups" ||
+                name == "wave_lane_slots" || name == "backend")
+                continue;
+            ASSERT_LT(column, std::size(g.counters)) << "unpinned " << name;
+            EXPECT_EQ(std::get<size_t>(f.get(t.decoder)),
+                      g.counters[column])
+                << t.id << ' ' << name;
+            ++column;
+        }
+        EXPECT_EQ(column, std::size(g.counters));
+    }
+}
+
 TEST(Campaign, SpecRejectsUnknownKeysWithLineNumbers)
 {
     // New campaign/task keys must never be silently ignored: a typo'd
@@ -955,6 +1044,48 @@ TEST(Campaign, StreamedCampaignBitIdenticalToOffline)
     }
 }
 
+TEST(Campaign, StreamedDeadlineTaskRunsOnMachineClock)
+{
+    // A streamed task runs on machine time, so under the deadline
+    // policy which windows share a slab, and with it every decoder
+    // and streaming counter, is the same at any thread count.
+    CampaignSpec spec;
+    spec.seed = 9;
+    TaskSpec task = surfaceTask(0.03, 600);
+    task.roundLatencyUs = 2.0;
+    task.stream.enabled = true;
+    task.stream.streams = 4;
+    task.stream.deadlineFlush = true;
+    spec.tasks.push_back(task);
+    spec.threads = 1;
+    const CampaignResult one = runCampaign(spec);
+    spec.threads = 4;
+    const CampaignResult four = runCampaign(spec);
+
+    const TaskResult& a = one.tasks[0];
+    const TaskResult& b = four.tasks[0];
+    ASSERT_TRUE(a.error.empty()) << a.error;
+    ASSERT_TRUE(b.error.empty()) << b.error;
+    EXPECT_EQ(deterministicMismatch(a.decoder, b.decoder), "");
+    for (const StatField<StreamDecodeStats>& f : StreamDecodeStats::fields())
+        EXPECT_EQ(f.get(a.stream), f.get(b.stream)) << f.name;
+
+    // The tick rule: round tick t of a staging group falls at t x 2 us.
+    // The windows of a set (one per stream) are ready at the tick of
+    // their third round, and the deadline policy flushes them once
+    // they have waited half a window period (3 us), at the second tick
+    // after. That is before the next set is ready, three ticks on, so
+    // every set but a group's last, which finish() commits at once,
+    // flushes by deadline, each window 4 us after it was ready.
+    const size_t groups = 600 / task.stop.chunkShots;
+    const size_t sets = (task.stop.chunkShots + 3) / 4;
+    EXPECT_EQ(a.stream.flushesDeadline, groups * (sets - 1));
+    EXPECT_EQ(a.stream.flushesFinal, groups);
+    EXPECT_EQ(a.stream.flushesFull, 0u);
+    EXPECT_EQ(a.stream.deadlineMisses, 0u);
+    EXPECT_EQ(a.stream.latencyMaxUs, 4.0);
+}
+
 TEST(Campaign, StreamedTaskSurvivesCheckpointRoundtrip)
 {
     const std::string path = "test_campaign_stream_checkpoint.tmp";
@@ -964,9 +1095,12 @@ TEST(Campaign, StreamedTaskSurvivesCheckpointRoundtrip)
     spec.tasks.push_back(surfaceTask(0.04, 300));
     spec.tasks[0].stream.enabled = true;
     spec.tasks[0].stream.streams = 4;
+    // A round period, so the machine-clock latencies are not all 0.
+    spec.tasks[0].roundLatencyUs = 12.0;
 
     const CampaignResult first = runCampaign(spec);
     ASSERT_TRUE(first.tasks[0].streamed);
+    ASSERT_GT(first.tasks[0].stream.latencySumUs, 0.0);
     ASSERT_TRUE(saveCheckpoint(first, path));
 
     CampaignCheckpoint checkpoint;

@@ -367,13 +367,15 @@ TEST(StreamDecoder, ChunkGroupStreamedMatchesOfflineChunkGroup)
 
     for (const size_t S : {size_t{1}, size_t{5}, size_t{8}}) {
         BpOsdDecoder decoder(dem);
+        double clockUs = 0.0;
         StreamDecoderOptions options;
         options.streams = S;
         options.roundsPerWindow = 3;
+        options.nowUs = [&clockUs] { return clockUs; };
         StreamDecoder stream(decoder, dem.numDetectors, options);
         std::vector<ShotBatch> batches;
         const ChunkOutcome got = runChunkGroupStreamed(
-            dem, plans.data(), count, stream, batches);
+            dem, plans.data(), count, stream, batches, 1.0, clockUs);
         EXPECT_EQ(got.shots, want.shots) << "S=" << S;
         EXPECT_EQ(got.failures, want.failures) << "S=" << S;
         EXPECT_EQ(stream.stats().windows, want.shots) << "S=" << S;
@@ -397,13 +399,15 @@ TEST(StreamDecoder, ReusedAcrossGroupsKeepsFlatMappingAndStats)
         runChunkGroup(dem, &plan, 1, offline, offlineBatches);
 
     BpOsdDecoder decoder(dem);
+    double clockUs = 0.0;
     StreamDecoderOptions options;
     options.streams = 6;
+    options.nowUs = [&clockUs] { return clockUs; };
     StreamDecoder stream(decoder, dem.numDetectors, options);
     std::vector<ShotBatch> batches;
     for (size_t group = 0; group < 3; ++group) {
-        const ChunkOutcome got =
-            runChunkGroupStreamed(dem, &plan, 1, stream, batches);
+        const ChunkOutcome got = runChunkGroupStreamed(
+            dem, &plan, 1, stream, batches, 1.0, clockUs);
         EXPECT_EQ(got.shots, want.shots) << "group=" << group;
         EXPECT_EQ(got.failures, want.failures) << "group=" << group;
     }
