@@ -332,8 +332,8 @@ constexpr size_t kStagingGroup = 8;
 
 /** A campaign worker decoding 64-shot chunks one at a time against
  *  the same chunks pooled kStagingGroup at a time through the staged
- *  decode group, so wave lanes and OSD slabs fill across chunk
- *  boundaries; paired over the same chunk groups. Counters carry a
+ *  decode group, so wave lanes fill across chunk boundaries; paired
+ *  over the same chunk groups. Counters carry a
  *  "chunk64_" or "staged_" prefix. */
 void
 BM_DecodeChunk64VsStaged(benchmark::State& state, double p)

@@ -25,7 +25,7 @@
  *      [--csv FILE] [--checkpoint FILE] [--quiet]
  *      [--spool DIR] [--workers N] [--lease SECONDS]
  *      [--max-claim-reclaims N] [--self-execute]
- *      [--worker] [--worker-id NAME] [--worker-shards N] [--promote]
+ *      [--worker] [--worker-id NAME] [--promote]
  *
  * Failover: `--coordinator-takeover --spool DIR` resumes a crashed
  * coordinator's campaign. The spec is read back from the spool
@@ -84,7 +84,7 @@ usage(const char* prog)
                  " [--max-claim-reclaims N]\n"
                  "       [--self-execute]\n"
                  "       %s --worker --spool DIR [--threads N] "
-                 "[--worker-id NAME] [--worker-shards N] [--promote]\n"
+                 "[--worker-id NAME] [--promote]\n"
                  "       %s --coordinator-takeover --spool DIR "
                  "[spec-file] [--threads N] [--json FILE]\n",
                  prog, prog, prog);
@@ -141,7 +141,6 @@ main(int argc, char** argv)
     std::optional<size_t> threads_override;
     std::optional<size_t> workers_override;
     std::optional<double> lease_override;
-    size_t worker_shards = 0;
     bool worker_mode = false;
     bool promote = false;
     bool takeover = false;
@@ -182,8 +181,6 @@ main(int argc, char** argv)
             worker_mode = true;
         } else if (arg == "--worker-id") {
             worker_id = next();
-        } else if (arg == "--worker-shards") {
-            worker_shards = count();
         } else if (arg == "--promote") {
             promote = true;
         } else if (arg == "--coordinator-takeover") {
@@ -216,7 +213,6 @@ main(int argc, char** argv)
         opts.spool = spool_dir;
         opts.threads = threads_override.value_or(0);
         opts.workerId = worker_id;
-        opts.maxShards = worker_shards;
         opts.promote = promote;
         try {
             const WorkerReport report = runSpoolWorker(opts);

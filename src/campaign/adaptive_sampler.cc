@@ -76,10 +76,14 @@ runChunkGroup(const DetectorErrorModel& dem, const ChunkPlan* plans,
 ChunkOutcome
 runChunkGroupStreamed(const DetectorErrorModel& dem,
                       const ChunkPlan* plans, size_t count,
-                      StreamDecoder& stream,
-                      std::vector<ShotBatch>& batches, double roundUs,
-                      double& clockUs)
+                      BpOsdDecoder& decoder,
+                      std::vector<ShotBatch>& batches,
+                      StreamDecoderOptions options, double roundUs,
+                      StreamDecodeStats& stats)
 {
+    double clockUs = 0.0;
+    options.nowUs = [&clockUs] { return clockUs; };
+    StreamDecoder stream(decoder, dem.numDetectors, std::move(options));
     sampleChunks(dem, plans, count, batches);
     size_t total = 0;
     std::vector<size_t> base(count);
@@ -133,7 +137,7 @@ runChunkGroupStreamed(const DetectorErrorModel& dem,
         if (c.prediction != batches[k].observables[shot])
             ++outcome.failures;
     }
-    stream.committed().clear();
+    stats = stream.stats();
     return outcome;
 }
 

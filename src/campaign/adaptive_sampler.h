@@ -65,29 +65,32 @@ ChunkOutcome runChunkGroup(const DetectorErrorModel& dem,
 
 /**
  * Streaming-mode equivalent of runChunkGroup: sample the same chunks
- * from the same RNG streams, then drive the shots through `stream` as
- * concurrent per-round arrivals instead of offline batches. Shot
- * `i` (flat across the group, in plan order) becomes window `i / S`
- * of stream `i % S`; all streams advance round-synchronously, so the
- * slab multiplexes ready windows from every stream in a fixed,
+ * from the same RNG streams, then drive the shots through a
+ * StreamDecoder over `decoder`, built with `options`, as concurrent
+ * per-round arrivals instead of offline batches. Shot `i` (flat
+ * across the group, in plan order) becomes window `i / S` of stream
+ * `i % S`; all streams advance round-synchronously, so the slab
+ * multiplexes ready windows from every stream in a fixed,
  * thread-count-independent order. Because a distinct syndrome's
  * decode is a pure function of that syndrome, the predictions — and
- * therefore the returned counts — are bit-identical to
- * runChunkGroup; only grouping statistics and the streaming latency
- * stats differ. `stream` must wrap a decoder built on `dem`; its
- * committed() buffer is consumed and cleared.
+ * therefore the returned counts and every per-shot decoder counter —
+ * are bit-identical to runChunkGroup; only grouping statistics and
+ * the streaming stats differ. `stats` receives the group's streaming
+ * stats.
  *
- * The group runs on machine time: `clockUs`, which `stream`'s nowUs
- * must read, is set to t x `roundUs` at round tick t of the group
- * (t = 0, 1, ...). Readiness, deadline flushes and commits, and so
+ * The group runs on its own machine clock, which replaces
+ * `options.nowUs`: round tick t of the group (t = 0, 1, ...) falls
+ * at t x `roundUs`. Readiness, deadline flushes and commits, and so
  * every decoder and streaming counter, then depend on the plans
  * alone; decoding takes no machine time.
  */
 ChunkOutcome runChunkGroupStreamed(const DetectorErrorModel& dem,
                                    const ChunkPlan* plans, size_t count,
-                                   StreamDecoder& stream,
+                                   BpOsdDecoder& decoder,
                                    std::vector<ShotBatch>& batches,
-                                   double roundUs, double& clockUs);
+                                   StreamDecoderOptions options,
+                                   double roundUs,
+                                   StreamDecodeStats& stats);
 
 /** Per-task accumulator and stopping-rule evaluator. */
 class AdaptiveSampler

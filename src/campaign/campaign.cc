@@ -39,13 +39,13 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
  * one window period — rounds x the task's (compiled or explicit)
  * round latency, the time the hardware takes to produce the next
  * window; the deadline policy flushes after half of it (the
- * StreamDecoder default). The clock is the machine's, `clockUs`,
- * which runChunkGroupStreamed advances one round latency per round,
- * so a window misses its deadline only by waiting for a slab to
- * fill. Requires built artifacts (rt.latencyUs).
+ * StreamDecoder default). runChunkGroupStreamed runs each group on
+ * a machine clock that advances one round latency per round, so a
+ * window misses its deadline only by waiting for a slab to fill.
+ * Requires built artifacts (rt.latencyUs).
  */
 StreamDecoderOptions
-streamOptionsFor(const ResolvedTask& rt, const double& clockUs)
+streamOptionsFor(const ResolvedTask& rt)
 {
     const StreamSpec& ss = rt.spec->stream;
     StreamDecoderOptions o;
@@ -56,7 +56,6 @@ streamOptionsFor(const ResolvedTask& rt, const double& clockUs)
     o.deadlineUs = rt.latencyUs * static_cast<double>(o.roundsPerWindow);
     o.capacityChunks =
         std::max<size_t>(size_t{1}, rt.spec->stop.stagingChunks);
-    o.nowUs = [&clockUs] { return clockUs; };
     return o;
 }
 
@@ -175,11 +174,7 @@ taskContentHash(const ResolvedTask& rt)
 
 DecodeContext::DecodeContext(size_t task, const ResolvedTask& rt)
     : task(task), decoder(*rt.dem, rt.spec->bp)
-{
-    if (rt.spec->stream.enabled)
-        stream = std::make_unique<StreamDecoder>(
-            decoder, rt.dem->numDetectors, streamOptionsFor(rt, clockUs));
-}
+{}
 
 Completion
 runStagingGroup(size_t task, const ResolvedTask& rt,
@@ -196,18 +191,15 @@ runStagingGroup(size_t task, const ResolvedTask& rt,
             ctx.reset(); // before the build, so two never coexist
             ctx = std::make_unique<DecodeContext>(task, rt);
         }
-        c.outcome = ctx->stream
-            ? runChunkGroupStreamed(*rt.dem, plans, count, *ctx->stream,
-                                    ctx->batches, rt.latencyUs,
-                                    ctx->clockUs)
+        c.outcome = rt.spec->stream.enabled
+            ? runChunkGroupStreamed(*rt.dem, plans, count, ctx->decoder,
+                                    ctx->batches, streamOptionsFor(rt),
+                                    rt.latencyUs, c.stream.emplace())
             : runChunkGroup(*rt.dem, plans, count, ctx->decoder,
                             ctx->batches);
     });
-    if (ctx) {
+    if (ctx)
         c.decoder = ctx->decoder.takeStats();
-        if (ctx->stream)
-            c.stream = ctx->stream->takeStats();
-    }
     c.seconds = elapsedSeconds(c0);
     return c;
 }

@@ -79,9 +79,10 @@ errorOf(Fn&& fn)
 }
 
 /**
- * A pool thread's decode state for one task: the decoder, its
- * reusable shot buffers (one per staged chunk) and, for a streamed
- * task, the streaming front-end around the same decoder.
+ * A pool thread's decode state for one task: the decoder and its
+ * reusable shot buffers (one per staged chunk). A streamed group
+ * builds its own StreamDecoder around the decoder and leaves nothing
+ * behind in it (runChunkGroupStreamed).
  */
 struct DecodeContext
 {
@@ -89,17 +90,9 @@ struct DecodeContext
     size_t task;
     BpOsdDecoder decoder;
     std::vector<ShotBatch> batches;
-    /** Machine time of the current streamed group, in us: `stream`
-     *  reads it and runChunkGroupStreamed advances it. */
-    double clockUs = 0.0;
-    std::unique_ptr<StreamDecoder> stream;
 
     /** Needs the task's built artifacts. */
     DecodeContext(size_t task, const ResolvedTask& rt);
-
-    // `stream` holds the addresses of `decoder` and `clockUs`.
-    DecodeContext(const DecodeContext&) = delete;
-    DecodeContext& operator=(const DecodeContext&) = delete;
 };
 
 /**
@@ -116,12 +109,12 @@ using ThreadContexts = std::vector<std::unique_ptr<DecodeContext>>;
  * is reused while the thread stays on `task`; when the thread takes
  * up another task, the old context is freed before the new one is
  * built, so a thread never holds two. Nothing a context carries
- * outlives a group (the memo, the counters taken here, the streaming
- * windows finish() drains), so a rebuilt context decodes exactly as
- * a reused one. Returns the group's completion: its outcome, the
- * seconds it took, the decoder and streaming counters it added, and
- * what it threw. Both executors run every staging group through
- * here.
+ * outlives a group (the memo, the counters taken here; a streamed
+ * group's StreamDecoder and clock are the group's own), so a rebuilt
+ * context decodes exactly as a reused one. Returns the group's
+ * completion: its outcome, the seconds it took, the decoder and
+ * streaming counters it added, and what it threw. Both executors run
+ * every staging group through here.
  */
 Completion runStagingGroup(size_t task, const ResolvedTask& rt,
                            ThreadContexts& contexts,

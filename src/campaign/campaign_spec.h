@@ -59,12 +59,12 @@ struct StoppingRule
      * BpOsdDecoder::beginStaged): each worker samples `stagingChunks`
      * consecutive chunks of a wave and decodes their pooled distinct
      * syndromes together, which keeps the SIMD wave kernel's lanes
-     * and the batched OSD's slabs full when chunks are small. Groups
-     * partition the wave by ascending chunk index, so results stay
-     * bit-identical at any thread count — but a different value
-     * regroups the decoder's duplicate-syndrome memo, so memoHits
-     * (never any prediction) can change. A perf knob: deliberately
-     * excluded from the task content hash, like the SIMD rung.
+     * full when chunks are small. Groups partition the wave by
+     * ascending chunk index, so results stay bit-identical at any
+     * thread count — but a different value regroups the decoder's
+     * duplicate-syndrome memo, so memoHits (never any prediction) can
+     * change. A perf knob: deliberately excluded from the task
+     * content hash, like the SIMD rung.
      * 1 = stage nothing (one chunk per decode job, the default).
      * Distributed runs cut each wave into shards of about a quarter
      * wave, rounded up to a multiple of this (effectiveShardChunks in

@@ -598,8 +598,6 @@ runSpoolWorker(const WorkerOptions& opts)
             writeRecord(false);
             break; // rescan open/ for the freshest view
         }
-        if (opts.maxShards > 0 && report.shardsRun >= opts.maxShards)
-            break;
         if (!claimed) {
             // Keep the record's mtime fresh while idle, so the
             // coordinator can tell idle from dead.

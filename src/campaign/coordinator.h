@@ -111,8 +111,6 @@ struct WorkerOptions
     size_t threads = 0;
     /** Label of the worker's record, workers/<id> ("" = "pid<pid>"). */
     std::string workerId;
-    /** Stop after this many shards (0 = run until spool DONE). */
-    size_t maxShards = 0;
     /** Seconds between idle polls of open/. */
     double pollSeconds = 0.05;
     /**
@@ -154,15 +152,15 @@ WorkerReport parseWorkerStats(const std::string& text);
 
 /**
  * Run the worker loop against `opts.spool` until the coordinator's
- * DONE marker appears (or `maxShards` is reached). Waits for the
- * spool to be initialized first, so workers may start before the
- * coordinator. Rewrites its record (spool workers/<id>: the report,
- * state healthy/degraded/done, degraded once transient retries
- * occur) at start, after each shard and at exit, and touches it
- * while idle; the coordinator folds the states into the final
- * summary. Every write of the record is advisory. Throws
- * std::runtime_error on a spec/shard content-hash mismatch (the
- * spool holds a different campaign than the shard expects).
+ * DONE marker appears. Waits for the spool to be initialized first,
+ * so workers may start before the coordinator. Rewrites its record
+ * (spool workers/<id>: the report, state healthy/degraded/done,
+ * degraded once transient retries occur) at start, after each shard
+ * and at exit, and touches it while idle; the coordinator folds the
+ * states into the final summary. Every write of the record is
+ * advisory. Throws std::runtime_error on a spec/shard content-hash
+ * mismatch (the spool holds a different campaign than the shard
+ * expects).
  */
 WorkerReport runSpoolWorker(const WorkerOptions& opts);
 

@@ -1,16 +1,16 @@
 /**
  * @file
- * Bounded jittered-exponential-backoff retries for transient spool
- * filesystem failures.
+ * Bounded exponential-backoff retries for transient spool filesystem
+ * failures.
  *
  * The file primitives (atomic_file.h) classify I/O errors: errno
  * values that plausibly clear on their own (EIO, ENOSPC, EAGAIN,
  * EINTR, ESTALE — the NFS hiccup family) surface as TransientIoError,
  * everything else as a plain runtime_error. runWithRetry() retries
- * only the transient kind, under one fixed schedule with deterministic
- * jitter (so backoff timing is unit-testable without sleeping), and
- * after the attempt budget throws SpoolIoError naming the operation
- * and path — campaigns fail with "write spool/results/
+ * only the transient kind, under one fixed schedule (a pure function
+ * of the attempt, so backoff timing is unit-testable without
+ * sleeping), and after the attempt budget throws SpoolIoError naming
+ * the operation and path — campaigns fail with "write spool/results/
  * t0001-s00002.rec failed after 4 attempts", not a bare EIO from
  * somewhere in a 500-line merge loop.
  */
@@ -55,15 +55,13 @@ struct SpoolIoError : public std::runtime_error
 };
 
 /** The one backoff schedule every spool handle retries under:
- *  delay(k) = min(cap, base * 2^(k-1)) +- jitter. */
+ *  delay(k) = min(cap, base * 2^(k-1)). */
 struct RetryPolicy
 {
     /** Total tries, including the first. */
     static constexpr size_t kMaxAttempts = 4;
     static constexpr double kBaseDelaySeconds = 0.005;
     static constexpr double kMaxDelaySeconds = 0.25;
-    /** Relative jitter amplitude. */
-    static constexpr double kJitterFraction = 0.25;
 
     /**
      * Delay in seconds before retry attempt `attempt` (1-based: the

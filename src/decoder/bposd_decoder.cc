@@ -169,7 +169,7 @@ BpOsdDecoder::beginStaged()
                    "beginStaged() with a staged group already open");
     stagedOpen_ = true;
     stagedShots_ = 0;
-    stagedOffsets_.assign(1, 0);
+    stagedOffsets_.clear();
     // The memo is scoped to one staged group: a group's results must
     // not depend on what a worker decoded before, so a fixed staging
     // order gives the same counts at any thread count or chunk
@@ -187,9 +187,10 @@ BpOsdDecoder::stageBatch(const ShotBatch& batch)
                    "batch detector count mismatch: "
                    << batch.numDetectors << " vs "
                    << dem_.numDetectors);
-    if (stagedOffsets_.size() > 1)
+    if (!stagedOffsets_.empty())
         ++stats_.stagedChunks;
     const size_t base = stagedShots_;
+    stagedOffsets_.push_back(base);
 
     const size_t syndrome_words = batch.syndromeWords();
     if (syndromeScratch_.size() != batch.numDetectors)
@@ -227,32 +228,47 @@ BpOsdDecoder::stageBatch(const ShotBatch& batch)
             syndromeScratch_.assignWords(
                 waveScratch_.data() + s * syndrome_words,
                 syndrome_words);
-
-            const uint64_t key = syndromeScratch_.hash();
-            std::vector<uint32_t>& bucket = memoIndex_[key];
-            MemoEntry* hit = nullptr;
-            for (uint32_t idx : bucket) {
-                if (memoEntries_[idx].syndrome == syndromeScratch_) {
-                    hit = &memoEntries_[idx];
-                    break;
-                }
-            }
-            if (hit != nullptr) {
-                hit->shots.push_back(shot);
-                continue;
-            }
-            bucket.push_back(
-                static_cast<uint32_t>(memoEntries_.size()));
-            MemoEntry entry;
-            entry.syndrome = syndromeScratch_;
-            entry.weight = entry.syndrome.popcount();
-            entry.shots.push_back(shot);
-            memoEntries_.push_back(std::move(entry));
+            stageDistinct(syndromeScratch_, shot);
         }
     }
 
     stagedShots_ = base + batch.numShots;
-    stagedOffsets_.push_back(stagedShots_);
+}
+
+void
+BpOsdDecoder::stageSyndrome(const BitVec& syndrome)
+{
+    CYCLONE_ASSERT(stagedOpen_,
+                   "stageSyndrome() without an open staged group");
+    CYCLONE_ASSERT(syndrome.size() == dem_.numDetectors,
+                   "syndrome detector count mismatch: "
+                   << syndrome.size() << " vs " << dem_.numDetectors);
+    ++stats_.decodes;
+    if (syndrome.isZero()) {
+        ++stats_.trivialShots;
+        ++stats_.bpConverged;
+    } else {
+        stageDistinct(syndrome, static_cast<uint32_t>(stagedShots_));
+    }
+    ++stagedShots_;
+}
+
+void
+BpOsdDecoder::stageDistinct(const BitVec& syndrome, uint32_t shot)
+{
+    std::vector<uint32_t>& bucket = memoIndex_[syndrome.hash()];
+    for (uint32_t idx : bucket) {
+        if (memoEntries_[idx].syndrome == syndrome) {
+            memoEntries_[idx].shots.push_back(shot);
+            return;
+        }
+    }
+    bucket.push_back(static_cast<uint32_t>(memoEntries_.size()));
+    MemoEntry entry;
+    entry.syndrome = syndrome;
+    entry.weight = entry.syndrome.popcount();
+    entry.shots.push_back(shot);
+    memoEntries_.push_back(std::move(entry));
 }
 
 void

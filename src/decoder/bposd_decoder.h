@@ -26,7 +26,9 @@
  * (beginStaged / stageBatch / flushStaged), which lets a campaign
  * worker pool the non-trivial distinct syndromes of several
  * adaptive-sampler chunks before decoding, so small tail chunks stop
- * collapsing lane occupancy. Staging is safe because the decode of a
+ * collapsing lane occupancy; stageSyndrome() stages one shot-major
+ * syndrome, which is how the streaming front-end (stream_decoder.h)
+ * pools ready windows. Staging is safe because the decode of a
  * distinct syndrome is a pure function of that syndrome — regrouping
  * lanes can change neither any outcome nor any per-shot statistic —
  * and deterministic because callers stage chunks in plan
@@ -100,9 +102,9 @@ struct BpOsdStats
     size_t osdSharedPivots = 0;
 
     /** Batches that joined a staged pool already holding at least one
-     *  earlier batch (plain decodeBatch contributes zero; a staged
-     *  group of G chunks contributes G - 1). Structural, like
-     *  waveGroups. */
+     *  earlier batch (plain decodeBatch and stageSyndrome contribute
+     *  zero; a staged group of G chunks contributes G - 1).
+     *  Structural, like waveGroups. */
     size_t stagedChunks = 0;
 
     /** SIMD-ladder backend the decoder dispatched to ("generic",
@@ -153,11 +155,11 @@ class BpOsdDecoder
                      std::vector<uint64_t>& predicted);
 
     // ------------------------------------------------------------------
-    // Staged decoding: pool several batches' distinct syndromes into
-    // one lane pool before decoding. Callers must stage batches in a
-    // deterministic order (the campaign stages by ascending chunk
-    // index) — the memo, and therefore memoHits, is scoped to the
-    // staged group.
+    // Staged decoding: pool the distinct syndromes of several batches
+    // or single syndromes into one lane pool before decoding. Callers
+    // must stage in a deterministic order (the campaign stages by
+    // ascending chunk index) — the memo, and therefore memoHits, is
+    // scoped to the staged group.
     // ------------------------------------------------------------------
 
     /** Open a staged group (resets the pool and the memo). */
@@ -170,6 +172,15 @@ class BpOsdDecoder
      * comparison happens on the caller's side after flushStaged().
      */
     void stageBatch(const ShotBatch& batch);
+
+    /**
+     * Add one shot-major syndrome (the DEM's detector count) to the
+     * open staged group as one more shot: a zero syndrome counts as
+     * trivial, any other joins the group's memo as stageBatch's shots
+     * do. Its prediction is stagedPredictions()[i], where i is the
+     * number of shots staged before it.
+     */
+    void stageSyndrome(const BitVec& syndrome);
 
     /**
      * Decode every staged distinct syndrome (full L-wide weight-
@@ -226,6 +237,9 @@ class BpOsdDecoder
         std::vector<uint32_t> shots; ///< Staged shot ids (pool-flat).
     };
 
+    /** Pool staged shot `shot`'s non-zero syndrome under its memo
+     *  entry, opening the entry if the group has not seen it. */
+    void stageDistinct(const BitVec& syndrome, uint32_t shot);
     DecodeOutcome decodeCore(const BitVec& syndrome);
     void applyOutcomeStats(const DecodeOutcome& outcome);
     uint64_t observablesOf(const BitVec& errors) const;

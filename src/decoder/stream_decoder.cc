@@ -135,19 +135,7 @@ StreamDecoder::StreamDecoder(BpOsdDecoder& decoder, size_t numDetectors,
     states_.resize(options_.streams);
     for (StreamState& st : states_)
         st.window.resize(numDetectors_);
-    chunks_.resize(options_.capacityChunks);
-    for (ShotBatch& chunk : chunks_)
-        chunk.reset(numDetectors_, 64);
     pending_.reserve(slabCapacity());
-}
-
-StreamDecodeStats
-StreamDecoder::takeStats()
-{
-    StreamDecodeStats taken = stats_;
-    stats_ = StreamDecodeStats{};
-    stats_.deadlineUs = options_.deadlineUs;
-    return taken;
 }
 
 size_t
@@ -201,22 +189,10 @@ void
 StreamDecoder::enqueueReady(size_t stream)
 {
     StreamState& st = states_[stream];
-    const size_t slot = pending_.size();
-    ShotBatch& chunk = chunks_[slot / 64];
-    const size_t shot = slot & 63;
-    // Transpose the ready window into the detector-major slab chunk:
-    // one flip per detection event (windows are sparse sub-threshold).
-    const std::vector<uint64_t>& words = st.window.words();
-    for (size_t w = 0; w < words.size(); ++w) {
-        uint64_t bits = words[w];
-        while (bits != 0) {
-            const size_t d =
-                (w << 6) +
-                static_cast<size_t>(__builtin_ctzll(bits));
-            bits &= bits - 1;
-            chunk.flipDetector(shot, d);
-        }
-    }
+    // The first ready window after a flush opens the slab's group.
+    if (pending_.empty())
+        decoder_.beginStaged();
+    decoder_.stageSyndrome(st.window);
     PendingWindow p;
     p.stream = static_cast<uint32_t>(stream);
     p.windowIndex = st.windows++;
@@ -250,10 +226,6 @@ StreamDecoder::finish()
             st.window.clear();
             st.round = 0;
         }
-        // Window ordinals restart with the next run, so drivers that
-        // reuse one StreamDecoder across groups keep a stable
-        // windowIndex -> shot mapping per run (stats accumulate).
-        st.windows = 0;
     }
 }
 
@@ -269,16 +241,6 @@ StreamDecoder::flush(size_t cause)
     stats_.slabSlots += slabCapacity();
     stats_.slabFilled += pending_.size();
 
-    const size_t staged = (pending_.size() + 63) / 64;
-    decoder_.beginStaged();
-    for (size_t k = 0; k < staged; ++k) {
-        // Only the last chunk is partial; shrinking numShots keeps
-        // the single-wave layout valid (bits past the filled shots
-        // are still zero from reset).
-        chunks_[k].numShots =
-            std::min<size_t>(64, pending_.size() - 64 * k);
-        decoder_.stageBatch(chunks_[k]);
-    }
     decoder_.flushStaged();
     const double commitUs = options_.nowUs();
 
@@ -286,8 +248,6 @@ StreamDecoder::flush(size_t cause)
         decoder_.stagedPredictions();
     for (size_t i = 0; i < pending_.size(); ++i) {
         const PendingWindow& p = pending_[i];
-        const size_t flat =
-            decoder_.stagedBatchOffset(i / 64) + (i & 63);
         const double latency = std::max(0.0, commitUs - p.readyUs);
         stats_.latencySumUs += latency;
         stats_.latencyMaxUs = std::max(stats_.latencyMaxUs, latency);
@@ -298,13 +258,10 @@ StreamDecoder::flush(size_t cause)
         CommittedWindow c;
         c.stream = p.stream;
         c.windowIndex = p.windowIndex;
-        c.prediction = predicted[flat];
+        c.prediction = predicted[i];
         c.latencyUs = latency;
         committed_.push_back(c);
     }
-
-    for (size_t k = 0; k < staged; ++k)
-        chunks_[k].reset(numDetectors_, 64);
     pending_.clear();
 }
 

@@ -9,10 +9,12 @@
  * a window once the later rounds that give the window its temporal
  * context have arrived. StreamDecoder models exactly that contract.
  * Each stream accumulates round slices into its current window; when
- * the final slice lands the window becomes *ready* and is timestamped.
- * Ready windows from all streams are packed — in arrival order — into
- * 64-shot ShotBatch chunks and flushed through the staged decode
- * interface (BpOsdDecoder::beginStaged/stageBatch/flushStaged), so
+ * the final slice lands the window becomes *ready*: it is staged
+ * straight into the decoder's open staged group
+ * (BpOsdDecoder::stageSyndrome) and timestamped. The first ready
+ * window after a flush opens that group, so the group is the slab:
+ * ready windows from all streams pool there in arrival order, and a
+ * flush (BpOsdDecoder::flushStaged) decodes them together, so
  * cross-stream batch formation feeds the SIMD wave kernel full lane
  * groups.
  *
@@ -52,7 +54,6 @@
 #include "common/bitvec.h"
 #include "common/stat_fields.h"
 #include "decoder/bposd_decoder.h"
-#include "dem/shot_batch.h"
 
 namespace cyclone {
 
@@ -218,9 +219,10 @@ struct CommittedWindow
 
 /**
  * The streaming front-end. Owns the window state machines and the
- * slab under formation; decodes through a caller-owned BpOsdDecoder
- * (campaign workers reuse their per-worker decoder, so streamed and
- * offline runs share every decode path and statistic).
+ * identity of every window in the slab; decodes through a
+ * caller-owned BpOsdDecoder (a campaign group streams through its
+ * worker's decoder, so streamed and offline runs share every decode
+ * path and statistic).
  *
  * Driving protocol, per source round (in real arrival order):
  *   1. pushRound(stream, syndrome) for each stream that produced a
@@ -229,6 +231,12 @@ struct CommittedWindow
  *   3. drain committed() — commits appear after any flush.
  * At end of stream call finish(), which flushes the remaining ready
  * windows and discards (but counts) incomplete trailing windows.
+ *
+ * While any window is ready but uncommitted, the decoder's staged
+ * group belongs to this stream, so the caller must leave the decoder
+ * alone until finish(). A flush that holds more than 64 windows adds
+ * nothing to BpOsdStats::stagedChunks, which counts batches, and a
+ * window is not one.
  */
 class StreamDecoder
 {
@@ -254,9 +262,8 @@ class StreamDecoder
     /** Deadline-policy flush check; call once per round tick. */
     void poll();
 
-    /** Flush remaining ready windows, discard+count partial ones,
-     *  and restart every stream's window ordinal at 0 (stats keep
-     *  accumulating, so one StreamDecoder serves many runs). */
+    /** Flush remaining ready windows and discard+count partial ones;
+     *  the decoder is the caller's again. */
     void finish();
 
     /** Commits accumulated since the caller last cleared this. */
@@ -275,10 +282,6 @@ class StreamDecoder
     size_t readyWindows() const { return pending_.size(); }
 
     const StreamDecodeStats& stats() const { return stats_; }
-
-    /** Hand over the statistics gathered since construction or the
-     *  last call, and restart them from zero (the deadline stays). */
-    StreamDecodeStats takeStats();
 
   private:
     struct StreamState
@@ -304,9 +307,8 @@ class StreamDecoder
     double flushAfterUs_ = 0.0;
 
     std::vector<StreamState> states_;
-    /** Slab under formation: capacityChunks chunks of up to 64
-     *  windows each, plus the identity of every staged window. */
-    std::vector<ShotBatch> chunks_;
+    /** Identity of every window staged in the open group, in staging
+     *  order (window i's prediction is stagedPredictions()[i]). */
     std::vector<PendingWindow> pending_;
     std::vector<CommittedWindow> committed_;
     StreamDecodeStats stats_;

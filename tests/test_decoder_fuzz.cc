@@ -12,7 +12,8 @@
  * plus adversarial raw syndromes that may leave the DEM column span),
  * then asserts exact prediction and statistics equality between the
  * per-shot oracle (BpOsdDecoder::decode) and the pipeline on every
- * supported rung, plus the staged pool, for both BP variants. Wider
+ * supported rung, plus the staged pool fed by batches and by single
+ * syndromes, for both BP variants. Wider
  * random DEMs (65-464 detectors) run OsdDecoder::solve head to head
  * against the scalar OsdDecoder::decode at reject quotas from 0 to
  * 60, which is what reaches the aug-free hit-list rebuild and the
@@ -211,6 +212,25 @@ TEST(DecoderFuzz, AllPathsBitExactOnRandomDems)
                 EXPECT_EQ(st.bpIterations, want.bpIterations * 2)
                     << label;
                 EXPECT_EQ(st.stagedChunks, 1u) << label;
+            }
+
+            // Every shot staged on its own, as the streaming front-end
+            // stages ready windows: the same group decodeBatch forms,
+            // so the same predictions and every deterministic counter.
+            {
+                BpOsdDecoder batched(dem, bp);
+                std::vector<uint64_t> got;
+                batched.decodeBatch(batch, got);
+                BpOsdDecoder single(dem, bp);
+                single.beginStaged();
+                for (size_t s = 0; s < shots; ++s)
+                    single.stageSyndrome(batch.syndromeOf(s));
+                single.flushStaged();
+                EXPECT_EQ(single.stagedPredictions(), got) << label;
+                EXPECT_EQ(deterministicMismatch(single.stats(),
+                                                batched.stats()),
+                          "")
+                    << label;
             }
         }
     }

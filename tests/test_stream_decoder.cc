@@ -284,15 +284,34 @@ TEST(StreamDecoder, FinishDiscardsAndCountsTruncatedRounds)
     EXPECT_EQ(stream.committed()[0].stream, 0u);
     EXPECT_EQ(stream.stats().windows, 1u);
     EXPECT_EQ(stream.stats().truncatedRounds, 3u);
+}
 
-    // finish() restarted the window ordinals: the next run's first
-    // window is windowIndex 0 again on every stream.
-    stream.committed().clear();
-    for (size_t r = 0; r < 4; ++r)
-        stream.pushRound(1, syndrome);
+TEST(StreamDecoder, DecoderIsFreeAfterFinish)
+{
+    // Ready windows stage straight into the decoder's staged group;
+    // finish() must close it, so the caller's offline decode works.
+    const DetectorErrorModel dem = chainDem(10, 0.1);
+    Rng rng(0xf1e1d);
+    const ShotBatch batch = randomShots(dem, 20, rng);
+    const std::vector<uint64_t> expected = offlinePredictions(dem, batch);
+
+    BpOsdDecoder decoder(dem);
+    StreamDecoderOptions options;
+    options.streams = 3;
+    options.roundsPerWindow = 2;
+    StreamDecoder stream(decoder, dem.numDetectors, options);
+    for (size_t s = 0; s < 3; ++s) {
+        for (size_t r = 0; r < 2; ++r)
+            stream.pushRound(s, batch.syndromeOf(s));
+    }
+    stream.pushRound(0, batch.syndromeOf(3)); // a truncated window
     stream.finish();
-    ASSERT_EQ(stream.committed().size(), 1u);
-    EXPECT_EQ(stream.committed()[0].windowIndex, 0u);
+    ASSERT_EQ(stream.committed().size(), 3u);
+
+    std::vector<uint64_t> predicted;
+    decoder.decodeBatch(batch, predicted);
+    EXPECT_EQ(predicted, expected);
+    EXPECT_EQ(decoder.stats().decodes, 3 + batch.numShots);
 }
 
 TEST(StreamDecoder, LatencyHistogramQuantilesWithinBinResolution)
@@ -364,54 +383,32 @@ TEST(StreamDecoder, ChunkGroupStreamedMatchesOfflineChunkGroup)
     std::vector<ShotBatch> offlineBatches;
     const ChunkOutcome want =
         runChunkGroup(dem, plans.data(), count, offline, offlineBatches);
+    const BpOsdStats& wantStats = offline.stats();
 
     for (const size_t S : {size_t{1}, size_t{5}, size_t{8}}) {
         BpOsdDecoder decoder(dem);
-        double clockUs = 0.0;
         StreamDecoderOptions options;
         options.streams = S;
         options.roundsPerWindow = 3;
-        options.nowUs = [&clockUs] { return clockUs; };
-        StreamDecoder stream(decoder, dem.numDetectors, options);
         std::vector<ShotBatch> batches;
-        const ChunkOutcome got = runChunkGroupStreamed(
-            dem, plans.data(), count, stream, batches, 1.0, clockUs);
+        StreamDecodeStats stats;
+        const ChunkOutcome got =
+            runChunkGroupStreamed(dem, plans.data(), count, decoder,
+                                  batches, options, 1.0, stats);
         EXPECT_EQ(got.shots, want.shots) << "S=" << S;
         EXPECT_EQ(got.failures, want.failures) << "S=" << S;
-        EXPECT_EQ(stream.stats().windows, want.shots) << "S=" << S;
+        EXPECT_EQ(stats.windows, want.shots) << "S=" << S;
+
+        // Only the grouping counters may differ from offline decoding.
+        const BpOsdStats& st = decoder.stats();
+        EXPECT_EQ(st.decodes, wantStats.decodes) << "S=" << S;
+        EXPECT_EQ(st.trivialShots, wantStats.trivialShots) << "S=" << S;
+        EXPECT_EQ(st.bpConverged, wantStats.bpConverged) << "S=" << S;
+        EXPECT_EQ(st.osdInvocations, wantStats.osdInvocations)
+            << "S=" << S;
+        EXPECT_EQ(st.osdFailures, wantStats.osdFailures) << "S=" << S;
+        EXPECT_EQ(st.bpIterations, wantStats.bpIterations) << "S=" << S;
     }
-}
-
-TEST(StreamDecoder, ReusedAcrossGroupsKeepsFlatMappingAndStats)
-{
-    // A campaign worker drives many staged groups through one
-    // StreamDecoder; each group's windowIndex mapping must restart
-    // while the stats accumulate across groups.
-    const DetectorErrorModel dem = chainDem(10, 0.12);
-    ChunkPlan plan;
-    plan.index = 0;
-    plan.shots = 70;
-    plan.seed = chunkSeed(0xbeefULL, 0);
-
-    BpOsdDecoder offline(dem);
-    std::vector<ShotBatch> offlineBatches;
-    const ChunkOutcome want =
-        runChunkGroup(dem, &plan, 1, offline, offlineBatches);
-
-    BpOsdDecoder decoder(dem);
-    double clockUs = 0.0;
-    StreamDecoderOptions options;
-    options.streams = 6;
-    options.nowUs = [&clockUs] { return clockUs; };
-    StreamDecoder stream(decoder, dem.numDetectors, options);
-    std::vector<ShotBatch> batches;
-    for (size_t group = 0; group < 3; ++group) {
-        const ChunkOutcome got = runChunkGroupStreamed(
-            dem, &plan, 1, stream, batches, 1.0, clockUs);
-        EXPECT_EQ(got.shots, want.shots) << "group=" << group;
-        EXPECT_EQ(got.failures, want.failures) << "group=" << group;
-    }
-    EXPECT_EQ(stream.stats().windows, 3 * want.shots);
 }
 
 } // namespace
