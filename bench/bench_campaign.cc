@@ -38,17 +38,6 @@ using namespace cyclone;
 
 namespace {
 
-size_t
-shotBudget()
-{
-    if (const char* env = std::getenv("CYCLONE_SHOTS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<size_t>(v);
-    }
-    return 8000;
-}
-
 std::string
 benchSpec(size_t shots)
 {
@@ -174,7 +163,7 @@ int
 main()
 {
     const size_t cores = std::thread::hardware_concurrency();
-    const size_t shots = shotBudget();
+    const size_t shots = bench::shots(8000);
     const std::string spec = benchSpec(shots);
 
     std::vector<Row> rows;

@@ -43,17 +43,6 @@ using namespace cyclone;
 
 namespace {
 
-size_t
-windowBudget()
-{
-    if (const char* env = std::getenv("CYCLONE_SHOTS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<size_t>(v);
-    }
-    return 1024;
-}
-
 /**
  * Decoder configuration for the serving rows AND the offline
  * bit-identity reference (they must match exactly). BP is capped at
@@ -234,7 +223,7 @@ main()
 
     // One deterministic shot set serves every row; the offline batch
     // decode of it is the bit-identity reference.
-    const size_t budget = windowBudget();
+    const size_t budget = bench::shots(1024);
     // Max-rate row: a multiple of the 128-window slab so full-wave
     // occupancy is measured on whole slabs.
     const size_t maxrateWindows = std::max<size_t>(

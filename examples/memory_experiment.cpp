@@ -10,26 +10,68 @@
  * on the thread pool, and an optional relative-error target
  * lets converged points stop before the shot cap.
  *
- * Run: ./memory_experiment [code-name] [cyclone|baseline] [shots]
+ * Run: ./memory_experiment [code-name] [architecture] [shots]
  *      [target-rel-err]
+ *
+ * The code and the architecture take their spec-file names (bb72,
+ * hgp225, surface5, ...; baseline, alternate, dynamic, ring, mesh,
+ * cyclone), the numbers parse as spec values do. An unknown name or a
+ * malformed number exits 2, naming the argument.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <optional>
 #include <string>
 
 #include "core/cyclone.h"
 
 using namespace cyclone;
 
+namespace {
+
+/** Exit 2 after one error line naming argument `arg`. */
+[[noreturn]] void
+badArgument(const char* arg, const std::string& why)
+{
+    std::fprintf(stderr, "error: %s: %s\n", arg, why.c_str());
+    std::exit(2);
+}
+
+/** Argument `arg` parsed by parseCount or parseReal. */
+template <typename Parse>
+auto
+numericArgument(const char* arg, const char* text, Parse parse)
+{
+    try {
+        return parse(text);
+    } catch (const std::invalid_argument& ex) {
+        badArgument(arg, ex.what());
+    }
+}
+
+} // namespace
+
 int
 main(int argc, char** argv)
 {
     const std::string name = argc > 1 ? argv[1] : "bb72";
-    const std::string arch = argc > 2 ? argv[2] : "cyclone";
-    const size_t shots = argc > 3
-        ? static_cast<size_t>(std::atoll(argv[3])) : 400;
-    const double rel_err = argc > 4 ? std::atof(argv[4]) : 0.0;
+    try {
+        resolveCampaignCode(name);
+    } catch (const std::exception&) {
+        badArgument("code-name", "unknown code '" + name + "'");
+    }
+    const std::string arch_name = argc > 2 ? argv[2] : "cyclone";
+    const std::optional<Architecture> arch = parseArchitecture(arch_name);
+    if (!arch)
+        badArgument("architecture",
+                    "unknown architecture '" + arch_name + "'");
+    const size_t shots =
+        argc > 3 ? numericArgument("shots", argv[3], parseCount) : 400;
+    const double rel_err = argc > 4
+        ? numericArgument("target-rel-err", argv[4], parseReal)
+        : 0.0;
 
     CampaignSpec spec;
     spec.name = "memory-experiment";
@@ -37,8 +79,7 @@ main(int argc, char** argv)
     for (double p : {2e-4, 5e-4, 1e-3, 2e-3}) {
         TaskSpec task;
         task.codeName = name;
-        task.architecture = arch == "baseline"
-            ? Architecture::BaselineGrid : Architecture::Cyclone;
+        task.architecture = *arch;
         task.compileLatency = true;
         task.physicalError = p;
         task.stop.chunkShots = 128;

@@ -103,8 +103,8 @@ class BitVec
     /**
      * Overwrite the contents from `count` raw words without changing
      * the bit length. `count` must match numWords(); bits beyond
-     * size() in the last word must already be zero (the batch
-     * transpose guarantees this by zero-padding its tiles).
+     * size() in the last word must already be zero (a ShotBatch row
+     * keeps them zero).
      */
     void assignWords(const uint64_t* src, size_t count);
 

@@ -189,50 +189,14 @@ BpOsdDecoder::stageBatch(const ShotBatch& batch)
                    << dem_.numDetectors);
     if (!stagedOffsets_.empty())
         ++stats_.stagedChunks;
-    const size_t base = stagedShots_;
-    stagedOffsets_.push_back(base);
+    stagedOffsets_.push_back(stagedShots_);
 
-    const size_t syndrome_words = batch.syndromeWords();
     if (syndromeScratch_.size() != batch.numDetectors)
         syndromeScratch_.resize(batch.numDetectors);
-
-    // Pass 1: group. Shots with detection events are bucketed by
-    // distinct syndrome across the whole staged pool; each distinct
-    // syndrome is decoded exactly once by flushStaged() and replayed
-    // onto all its shots.
-    for (size_t wave = 0; wave < batch.numWaves(); ++wave) {
-        const uint64_t valid = batch.waveMask(wave);
-        const uint64_t active = batch.activeMask(wave) & valid;
-        const size_t shots_in_wave =
-            static_cast<size_t>(std::popcount(valid));
-        const size_t trivial_in_wave = shots_in_wave -
-            static_cast<size_t>(std::popcount(active));
-
-        stats_.decodes += shots_in_wave;
-        stats_.trivialShots += trivial_in_wave;
-        stats_.bpConverged += trivial_in_wave;
-        if (active == 0)
-            continue;
-
-        // Shot-major view of this wave's syndromes (zero-padded rows
-        // keep bits past numDetectors clear).
-        batch.extractWave(wave, waveScratch_);
-
-        uint64_t pending = active;
-        while (pending) {
-            const size_t s =
-                static_cast<size_t>(std::countr_zero(pending));
-            pending &= pending - 1;
-            const uint32_t shot =
-                static_cast<uint32_t>(base + wave * 64 + s);
-            syndromeScratch_.assignWords(
-                waveScratch_.data() + s * syndrome_words,
-                syndrome_words);
-            stageDistinct(syndromeScratch_, shot);
-        }
+    for (size_t s = 0; s < batch.numShots; ++s) {
+        syndromeScratch_.assignWords(batch.row(s), batch.syndromeWords());
+        stageSyndrome(syndromeScratch_);
     }
-
-    stagedShots_ = base + batch.numShots;
 }
 
 void
@@ -243,19 +207,18 @@ BpOsdDecoder::stageSyndrome(const BitVec& syndrome)
     CYCLONE_ASSERT(syndrome.size() == dem_.numDetectors,
                    "syndrome detector count mismatch: "
                    << syndrome.size() << " vs " << dem_.numDetectors);
+    const uint32_t shot = static_cast<uint32_t>(stagedShots_++);
     ++stats_.decodes;
     if (syndrome.isZero()) {
         ++stats_.trivialShots;
         ++stats_.bpConverged;
-    } else {
-        stageDistinct(syndrome, static_cast<uint32_t>(stagedShots_));
+        return;
     }
-    ++stagedShots_;
-}
 
-void
-BpOsdDecoder::stageDistinct(const BitVec& syndrome, uint32_t shot)
-{
+    // Pass 1: group. A shot with detection events is bucketed by
+    // distinct syndrome across the whole staged pool; each distinct
+    // syndrome is decoded exactly once by flushStaged() and replayed
+    // onto all its shots.
     std::vector<uint32_t>& bucket = memoIndex_[syndrome.hash()];
     for (uint32_t idx : bucket) {
         if (memoEntries_[idx].syndrome == syndrome) {

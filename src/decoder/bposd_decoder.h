@@ -9,8 +9,8 @@
  * families (BP-OSD for BB codes, the QuITS decoder for HGP codes).
  *
  * The batched entry point decodeBatch() exploits the sub-threshold
- * structure of Monte-Carlo shots: whole 64-shot waves are tested for
- * detection events with one packed OR sweep (zero-syndrome shots skip
+ * structure of Monte-Carlo shots: each shot's packed syndrome row is
+ * tested for detection events word by word (zero-syndrome shots skip
  * BP entirely), a per-batch memo decodes each distinct syndrome once
  * and replays the result — and its statistics — for duplicates, and
  * the surviving distinct syndromes are decoded L at a time by the
@@ -166,19 +166,21 @@ class BpOsdDecoder
     void beginStaged();
 
     /**
-     * Add one batch's shots to the open staged group. All batches of
-     * a group must share the DEM's detector count; the batch's packed
-     * words are copied, so the caller may reuse it — but observables
-     * comparison happens on the caller's side after flushStaged().
+     * Add one batch's shots to the open staged group: each shot's row
+     * goes through stageSyndrome, in shot order. All batches of a
+     * group must share the DEM's detector count; the rows are copied,
+     * so the caller may reuse the batch — but observables comparison
+     * happens on the caller's side after flushStaged().
      */
     void stageBatch(const ShotBatch& batch);
 
     /**
      * Add one shot-major syndrome (the DEM's detector count) to the
      * open staged group as one more shot: a zero syndrome counts as
-     * trivial, any other joins the group's memo as stageBatch's shots
-     * do. Its prediction is stagedPredictions()[i], where i is the
-     * number of shots staged before it.
+     * trivial, any other joins the memo entry of an equal syndrome
+     * staged before it, or opens one. Its prediction is
+     * stagedPredictions()[i], where i is the number of shots staged
+     * before it.
      */
     void stageSyndrome(const BitVec& syndrome);
 
@@ -237,9 +239,6 @@ class BpOsdDecoder
         std::vector<uint32_t> shots; ///< Staged shot ids (pool-flat).
     };
 
-    /** Pool staged shot `shot`'s non-zero syndrome under its memo
-     *  entry, opening the entry if the group has not seen it. */
-    void stageDistinct(const BitVec& syndrome, uint32_t shot);
     DecodeOutcome decodeCore(const BitVec& syndrome);
     void applyOutcomeStats(const DecodeOutcome& outcome);
     uint64_t observablesOf(const BitVec& errors) const;
@@ -266,7 +265,6 @@ class BpOsdDecoder
     std::vector<size_t> stagedOffsets_;
     std::vector<uint64_t> stagedPredicted_;
     BitVec syndromeScratch_;
-    std::vector<uint64_t> waveScratch_;
     std::vector<MemoEntry> memoEntries_;
     std::vector<uint32_t> laneOrder_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> memoIndex_;

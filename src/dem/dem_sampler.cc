@@ -35,15 +35,11 @@ sampleDemBatch(const DetectorErrorModel& dem, size_t shots, Rng& rng,
                ShotBatch& out)
 {
     out.reset(dem.numDetectors, shots);
-    const size_t stride = out.wordsPerDetector();
-    uint64_t* words = out.words.data();
     for (const DemMechanism& m : dem.mechanisms) {
         uint64_t shot = rng.geometricSkip(m.probability);
         while (shot < shots) {
-            const size_t word = shot >> 6;
-            const uint64_t bit = uint64_t(1) << (shot & 63);
             for (uint32_t d : m.detectors)
-                words[d * stride + word] ^= bit;
+                out.flipDetector(shot, d);
             out.observables[shot] ^= m.observables;
             const uint64_t skip = rng.geometricSkip(m.probability);
             if (skip == ~0ull)

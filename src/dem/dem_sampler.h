@@ -43,13 +43,13 @@ void sampleDemInto(const DetectorErrorModel& dem, size_t shots, Rng& rng,
                    DemShots& out);
 
 /**
- * Sample straight into a packed, detector-major ShotBatch.
+ * Sample straight into a packed ShotBatch, one row per shot.
  *
  * Consumes the RNG stream in exactly the same order as sampleDemInto
- * (mechanisms outer, geometric skips inner), so for a given seed the
- * packed batch holds bit-for-bit the same outcomes as the per-shot
- * BitVecs of the scalar sampler — the batched decode pipeline stays
- * bit-identical to the scalar one. Reuses `out`'s storage.
+ * (mechanisms outer, geometric skips inner), so for a given seed each
+ * row holds bit-for-bit the words of the scalar sampler's BitVec for
+ * that shot — the batched decode pipeline stays bit-identical to the
+ * scalar one. Reuses `out`'s storage.
  */
 void sampleDemBatch(const DetectorErrorModel& dem, size_t shots, Rng& rng,
                     ShotBatch& out);

@@ -1,8 +1,5 @@
 #include "dem/shot_batch.h"
 
-#include <algorithm>
-
-#include "common/bit_transpose.h"
 #include "common/logging.h"
 
 namespace cyclone {
@@ -12,40 +9,8 @@ ShotBatch::reset(size_t detectors, size_t shots)
 {
     numDetectors = detectors;
     numShots = shots;
-    const size_t total = detectors * wordsPerDetector();
-    if (words.size() != total)
-        words.resize(total);
-    std::fill(words.begin(), words.end(), 0);
+    words.assign(shots * syndromeWords(), 0);
     observables.assign(shots, 0);
-}
-
-uint64_t
-ShotBatch::waveMask(size_t wave) const
-{
-    CYCLONE_ASSERT(wave < numWaves(), "wave " << wave << " out of range");
-    const size_t base = wave * 64;
-    const size_t count = std::min<size_t>(64, numShots - base);
-    return count == 64 ? ~uint64_t(0) : (uint64_t(1) << count) - 1;
-}
-
-uint64_t
-ShotBatch::activeMask(size_t wave) const
-{
-    const size_t stride = wordsPerDetector();
-    uint64_t any = 0;
-    for (size_t d = 0; d < numDetectors; ++d)
-        any |= words[d * stride + wave];
-    return any;
-}
-
-void
-ShotBatch::extractWave(size_t wave, std::vector<uint64_t>& out) const
-{
-    CYCLONE_ASSERT(wave < numWaves(), "wave " << wave << " out of range");
-    const size_t rows = syndromeWords();
-    out.resize(64 * rows);
-    transposeWave64(words.data() + wave, numDetectors,
-                    wordsPerDetector(), out.data(), rows);
 }
 
 BitVec
@@ -53,13 +18,7 @@ ShotBatch::syndromeOf(size_t shot) const
 {
     CYCLONE_ASSERT(shot < numShots, "shot " << shot << " out of range");
     BitVec syndrome(numDetectors);
-    const size_t stride = wordsPerDetector();
-    const size_t w = shot >> 6;
-    const uint64_t bit = uint64_t(1) << (shot & 63);
-    for (size_t d = 0; d < numDetectors; ++d) {
-        if (words[d * stride + w] & bit)
-            syndrome.set(d, true);
-    }
+    syndrome.assignWords(row(shot), syndromeWords());
     return syndrome;
 }
 

@@ -1,14 +1,13 @@
 /**
  * @file
- * Bit-packed batch of sampled shots, detector-major.
+ * Bit-packed batch of sampled shots, shot-major.
  *
- * A ShotBatch stores the detector outcomes of up to `numShots` Monte
- * Carlo shots packed 64 per uint64_t word: word w of detector d holds
- * shots 64w .. 64w+63 (LSB first). The layout matches the write
- * pattern of the geometric-skip sampler (whole mechanisms at a time,
- * one XOR per touched detector word) and lets the decoder test a whole
- * 64-shot wave for detection events with one OR sweep — the
- * sub-threshold fast path of the batched decode pipeline.
+ * A ShotBatch stores the detector outcomes of `numShots` Monte Carlo
+ * shots as packed rows: row s is shot s's syndrome, laid out as a
+ * BitVec lays out its words (LSB first, zero past numDetectors). The
+ * geometric-skip sampler XORs each fired mechanism's detectors into
+ * its shot's row, and the decoder reads each row whole: a zero test
+ * for the sub-threshold fast path, then a word copy into the memo.
  */
 
 #ifndef CYCLONE_DEM_SHOT_BATCH_H
@@ -29,27 +28,20 @@ struct ShotBatch
     size_t numShots = 0;
 
     /**
-     * Detector-major packed outcomes: word `d * wordsPerDetector() + w`
-     * holds shots 64w .. 64w+63 of detector d. Bits at shot indices
-     * >= numShots are always zero.
+     * Shot-major packed outcomes: row s is the syndromeWords() words
+     * starting at word `s * syndromeWords()`. Bits at detector indices
+     * >= numDetectors are always zero.
      */
     std::vector<uint64_t> words;
 
     /** Observable flip mask of each shot. */
     std::vector<uint64_t> observables;
 
-    /** Words per detector row: one per 64-shot wave. */
+    /** Words of one shot's row. */
     size_t
-    wordsPerDetector() const
+    syndromeWords() const
     {
-        return (numShots + 63) / 64;
-    }
-
-    /** Number of 64-shot waves (last one may be partial). */
-    size_t
-    numWaves() const
-    {
-        return (numShots + 63) / 64;
+        return (numDetectors + 63) / 64;
     }
 
     /**
@@ -58,61 +50,22 @@ struct ShotBatch
      */
     void reset(size_t detectors, size_t shots);
 
-    /** Mutable word row of detector d (wordsPerDetector() words). */
-    uint64_t*
-    row(size_t d)
-    {
-        return words.data() + d * wordsPerDetector();
-    }
-
+    /** First word of shot s's row. */
     const uint64_t*
-    row(size_t d) const
+    row(size_t shot) const
     {
-        return words.data() + d * wordsPerDetector();
-    }
-
-    /** Read the outcome of one detector for one shot. */
-    bool
-    detector(size_t shot, size_t det) const
-    {
-        return (words[det * wordsPerDetector() + (shot >> 6)] >>
-                (shot & 63)) &
-            1;
+        return words.data() + shot * syndromeWords();
     }
 
     /** Flip the outcome of one detector for one shot. */
     void
     flipDetector(size_t shot, size_t det)
     {
-        words[det * wordsPerDetector() + (shot >> 6)] ^=
-            uint64_t(1) << (shot & 63);
+        words[shot * syndromeWords() + (det >> 6)] ^=
+            uint64_t(1) << (det & 63);
     }
 
-    /** Mask of shot indices that exist in wave w (partial last wave). */
-    uint64_t waveMask(size_t wave) const;
-
-    /**
-     * Mask of shots in wave w with at least one detection event: the
-     * OR of every detector's wave word. O(numDetectors) words.
-     */
-    uint64_t activeMask(size_t wave) const;
-
-    /** Words needed to hold one shot's syndrome bit-packed. */
-    size_t
-    syndromeWords() const
-    {
-        return (numDetectors + 63) / 64;
-    }
-
-    /**
-     * Shot-major view of wave w: `out` is resized to 64 syndrome rows
-     * of syndromeWords() words each; row s holds the packed syndrome
-     * of shot 64w + s, zero-padded past numDetectors (the BitVec tail
-     * invariant, so rows can be adopted via BitVec::assignWords).
-     */
-    void extractWave(size_t wave, std::vector<uint64_t>& out) const;
-
-    /** Unpack one shot's syndrome as a BitVec (tests, slow paths). */
+    /** One shot's syndrome as a BitVec (a copy of its row). */
     BitVec syndromeOf(size_t shot) const;
 };
 

@@ -4,10 +4,11 @@
  *
  * The builder is pinned three ways: hand-built circuits with known
  * answers, golden digests of four code-scale DEMs, and a differential
- * fuzz against single-fault frame propagation. CI runs the fuzz with
- * a fixed seed set; set CYCLONE_FUZZ_ITERS to a larger count for
- * deeper runs (each iteration is one random circuit per register size
- * from 2 to 6 qubits).
+ * fuzz against single-fault frame propagation. Golden digests of
+ * batches sampled from two of those DEMs pin the packed sampler. CI
+ * runs the fuzz with a fixed seed set; set CYCLONE_FUZZ_ITERS to a
+ * larger count for deeper runs (each iteration is one random circuit
+ * per register size from 2 to 6 qubits).
  */
 
 // The fuzz's reference folds merged probabilities exactly as the
@@ -227,17 +228,31 @@ demDigest(const DetectorErrorModel& dem)
     return h.digest();
 }
 
-TEST(DemBuilder, GoldenDigests)
+/** A code-scale memory DEM whose probabilities are all literals, a
+ *  literal / 3 or / 15, or a merge fold of those: no libm call feeds
+ *  one. The per-qubit twirl table takes the Pauli1 path, zero
+ *  components included. */
+DetectorErrorModel
+literalDem(const CssCode& code, bool xBasis)
 {
-    // Every bit of four code-scale DEMs, pinned on every host CI runs.
-    // Each probability is a literal, a literal / 3 or / 15, or a merge
-    // fold of those: no libm call feeds one. The per-qubit twirl table
-    // takes the Pauli1 path, zero components included. A change that
-    // means to move a DEM updates these values.
     static const PauliTwirl kTwirls[] = {
         {2.5e-4, 2.5e-4, 5e-4}, {1e-4, 0.0, 3e-4}, {0.0, 0.0, 7e-4},
         {6e-4, 2e-4, 0.0},      {1.5e-4, 1.5e-4, 1.5e-4},
     };
+    MemoryCircuitOptions opts;
+    opts.noise = NoiseModel::uniform(1e-3);
+    for (size_t q = 0; q < code.numQubits(); ++q)
+        opts.perQubitIdle.push_back(kTwirls[q % std::size(kTwirls)]);
+    const SyndromeSchedule sched = makeXThenZSchedule(code);
+    return buildDetectorErrorModel(
+        xBasis ? buildXMemoryCircuit(code, sched, opts)
+               : buildZMemoryCircuit(code, sched, opts));
+}
+
+TEST(DemBuilder, GoldenDigests)
+{
+    // Every bit of four code-scale DEMs, pinned on every host CI runs.
+    // A change that means to move a DEM updates these values.
     struct Case
     {
         const char* name;
@@ -252,15 +267,7 @@ TEST(DemBuilder, GoldenDigests)
         {"hgp225/x", catalog::hgp225(), true, 0x31225215a1d8c873ull},
     };
     for (const Case& c : cases) {
-        MemoryCircuitOptions opts;
-        opts.noise = NoiseModel::uniform(1e-3);
-        for (size_t q = 0; q < c.code.numQubits(); ++q)
-            opts.perQubitIdle.push_back(kTwirls[q % std::size(kTwirls)]);
-        const SyndromeSchedule sched = makeXThenZSchedule(c.code);
-        const Circuit circuit = c.xBasis
-            ? buildXMemoryCircuit(c.code, sched, opts)
-            : buildZMemoryCircuit(c.code, sched, opts);
-        const uint64_t got = demDigest(buildDetectorErrorModel(circuit));
+        const uint64_t got = demDigest(literalDem(c.code, c.xBasis));
         EXPECT_EQ(got, c.digest)
             << c.name << ": digest 0x" << std::hex << got;
     }
@@ -540,6 +547,63 @@ TEST(DemSampler, MarginalsMatchFrameSimulator)
     // sampling at O(p^2); allow 10% plus statistical slack.
     EXPECT_NEAR(mean_dem, mean_frame,
                 0.1 * mean_frame + 0.3);
+}
+
+/** HashStream digest of a sampled batch: its sizes, then each shot's
+ *  syndrome words and observable mask. It reads shots through
+ *  syndromeOf, so it does not depend on the batch's word layout. */
+uint64_t
+batchDigest(const ShotBatch& batch)
+{
+    HashStream h;
+    h.absorb(uint64_t{batch.numDetectors})
+        .absorb(uint64_t{batch.numShots});
+    for (size_t s = 0; s < batch.numShots; ++s) {
+        const BitVec syndrome = batch.syndromeOf(s);
+        for (uint64_t word : syndrome.words())
+            h.absorb(word);
+        h.absorb(batch.observables[s]);
+    }
+    return h.digest();
+}
+
+TEST(DemSampler, GoldenDigests)
+{
+    // Every sampled bit of eight packed batches, pinned on every host
+    // CI runs: two of DemBuilder.GoldenDigests' DEMs, at seeds 1 and
+    // 2, with 32 shots (perfbench hgp225_fig15's chunk) and 1,000. A
+    // change that means to move sampled shots updates these values.
+    struct Case
+    {
+        const char* name;
+        CssCode code;
+        uint64_t digests[2][2]; ///< [seed 1, 2][32, 1000 shots]
+    };
+    const Case cases[] = {
+        {"bb72/z",
+         catalog::bb72(),
+         {{0x1a6b30f75f88c3caull, 0x58ff6f6bbc3d5b5cull},
+          {0x904745e78acc5936ull, 0x73ed9ec1f3574bbdull}}},
+        {"hgp225/z",
+         catalog::hgp225(),
+         {{0xd908fdb8233dc493ull, 0x467a34db991f641dull},
+          {0x680588d96296340cull, 0x7284d8d247fa7008ull}}},
+    };
+    const size_t kShots[] = {32, 1000};
+    ShotBatch batch;
+    for (const Case& c : cases) {
+        const DetectorErrorModel dem = literalDem(c.code, false);
+        for (uint64_t seed : {1, 2}) {
+            for (size_t i = 0; i < std::size(kShots); ++i) {
+                Rng rng(seed);
+                sampleDemBatch(dem, kShots[i], rng, batch);
+                const uint64_t got = batchDigest(batch);
+                EXPECT_EQ(got, c.digests[seed - 1][i])
+                    << c.name << " seed " << seed << " shots "
+                    << kShots[i] << ": digest 0x" << std::hex << got;
+            }
+        }
+    }
 }
 
 } // namespace

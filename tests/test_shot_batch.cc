@@ -1,16 +1,14 @@
 /**
  * @file
- * Tests for the packed shot pipeline: the 64x64 transpose, the
- * detector-major ShotBatch, the packed sampler, and batch-vs-scalar
- * decode equivalence (the determinism contract of the batched
- * pipeline).
+ * Tests for the packed shot pipeline: the shot-major ShotBatch, the
+ * packed sampler, and batch-vs-scalar decode equivalence (the
+ * determinism contract of the batched pipeline).
  */
 
 #include <gtest/gtest.h>
 
 #include "campaign/adaptive_sampler.h"
 #include "circuit/memory_circuit.h"
-#include "common/bit_transpose.h"
 #include "common/rng.h"
 #include "decoder/bposd_decoder.h"
 #include "dem/dem_builder.h"
@@ -54,114 +52,81 @@ surface13Dem(double p, size_t rounds = 2)
     return buildDetectorErrorModel(circuit);
 }
 
-TEST(BitTranspose, SingleBitsLandTransposed)
+TEST(ShotBatch, RowLayout)
 {
-    Rng rng(7);
-    for (int trial = 0; trial < 40; ++trial) {
-        uint64_t block[64] = {};
-        const size_t r = rng.below(64);
-        const size_t c = rng.below(64);
-        block[r] = uint64_t(1) << c;
-        transpose64x64(block);
-        for (size_t i = 0; i < 64; ++i) {
-            const uint64_t expect =
-                i == c ? uint64_t(1) << r : 0;
-            ASSERT_EQ(block[i], expect)
-                << "r=" << r << " c=" << c << " row " << i;
-        }
-    }
-}
-
-TEST(BitTranspose, RandomRoundtrip)
-{
-    Rng rng(11);
-    uint64_t block[64];
-    uint64_t original[64];
-    for (size_t i = 0; i < 64; ++i)
-        original[i] = block[i] = rng.next();
-    transpose64x64(block);
-    transpose64x64(block);
-    for (size_t i = 0; i < 64; ++i)
-        EXPECT_EQ(block[i], original[i]);
-}
-
-TEST(BitTranspose, WaveTransposePadsShortTiles)
-{
-    // 70 rows x 64 columns, strided input, 2-word output rows.
-    const size_t rows = 70, stride = 3, out_words = 2;
-    std::vector<uint64_t> input(rows * stride, 0);
-    Rng rng(13);
-    for (size_t r = 0; r < rows; ++r)
-        input[r * stride] = rng.next();
-    std::vector<uint64_t> out(64 * out_words, ~uint64_t(0));
-    transposeWave64(input.data(), rows, stride, out.data(), out_words);
-    for (size_t c = 0; c < 64; ++c) {
-        for (size_t r = 0; r < rows; ++r) {
-            const bool in_bit = (input[r * stride] >> c) & 1;
-            const bool out_bit =
-                (out[c * out_words + (r >> 6)] >> (r & 63)) & 1;
-            ASSERT_EQ(in_bit, out_bit) << "r=" << r << " c=" << c;
-        }
-        // Padding rows must come out zero (BitVec tail invariant).
-        for (size_t r = rows; r < 128; ++r) {
-            ASSERT_FALSE((out[c * out_words + (r >> 6)] >> (r & 63)) &
-                         1);
-        }
-    }
-}
-
-TEST(ShotBatch, LayoutAndMasks)
-{
+    // Row s is shot s's syndrome, laid out as a BitVec's words.
     ShotBatch batch;
-    batch.reset(5, 130); // 3 waves, last has 2 shots
-    EXPECT_EQ(batch.numWaves(), 3u);
-    EXPECT_EQ(batch.wordsPerDetector(), 3u);
-    EXPECT_EQ(batch.waveMask(0), ~uint64_t(0));
-    EXPECT_EQ(batch.waveMask(2), 0x3ull);
-    EXPECT_EQ(batch.activeMask(0), 0ull);
+    batch.reset(70, 3);
+    ASSERT_EQ(batch.syndromeWords(), 2u);
+    ASSERT_EQ(batch.words.size(), 6u);
+    batch.flipDetector(2, 69);
+    batch.flipDetector(0, 3);
+    const std::vector<uint64_t> expect = {
+        uint64_t(1) << 3, 0, 0, 0, 0, uint64_t(1) << 5};
+    EXPECT_EQ(batch.words, expect);
+    EXPECT_EQ(batch.row(2), batch.words.data() + 4);
 
-    batch.flipDetector(129, 4);
-    batch.flipDetector(1, 0);
-    EXPECT_TRUE(batch.detector(129, 4));
-    EXPECT_FALSE(batch.detector(128, 4));
-    EXPECT_EQ(batch.activeMask(2), 0x2ull);
-    EXPECT_EQ(batch.activeMask(0), 0x2ull);
-
-    const BitVec syndrome = batch.syndromeOf(129);
-    EXPECT_EQ(syndrome.size(), 5u);
-    EXPECT_TRUE(syndrome.get(4));
+    const BitVec syndrome = batch.syndromeOf(2);
+    EXPECT_EQ(syndrome.size(), 70u);
+    EXPECT_TRUE(syndrome.get(69));
     EXPECT_EQ(syndrome.popcount(), 1u);
 
-    // reset() zeroes contents while reusing storage.
-    batch.reset(5, 130);
-    EXPECT_EQ(batch.activeMask(0), 0ull);
-    EXPECT_EQ(batch.activeMask(2), 0ull);
+    // reset() zeroes every word while reusing storage.
+    batch.reset(70, 3);
+    EXPECT_EQ(batch.words, std::vector<uint64_t>(6, 0));
+}
+
+/** Sample `shots` shots from one seed into `batch` and through the
+ *  scalar sampler: every shot must match, and every row bit past
+ *  numDetectors stay zero. */
+void
+expectPackedMatchesScalar(const DetectorErrorModel& dem, size_t shots,
+                          ShotBatch& batch)
+{
+    Rng scalar_rng(0x5eed);
+    Rng batch_rng(0x5eed);
+    const DemShots scalar = sampleDem(dem, shots, scalar_rng);
+    sampleDemBatch(dem, shots, batch_rng, batch);
+
+    ASSERT_EQ(batch.numShots, shots);
+    ASSERT_EQ(batch.numDetectors, dem.numDetectors);
+    const size_t row_words = batch.syndromeWords();
+    ASSERT_EQ(batch.words.size(), shots * row_words);
+    const size_t tail = dem.numDetectors & 63;
+    for (size_t s = 0; s < shots; ++s) {
+        ASSERT_EQ(batch.observables[s], scalar.observables[s])
+            << "detectors=" << dem.numDetectors << " shots=" << shots
+            << " s=" << s;
+        ASSERT_EQ(batch.syndromeOf(s), scalar.syndromes[s])
+            << "detectors=" << dem.numDetectors << " shots=" << shots
+            << " s=" << s;
+        if (tail != 0) {
+            ASSERT_EQ(batch.row(s)[row_words - 1] >> tail, 0u)
+                << "detectors=" << dem.numDetectors << " s=" << s;
+        }
+    }
 }
 
 TEST(ShotBatch, PackedSamplerMatchesScalarSampler)
 {
+    ShotBatch batch;
     const auto dem = surface13Dem(0.01);
-    for (size_t shots : {1u, 63u, 64u, 65u, 130u, 256u}) {
-        Rng scalar_rng(0x5eed);
-        Rng batch_rng(0x5eed);
-        const DemShots scalar = sampleDem(dem, shots, scalar_rng);
-        ShotBatch batch;
-        sampleDemBatch(dem, shots, batch_rng, batch);
+    for (size_t shots : {1u, 63u, 64u, 65u, 130u, 256u})
+        expectPackedMatchesScalar(dem, shots, batch);
 
-        ASSERT_EQ(batch.numShots, shots);
-        ASSERT_EQ(batch.numDetectors, dem.numDetectors);
-        for (size_t s = 0; s < shots; ++s) {
-            ASSERT_EQ(batch.observables[s], scalar.observables[s])
-                << "shots=" << shots << " s=" << s;
-            ASSERT_EQ(batch.syndromeOf(s), scalar.syndromes[s])
-                << "shots=" << shots << " s=" << s;
-        }
-        // Packed bits past numShots must stay zero.
-        if (shots & 63) {
-            const size_t last = batch.numWaves() - 1;
-            EXPECT_EQ(batch.activeMask(last) & ~batch.waveMask(last),
-                      0ull);
-        }
+    // 0, 1, 63, 64, 65 and 130 detectors: rows of zero to three
+    // words, on and around word boundaries.
+    for (size_t n : {1u, 2u, 64u, 65u, 66u, 131u}) {
+        const auto chain = repetitionDem(n, 0.1);
+        expectPackedMatchesScalar(chain, 100, batch);
+        if (chain.numDetectors == 0)
+            continue;
+        // The sample reaches the last detector, so each row's top
+        // word is exercised.
+        bool last_fired = false;
+        for (size_t s = 0; s < batch.numShots; ++s)
+            last_fired |= batch.syndromeOf(s).get(chain.numDetectors - 1);
+        EXPECT_TRUE(last_fired) << "detectors=" << chain.numDetectors;
     }
 }
 
